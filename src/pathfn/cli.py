@@ -19,7 +19,6 @@ import decimal
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .core.funcs import FuncExpr, eval_approx, eval_exact, supports_exact
 from .core.parse import parse_func_spec
-from .core.points import radix_x_samples, radix_y_set, triplet_count
+from .core.points import radix_x_samples, radix_y_set
 from .core.scalars import Approx, RationalFormatError, format_rational, parse_rational
 from .differences import (
     DEFAULT_TRIPLET_CAP,
@@ -36,8 +35,9 @@ from .differences import (
     divergence_probe,
     membership_scan,
 )
-from .errors import PathfnError, ResourceLimitError
+from .errors import PathfnError
 from .flow import FlowQuery, flow_bruteforce, flow_grid
+from .grid import grid_values
 from .series import (
     ScanParams,
     SeriesFunc,
@@ -112,13 +112,7 @@ def _emit(out: io.StringIO, report: Optional[dict]) -> None:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("PATHFN_JOBS", "1")),
-        help="parallel workers for scans (default: PATHFN_JOBS or 1)",
-    )
-    p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP, help="triplet-count safety cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP, help="cap on triplets and grid-table size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,9 +189,13 @@ def cmd_eval(args, out: io.StringIO) -> int:
     if args.mode == "exact":
         if not supports_exact(f):
             raise PathfnError("function has no exact branch; use --mode float")
+        if args.grid is not None:
+            vals, den = grid_values(f, len(xs) - 1)
+            values = [Fraction(v, den) for v in vals]
+        else:
+            values = [eval_exact(f, x) for x in xs]
         rows.append("x,value")
-        for x in xs:
-            rows.append(f"{format_rational(x)},{format_rational(eval_exact(f, x))}")
+        rows += [f"{format_rational(x)},{format_rational(v)}" for x, v in zip(xs, values)]
     else:
         rows.append("x,value,error_bound")
         for x in xs:
@@ -216,7 +214,7 @@ def cmd_membership(args, out: io.StringIO) -> int:
     q = MembershipQuery(
         f=f, c=c, r=args.r, n_max=args.nmax, y_set=radix_y_set(args.r, args.ydepth), mode=args.mode
     )
-    report = membership_scan(q, jobs=max(1, args.jobs), cap=args.cap)
+    report = membership_scan(q, cap=args.cap)
     verdict = {"no-violation": "pass", "violated": "fail", "inconclusive": "inconclusive"}[report.verdict]
     doc = _report(
         "membership",
@@ -244,11 +242,7 @@ def cmd_identity(args, out: io.StringIO) -> int:
     if not supports_exact(psi):
         raise PathfnError("identity verification requires an exact-capable generator")
     s = SeriesFunc.create(psi, args.r)
-    ys = radix_y_set(args.r, args.ydepth)
-    total = triplet_count(args.r, args.nmax, len(ys))
-    if total > args.cap:
-        raise ResourceLimitError(f"scan of {total} triplets exceeds cap {args.cap}")
-    report = identity_residual_scan(s, args.nmax, ys)
+    report = identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
     verdict = "pass" if report.offender is None else "fail"
     doc = _report(
         "identity",

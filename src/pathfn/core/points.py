@@ -131,6 +131,8 @@ class Triplet:
 
 def triplet_count(r: int, n_max: int, num_y: int) -> int:
     validate_radix(r)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     return num_y * (r ** (n_max + 1) - 1) // (r - 1)
 
 

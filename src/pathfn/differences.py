@@ -11,14 +11,19 @@ concavity bound Delta <= -2 c r^n over a finite triplet family; the
 semiconcavity scan checks Delta <= alpha.  Exact mode gives mathematically
 exact verdicts for the scanned subfamily; float mode reports three-valued
 verdicts and never converts rounding noise into a claim.
+
+Exact scans read one grid table of f (``pathfn.grid``) and compare stencils
+in integers; nothing in them passes through float.  The single-stencil
+functions here use the orbit-walking ``eval_exact``, a separate route that
+the tests use as the table's oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, eval_approx, eval_exact
 from .core.points import (
@@ -31,6 +36,7 @@ from .core.points import (
 )
 from .core.scalars import Approx, Scalar, scalar_to_json
 from .errors import OrbitLimitError, ResourceLimitError
+from .grid import grid_values, stencil_rows
 
 DEFAULT_TRIPLET_CAP = 10**7
 DEFAULT_FLOAT_TOL = 1e-8
@@ -127,80 +133,34 @@ class ScanReport:
         return out
 
 
-def _margin_value(m: Scalar) -> float:
-    return float(m) if isinstance(m, Fraction) else m.value
+def check_scan_cap(cap: int, triplets: int, grid: Optional[int] = None) -> None:
+    """Refuse a scan of more than ``cap`` triplets, or an exact scan whose
+    grid table {j/grid} would hold more than ``cap`` points."""
+    if triplets > cap:
+        raise ResourceLimitError(f"scan of {triplets} triplets exceeds cap {cap}")
+    if grid is not None and grid + 1 > cap:
+        raise ResourceLimitError(f"grid table of {grid + 1} points exceeds cap {cap}")
 
 
-def _scan_margins(
-    f: FuncExpr,
-    r: int,
-    triplets: Iterable[Triplet],
-    offset_of_n,
-    mode: str,
-) -> Tuple[Optional[Scalar], Optional[Triplet], int]:
-    worst: Optional[Scalar] = None
-    worst_t: Optional[Triplet] = None
-    count = 0
-    for t in triplets:
-        delta = central_second_diff(f, t, r, mode)
-        off = offset_of_n(t.n)
-        margin = delta + off if mode == "exact" else delta + Approx.from_fraction(off)
-        if worst is None or _margin_value(margin) > _margin_value(worst):
-            worst, worst_t = margin, t
-        count += 1
-    return worst, worst_t, count
+def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], offset_of_n):
+    """Float margins, one certified Approx per triplet in (n, k, y) order."""
+    for t in enumerate_triplets(r, n_max, ys):
+        yield central_second_diff(f, t, r, "float") + Approx.from_fraction(offset_of_n(t.n)), t
 
 
-def _scan_fast_exact(
-    f: FuncExpr,
-    r: int,
-    n_max: int,
-    ys: Sequence[Fraction],
-    offset_of_n,
-) -> Tuple[Optional[Fraction], Optional[Triplet], int]:
-    """Exact serial scan in lexicographic (n, k, y) order.
+def _table_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid: int, offset_of_n):
+    """Exact margins on one grid table of f (see :mod:`pathfn.grid`).
 
-    Algebraically identical to the per-triplet route: the margin is
-    (fR - fM) * 2 r^{2n}/(1-y) - (fM - fL) * 2 r^{2n}/y + offset(n), with the
-    per-(n, y) coefficients hoisted out of the k loop.
+    For fixed (n, y = a/B) the margin is the positive multiple
+    2 r^(2n) B / (a (B - a) D) of the integer g plus offset(n), so only the
+    first maximiser of g over k is yielded, as a Fraction.
     """
-    worst: Optional[Fraction] = None
-    worst_t: Optional[Triplet] = None
-    count = 0
-    for n in range(n_max + 1):
-        rn = r**n
-        two_r2n = 2 * rn * rn
-        off = offset_of_n(n)
-        coeffs = [(y, Fraction(two_r2n, 1) / (1 - y), Fraction(two_r2n, 1) / y) for y in ys]
-        f_right = eval_exact(f, Fraction(0, 1))
-        for k in range(rn):
-            f_left = f_right
-            f_right = eval_exact(f, Fraction(k + 1, rn))
-            for y, ca, cb in coeffs:
-                f_mid = eval_exact(f, Fraction(k + y, rn))
-                margin = (f_right - f_mid) * ca - (f_mid - f_left) * cb + off
-                if worst is None or margin > worst:
-                    worst, worst_t = margin, Triplet(n, k, y)
-                count += 1
-    return worst, worst_t, count
-
-
-def _scan_chunk(args) -> Tuple[Optional[tuple], Optional[tuple], int]:
-    f, r, chunk, kind, const, mode = args
-    offset = _offset_fn(kind, const, r)
-    worst, worst_t, count = _scan_margins(f, r, chunk, offset, mode)
-    if worst is None:
-        return None, None, count
-    packed = (worst, (worst_t.n, worst_t.k, worst_t.y))
-    return packed[0], packed[1], count
-
-
-def _offset_fn(kind: str, const: Fraction, r: int):
-    if kind == "membership":
-        return lambda n: 2 * const * r**n
-    if kind == "semiconcavity":
-        return lambda n: -const
-    raise ValueError(kind)
+    vals, den = grid_values(f, grid)
+    B = grid // r**n_max
+    for n, y, a, g in stencil_rows(vals, r, n_max, ys):
+        best = max(g)
+        margin = Fraction(2 * r ** (2 * n) * B * best, a * (B - a) * den) + offset_of_n(n)
+        yield margin, Triplet(n, g.index(best), y)
 
 
 def _run_scan(
@@ -212,7 +172,6 @@ def _run_scan(
     const: Fraction,
     mode: str,
     tol: float,
-    jobs: int,
     cap: int,
 ) -> ScanReport:
     ys = sorted(set(map(Fraction, y_set)))
@@ -220,41 +179,24 @@ def _run_scan(
         if not (0 < y < 1):
             raise ValueError(f"y={y} must lie strictly inside (0, 1)")
     total = triplet_count(r, n_max, len(ys))
-    if total > cap:
-        raise ResourceLimitError(f"scan of {total} triplets exceeds cap {cap}")
-    triplets = enumerate_triplets(r, n_max, y_set)
-    if jobs > 1:
-        all_triplets = list(triplets)
-        chunk_size = max(1, (len(all_triplets) + jobs - 1) // jobs)
-        chunks = [
-            all_triplets[i : i + chunk_size] for i in range(0, len(all_triplets), chunk_size)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_scan_chunk, [(f, r, ch, kind, const, mode) for ch in chunks])
-            )
-        worst, worst_key, count = None, None, 0
-        for w, key, c in results:
-            count += c
-            if w is None:
-                continue
-            # ties resolve to the lexicographically smallest triplet, which in
-            # chunk order is the first maximizer encountered
-            if worst is None or _margin_value(w) > _margin_value(worst):
-                worst, worst_key = w, key
-        worst_t = Triplet(*worst_key) if worst_key else None
-    elif mode == "exact":
-        worst, worst_t, count = _scan_fast_exact(f, r, n_max, ys, _offset_fn(kind, const, r))
-    else:
-        offset = _offset_fn(kind, const, r)
-        worst, worst_t, count = _scan_margins(f, r, triplets, offset, mode)
-    if worst is None or worst_t is None:
+    if not total:
         raise ValueError("empty scan: no triplets enumerated")
+    offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
+    # the largest margin wins; ties go to the lexicographically smallest (n, k, y)
+    if mode == "exact":
+        grid = lcm(*(y.denominator for y in ys)) * r**n_max
+        check_scan_cap(cap, total, grid)
+        margins = _table_margins(f, r, n_max, ys, grid, offset)
+        worst, worst_t = min(margins, key=lambda m: (-m[0], m[1]))
+    else:
+        check_scan_cap(cap, total)
+        margins = _scan_margins(f, r, n_max, ys, offset)
+        worst, worst_t = min(margins, key=lambda m: (-m[0].value, m[1]))
     return ScanReport(
         verdict=_verdict(worst, mode, tol),
         worst_margin=worst,
         worst_triplet=worst_t,
-        scanned=count,
+        scanned=total,
         mode=mode,
         tol=tol if mode == "float" else None,
     )
@@ -269,17 +211,13 @@ def _verdict(worst: Scalar, mode: str, tol: float) -> str:
     return "violated" if worst.value > tol else "no-violation"
 
 
-def membership_scan(
-    q: MembershipQuery, jobs: int = 1, cap: int = DEFAULT_TRIPLET_CAP
-) -> ScanReport:
+def membership_scan(q: MembershipQuery, cap: int = DEFAULT_TRIPLET_CAP) -> ScanReport:
     """Exhaustive scan of the steep concavity bound over the finite family.
 
     Margin of a triplet: Delta_{n,k}(y; f) + 2 c r^n.  A 'no-violation'
     verdict in exact mode is an exact statement about the scanned subfamily
     (and only about it)."""
-    return _run_scan(
-        q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, q.tol, jobs, cap
-    )
+    return _run_scan(q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, q.tol, cap)
 
 
 def semiconcavity_scan(
@@ -290,14 +228,13 @@ def semiconcavity_scan(
     y_set: Sequence[Fraction],
     mode: str = "exact",
     tol: float = DEFAULT_FLOAT_TOL,
-    jobs: int = 1,
     cap: int = DEFAULT_TRIPLET_CAP,
 ) -> ScanReport:
     """Scan of Delta_{n,k}(y; psi) <= alpha over the finite family."""
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, tol, jobs, cap)
+    return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, tol, cap)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ class OrbitLimitError(PathfnError):
 
 
 class ResourceLimitError(PathfnError):
-    """A scan would exceed the configured triplet-count cap."""
+    """A scan would exceed the configured cap on its triplet count or on the
+    size of its grid table."""
 
 
 class FlowConditionError(PathfnError):

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import (
@@ -226,9 +226,12 @@ class PiecewiseQuadratic:
         x = Fraction(x)
         if not (0 <= x <= 1):
             raise ValueError(f"x={x} outside [0, 1]")
-        cuts = [p.x_lo for p in self.pieces]
-        idx = max(0, bisect_right(cuts, x) - 1)
+        idx = max(0, bisect_right(self._cuts, x) - 1)
         return self.pieces[idx]
+
+    @cached_property
+    def _cuts(self) -> List[Fraction]:
+        return [p.x_lo for p in self.pieces]
 
     def eval(self, x: Fraction) -> Fraction:
         p = self.piece_at(x)

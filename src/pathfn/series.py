@@ -5,12 +5,19 @@ radix-rational points, the exact decomposition of the transform's second
 differences into generator differences, and the sufficient-condition checker
 that yields a steepness constant c for the transform from a linear lower
 bound and a semiconcavity bound on the generator.
+
+Duplicate routes are kept apart on purpose, each the other's oracle: the
+identity scan reads its left side off the transform's grid table and its
+right side off the generator's table plus ``u_eval_exact``; and
+``u_eval_exact`` sums the transform at j/r^N as a finite sum, without the
+orbit walk and cycle closed form of ``eval_exact``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .core.funcs import (
@@ -32,12 +39,20 @@ from .core.points import (
     radix_depth,
     radix_x_samples,
     radix_y_set,
+    triplet_count,
     validate_radix,
 )
 from .core.polys import certify_nonneg, poly_eval
 from .core.scalars import Approx, reduce_mod1
-from .differences import ScanReport, central_second_diff, semiconcavity_scan
+from .differences import (
+    DEFAULT_TRIPLET_CAP,
+    ScanReport,
+    central_second_diff,
+    check_scan_cap,
+    semiconcavity_scan,
+)
 from .errors import UnsupportedExactError
+from .grid import grid_values, stencil_rows
 
 
 @dataclass(frozen=True)
@@ -131,62 +146,52 @@ class IdentityReport:
 
 
 def identity_residual_scan(
-    s: SeriesFunc, n_max: int, y_set: Sequence[Fraction]
+    s: SeriesFunc, n_max: int, y_set: Sequence[Fraction], cap: int = DEFAULT_TRIPLET_CAP
 ) -> IdentityReport:
     """Residuals of the decomposition over every triplet with n <= n_max and
-    y in y_set, stopping at the first nonzero residual.
+    y in y_set, stopping at the first nonzero residual in (n, k, y) order.
 
-    Uses the level recursion S(n, k, y) = Delta_{n,k}(y; psi) +
-    r * S(n-1, k mod r^{n-1}, y) for the generator sum, so the cost per
-    triplet is constant; values agree exactly with
-    :func:`u_delta_identity_residual` term by term.
+    The left side reads the transform's grid table, the generator sum the
+    generator's table through S(n, k) = Delta_{n,k}(psi) + r S(n-1, k mod
+    r^{n-1}), and the correction term :func:`u_eval_exact`.  With y = a/B and
+    c = 2B/(a(B-a)): Delta(U) = c r^(2n) g_U / D_U, S = c T / D_psi with
+    T(n, k) = r^(2n) g_psi + r T(n-1, .), and the correction is c r^n B U(y),
+    so each residual is tested as an integer.
     """
     if not supports_exact(s.psi):
         raise UnsupportedExactError("generator has no exact branch")
     r = s.r
-    u_expr = s.expr()
     ys = sorted(set(map(Fraction, y_set)))
     for y in ys:
         if not (0 < y < 1):
             raise ValueError(f"y={y} must lie strictly inside (0, 1)")
         if not is_radix_rational(y, r):
             raise ValueError(f"y={y} is not radix-rational for r={r}")
+    B = lcm(*(y.denominator for y in ys))
+    total = triplet_count(r, n_max, len(ys))
+    check_scan_cap(cap, total, B * r**n_max)
+    u_vals, u_den = grid_values(s.expr(), B * r**n_max)  # left side
+    p_vals, p_den = grid_values(s.psi, B * r**n_max)  # right side
     u_at_y = {y: u_eval_exact(s, y) for y in ys}
-    checked = 0
-    prev_s: dict = {}
-    for n in range(n_max + 1):
-        rn = r**n
-        two_r2n = 2 * rn * rn
-        coeffs = [
-            (y, Fraction(two_r2n, 1) / (1 - y), Fraction(two_r2n, 1) / y) for y in ys
-        ]
-        corr = {y: Fraction(2 * rn, 1) / (y * (1 - y)) * u_at_y[y] for y in ys}
-        cur_s: dict = {}
-        u_right = eval_exact(u_expr, Fraction(0, 1))
-        psi_right = eval_exact(s.psi, Fraction(0, 1))
-        for k in range(rn):
-            u_left, psi_left = u_right, psi_right
-            edge = Fraction(k + 1, rn)
-            u_right = eval_exact(u_expr, edge)
-            psi_right = eval_exact(s.psi, edge)
-            km = k % r ** (n - 1) if n >= 1 else 0
-            for y, ca, cb in coeffs:
-                mid = Fraction(k + y, rn)
-                u_mid = eval_exact(u_expr, mid)
-                lhs = (u_right - u_mid) * ca - (u_mid - u_left) * cb
-                if n == 0:
-                    gen_sum = Fraction(0)  # empty sum at depth 0
-                else:
-                    psi_mid = eval_exact(s.psi, mid)
-                    delta_psi = (psi_right - psi_mid) * ca - (psi_mid - psi_left) * cb
-                    gen_sum = delta_psi + r * prev_s[(km, y)]
-                cur_s[(k, y)] = gen_sum
-                residual = lhs - (gen_sum - corr[y])
-                checked += 1
-                if residual != 0:
-                    return IdentityReport(checked, Triplet(n, k, y), residual)
-        prev_s = cur_s
-    return IdentityReport(checked, None, Fraction(0))
+    sums = {y: [0] for y in ys}  # T(n - 1, .) per y; the sum is empty at n = 0
+    rows = zip(stencil_rows(u_vals, r, n_max, ys), stencil_rows(p_vals, r, n_max, ys))
+    found = []  # (k, y, residual) of the first nonzero residual per y at depth n
+    for (n, y, a, g_u), (_, _, _, g_p) in rows:
+        if n:
+            sums[y] = [r ** (2 * n) * gp + r * t for gp, t in zip(g_p, sums[y] * r)]
+        uy = u_at_y[y]
+        # residual * D_U D_P den(U(y)) / c, for every k at this (n, y)
+        cu, cp = r ** (2 * n) * p_den * uy.denominator, u_den * uy.denominator
+        corr = r**n * B * uy.numerator * u_den * p_den
+        z = [cu * gu - cp * t + corr for gu, t in zip(g_u, sums[y])]
+        k = next((k for k, zk in enumerate(z) if zk), None)
+        if k is not None:
+            found.append((k, y, Fraction(2 * B * z[k], a * (B - a) * u_den * p_den * uy.denominator)))
+        if found and y == ys[-1]:
+            k, y, residual = min(found)
+            checked = ((r**n - 1) // (r - 1) + k) * len(ys) + ys.index(y) + 1
+            return IdentityReport(checked, Triplet(n, k, y), residual)
+    return IdentityReport(total, None, Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -138,17 +138,6 @@ def test_membership_deterministic_reports(capsys, spec_file):
     assert out1 != "" and json.loads(out1)
 
 
-def test_membership_jobs_flag_and_env(capsys, spec_file, monkeypatch):
-    argv = ["membership", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--r", "2",
-            "--nmax", "3", "--ydepth", "2"]
-    _, serial, _ = run(capsys, argv)
-    _, forked, _ = run(capsys, argv + ["--jobs", "2"])
-    assert strip_timing(serial) == strip_timing(forked)
-    monkeypatch.setenv("PATHFN_JOBS", "2")
-    _, enved, _ = run(capsys, argv)
-    assert strip_timing(enved) == strip_timing(serial)
-
-
 # --------------------------------------------------------------- identity
 
 
@@ -184,6 +173,15 @@ def test_identity_corrupted_evaluator_exit_1(capsys, spec_file, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["verdict"] == "fail" and doc["detail"]["offender"] is not None
+
+
+def test_identity_cap_exit_2(capsys, spec_file):
+    code, _, err = run(
+        capsys,
+        ["identity", "--psi", spec_file(SPEC_DISTANCE), "--r", "2", "--nmax", "20", "--ydepth", "2",
+         "--cap", "1000"],
+    )
+    assert code == 2 and "cap" in err
 
 
 def test_identity_unsupported_generator(capsys, spec_file):

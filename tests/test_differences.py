@@ -179,15 +179,23 @@ def test_membership_scan_matches_brute_on_random_inputs():
         assert (rep.worst_margin, rep.worst_triplet) == (worst, worst_t)
 
 
-def test_membership_jobs_parallel_same_answer():
-    q = MembershipQuery(f=TAU2, c=F(2), r=2, n_max=4, y_set=radix_y_set(2, 3))
-    serial = membership_scan(q, jobs=1)
-    parallel = membership_scan(q, jobs=2)
-    assert (serial.worst_margin, serial.worst_triplet, serial.scanned) == (
-        parallel.worst_margin,
-        parallel.worst_triplet,
-        parallel.scanned,
-    )
+def test_membership_exact_margin_below_float_range():
+    # linear spline whose only positive margin, 2^-1100 at (0, 0, 3/4), rounds
+    # to 0.0 in float: an exact scan must still find it and report it exactly
+    tiny = F(1, 2**1100)
+    knots = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    values = (F(0), F(3, 32), F(1, 8), F(3, 32) * (1 - tiny), F(0))
+    pieces = []
+    for x0, x1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (v1 - v0) / (x1 - x0)
+        pieces.append((v0 - slope * x0, slope))
+    f = PolySplinePeriodic(knots=knots, pieces=tuple(pieces))
+    ys = (F(1, 4), F(1, 2), F(3, 4))
+    rep = membership_scan(MembershipQuery(f=f, c=F(1, 2), r=2, n_max=0, y_set=ys))
+    assert rep.verdict == "violated"
+    assert rep.worst_margin == tiny and float(tiny) == 0.0
+    assert rep.worst_triplet == Triplet(0, 0, F(3, 4))
+    assert brute_worst(f, F(1, 2), 2, 0, ys) == (tiny, Triplet(0, 0, F(3, 4)))
 
 
 def test_membership_cap():
