@@ -11,7 +11,6 @@ from fractions import Fraction as F
 from pathfn import (
     AbsSin,
     Distance,
-    Takagi,
     ThetaSplice,
     USeries,
     eval_approx,
@@ -21,7 +20,7 @@ from pathfn import (
 )
 
 print("=== exact evaluation on the rationals ===")
-tau2 = Takagi(2)
+tau2 = USeries(2, Distance())
 for x in (F(1, 4), F(1, 3), F(1, 2), F(5, 7)):
     print(f"  takagi_2({x}) = {eval_exact(tau2, x)}")
 print("  (1/3 sits on a 2-cycle of the doubling map; the series still sums")
@@ -46,7 +45,7 @@ print("  bounds cover conversion, libm sine slack, and series tails;")
 print("  arguments stay exact rationals all the way down")
 
 print("\n=== series values vanish on the integers ===")
-for f in (tau2, Takagi(3), USeries(2, psi_zero(1, 1))):
+for f in (tau2, USeries(3, Distance()), USeries(2, psi_zero(1, 1))):
     assert eval_exact(f, 0) == 0 == eval_exact(f, 1)
 print("  checked exactly for three series functions")
 

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 from pathfn import (
     Distance,
     MembershipQuery,
-    Takagi,
     ThetaSplice,
     USeries,
     membership_scan,
@@ -20,7 +19,7 @@ from pathfn import (
 
 print("=== takagi_2 passes at c = 2 with worst margin exactly 0 ===")
 rep = membership_scan(
-    MembershipQuery(f=Takagi(2), c=F(2), r=2, n_max=6, y_set=radix_y_set(2, 4))
+    MembershipQuery(f=USeries(2, Distance()), c=F(2), r=2, n_max=6, y_set=radix_y_set(2, 4))
 )
 print(f"  verdict: {rep.verdict}")
 print(f"  worst margin {rep.worst_margin} at stencil {rep.worst_triplet} "
@@ -46,7 +45,7 @@ print("  fixed c > 0 is eventually violated once 2 c r^n exceeds 2")
 
 print("\n=== float mode never converts rounding noise into a verdict ===")
 rep = membership_scan(
-    MembershipQuery(f=Takagi(2), c=F(2), r=2, n_max=3, y_set=radix_y_set(2, 2), mode="float")
+    MembershipQuery(f=USeries(2, Distance()), c=F(2), r=2, n_max=3, y_set=radix_y_set(2, 2), mode="float")
 )
 print(f"  takagi_2 at c = 2 in float mode: {rep.verdict}")
 print(f"  (true worst margin is exactly 0; the certified interval around the")

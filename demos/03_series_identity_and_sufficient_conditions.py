@@ -16,9 +16,9 @@ from fractions import Fraction as F
 from pathfn import (
     Distance,
     ScanParams,
-    SeriesFunc,
     ThetaSplice,
     Triplet,
+    USeries,
     check_sufficient_conditions,
     lower_chain_check,
     psi_zero,
@@ -33,12 +33,12 @@ for psi, r, label in (
     (psi_zero(1, 1), 3, "d + d^2, r=3"),
     (ThetaSplice(2), 2, "x^2 splice, r=2"),
 ):
-    s = SeriesFunc.create(psi, r)
+    s = USeries(r, psi)
     t = Triplet(3, 5 % r**3, F(1, r**2))
     print(f"  {label}: residual at {t} = {u_delta_identity_residual(s, t)}")
 
 print("\n=== batch verification over a whole stencil family ===")
-s = SeriesFunc.create(psi_zero(1, 1), 2)
+s = USeries(2, psi_zero(1, 1))
 rep = identity_residual_scan(s, 6, (F(1, 8), F(1, 2), F(7, 8)))
 print(f"  d + d^2, r=2, depths 0..6: {rep.checked} residuals, all zero: "
       f"{rep.offender is None}")
@@ -50,7 +50,7 @@ cases = [
     ("x^2 splice (m=1, alpha=2)", ThetaSplice(2), 2, F(1), F(2)),
 ]
 for label, psi, r, m, alpha in cases:
-    s = SeriesFunc.create(psi, r)
+    s = USeries(r, psi)
     rep = check_sufficient_conditions(s, m, alpha, ScanParams(n_max=4, y_depth=3))
     if rep.passed:
         print(f"  {label}: PASS, implied constant c = {rep.c} "
@@ -60,7 +60,7 @@ for label, psi, r, m, alpha in cases:
               f"(quadratic start loses to m*d near 0)")
 
 print("\n=== the quadratic / takagi-style / transform chain ===")
-s = SeriesFunc.create(psi_zero(1, 1), 2)
+s = USeries(2, psi_zero(1, 1))
 chain = lower_chain_check(s, F(1), radix_x_samples(2, 5))
 print(f"  (m r/(r-1)) x(1-x) <= m tau_r(x) <= U_psi(x) at {chain.checked} grid "
       f"points: {chain.holds}")

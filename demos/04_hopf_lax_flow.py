@@ -11,16 +11,17 @@ import json
 from fractions import Fraction as F
 
 from pathfn import (
+    Distance,
     FlowQuery,
-    Takagi,
     flow_bruteforce,
     flow_grid,
     pde_residual,
+    USeries,
     subdiff_witnesses,
     witness_support_violations,
 )
 
-tau2 = Takagi(2)
+tau2 = USeries(2, Distance())
 
 print("=== envelope at t = 1/4 (depth 0: just two parabolas) ===")
 q = FlowQuery(f=tau2, c=F(2), r=2, t=F(1, 4))

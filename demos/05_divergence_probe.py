@@ -10,9 +10,9 @@ non-differentiability at that x (never a proof over all depths).
 import math
 from fractions import Fraction as F
 
-from pathfn import Distance, Takagi, divergence_probe
+from pathfn import Distance, USeries, divergence_probe
 
-tau2 = Takagi(2)
+tau2 = USeries(2, Distance())
 
 print("=== takagi_2 at the grid point x = 0 (exact) ===")
 for row in divergence_probe(tau2, F(0), 6, y=F(1, 2), r=2):

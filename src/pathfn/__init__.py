@@ -25,7 +25,6 @@ from .core import (
     Scalar,
     Sin2Pi,
     Sum,
-    Takagi,
     ThetaSplice,
     Triplet,
     USeries,
@@ -83,13 +82,11 @@ from .flow import (
 from .series import (
     ChainReport,
     ScanParams,
-    SeriesFunc,
     SufficientReport,
     check_sufficient_conditions,
     concave_generator_constant,
     lower_chain_check,
     steepness_transfer_constant,
     u_delta_identity_residual,
-    u_eval_approx,
     u_eval_exact,
 )

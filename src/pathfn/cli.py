@@ -22,16 +22,18 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .core.funcs import FuncExpr, eval_approx, eval_exact, supports_exact
+from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact, supports_exact
 from .core.parse import parse_func_spec
-from .core.points import radix_x_samples, radix_y_set
+from .core.points import radix_x_samples, radix_y_set, triplet_count
 from .core.scalars import Approx, RationalFormatError, format_rational, parse_rational
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
+    check_scan_cap,
     divergence_probe,
     membership_scan,
 )
@@ -40,7 +42,6 @@ from .flow import FlowQuery, flow_bruteforce, flow_grid
 from .grid import grid_values
 from .series import (
     ScanParams,
-    SeriesFunc,
     check_sufficient_conditions,
     identity_residual_scan,
     lower_chain_check,
@@ -182,6 +183,7 @@ def cmd_eval(args, out: io.StringIO) -> int:
             raise _UsageError("--grid must be >= 0")
         base = _root_radix(f)
         den = base**args.grid
+        check_scan_cap(args.cap, 0, den)
         xs = [Fraction(j, den) for j in range(den + 1)]
     else:
         xs = [_point_literal(tok.strip()) for tok in args.points.split(",")]
@@ -241,7 +243,7 @@ def cmd_identity(args, out: io.StringIO) -> int:
     psi, digest = _load_func(args.psi)
     if not supports_exact(psi):
         raise PathfnError("identity verification requires an exact-capable generator")
-    s = SeriesFunc.create(psi, args.r)
+    s = USeries(args.r, psi)
     report = identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
     verdict = "pass" if report.offender is None else "fail"
     doc = _report(
@@ -263,6 +265,9 @@ def cmd_flow(args, out: io.StringIO) -> int:
     t = _rat(args.t, "--t")
     r = args.r if args.r is not None else _root_radix(f)
     q = FlowQuery(f=f, c=c, r=r, t=t, n=args.n, mode=args.mode)
+    d = args.crosscheck
+    brute_evals = 0 if d is None else (r ** min(d, 6) + 1) * (r**d + 1)
+    check_scan_cap(args.cap, brute_evals, r ** q.depth())  # and the r^n + 1 envelope vertices
     pq = flow_grid(q)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"
@@ -336,8 +341,11 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     psi, digest = _load_func(args.psi)
     m = _rat(args.m, "--m")
     alpha = _rat(args.alpha, "--alpha")
-    s = SeriesFunc.create(psi, args.r)
+    s = USeries(args.r, psi)
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
+    ys = params.y_set(args.r)
+    grid = lcm(*(y.denominator for y in ys)) * args.r**args.nmax
+    check_scan_cap(args.cap, triplet_count(args.r, args.nmax, len(ys)), grid)
     report = check_sufficient_conditions(s, m, alpha, params)
     detail = report.as_json()
     ok = report.passed

@@ -29,6 +29,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
 from .polys import (
     Coeffs,
+    certify_nonneg,
     poly_add,
     poly_compose_affine,
     poly_eval,
@@ -75,16 +76,6 @@ class DistancePower(FuncExpr):
     def __post_init__(self) -> None:
         if not isinstance(self.power, int) or self.power < 1:
             raise FuncSpecError(f"distance power must be an integer >= 1, got {self.power!r}")
-
-
-@dataclass(frozen=True)
-class Takagi(FuncExpr):
-    """The radix-r Takagi-style function: the series transform of Distance."""
-
-    r: int
-
-    def __post_init__(self) -> None:
-        _check_radix(self.r)
 
 
 @dataclass(frozen=True)
@@ -139,8 +130,8 @@ class ThetaSplice(FuncExpr):
 
     The continuation matches value/slope/curvature (1/r^2, 2/r, 2) at 1/r and
     (0, 0, 2) at 1; the curvature 2 at 1 is forced by matching the x^2 branch
-    across the wrap-around.  Positivity is checked by dense sampling at
-    construction time.
+    across the wrap-around.  Nonnegativity on [1/r, 1] is certified exactly
+    at construction time (Bernstein bounds, no sampling).
     """
 
     r: int
@@ -192,7 +183,10 @@ class Dilate(FuncExpr):
 
 @dataclass(frozen=True)
 class USeries(FuncExpr):
-    """The series transform sum_j r^{-j} psi(r^j x) of a generator psi."""
+    """The series transform sum_j r^{-j} psi(r^j x) of a generator psi.
+
+    The radix-r Takagi function is ``USeries(r, Distance())``.
+    """
 
     r: int
     psi: FuncExpr
@@ -236,18 +230,14 @@ def theta_upper_poly(r: int) -> Coeffs:
         rows.append([_ZERO, _ZERO] + [Fraction(k * (k - 1)) * t ** (k - 2) for k in range(2, 6)])
         rhs.extend(derivs)
     coeffs = poly_normalize(solve_linear_system(rows, rhs))
-    # positivity on (1/r, 1): dense sampling; the endpoints are pinned above
-    steps = 1024
-    for j in range(steps):
-        x = a + (_ONE - a) * Fraction(j, steps)
-        if poly_eval(coeffs, x) <= 0:
-            raise FuncSpecError(f"quintic continuation not positive at x={x} for r={r}")
+    if certify_nonneg(coeffs, a, _ONE) is not True:
+        raise FuncSpecError(f"quintic continuation not certified nonnegative on [1/{r}, 1]")
     return coeffs
 
 
 def supports_exact(f: FuncExpr) -> bool:
     """Whether every path of the tree has an exact rational branch."""
-    if isinstance(f, (Distance, DistancePower, Takagi, PolySplinePeriodic, ThetaSplice)):
+    if isinstance(f, (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)):
         return True
     if isinstance(f, (AbsSin, Sin2Pi)):
         return False
@@ -300,8 +290,6 @@ def _eval_exact_reduced(f: FuncExpr, x: Fraction, max_orbit: Optional[int] = Non
         return min(x, 1 - x)
     if isinstance(f, DistancePower):
         return min(x, 1 - x) ** f.power
-    if isinstance(f, Takagi):
-        return _u_series_exact(Distance(), f.r, x, max_orbit)
     if isinstance(f, USeries):
         return _u_series_exact(f.psi, f.r, x, max_orbit)
     if isinstance(f, PolySplinePeriodic):
@@ -444,7 +432,7 @@ def as_piecewise_poly(f: FuncExpr) -> Optional[Tuple[Tuple[Fraction, Fraction, C
                 acc = poly_add(acc, piece[2])
             out.append((lo, hi, acc))
         return tuple(out)
-    return None  # Takagi, USeries, AbsSin, Sin2Pi
+    return None  # USeries, AbsSin, Sin2Pi
 
 
 @lru_cache(maxsize=None)
@@ -460,8 +448,6 @@ def sup_abs_bound(f: FuncExpr) -> Fraction:
         return max(poly_sup_abs(cs, lo, hi) for lo, hi, cs in pw)
     if isinstance(f, (AbsSin, Sin2Pi)):
         return _ONE
-    if isinstance(f, Takagi):
-        return Fraction(f.r, 2 * (f.r - 1))
     if isinstance(f, USeries):
         return sup_abs_bound(f.psi) * Fraction(f.r, f.r - 1)
     if isinstance(f, Scale):
@@ -534,12 +520,11 @@ def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[flo
         return v, e
     if isinstance(f, Dilate):
         return _eval_ap(f.child, reduce_mod1(f.m * x), series_terms)
-    if isinstance(f, (Takagi, USeries)):
-        psi = Distance() if isinstance(f, Takagi) else f.psi
-        terms = series_terms if series_terms is not None else default_series_terms(psi, f.r)
+    if isinstance(f, USeries):
+        psi, r = f.psi, f.r
+        terms = series_terms if series_terms is not None else default_series_terms(psi, r)
         if terms < 1:
             raise ValueError("term count must be >= 1")
-        r = f.r
         v, e = 0.0, 0.0
         w = 1.0        # float of r^-j; exact for powers of two
         w_rel = 0.0    # accumulated relative error of w

@@ -9,7 +9,7 @@ Kinds:
 
     {"kind": "distance"}
     {"kind": "distance_power", "p": 2}
-    {"kind": "takagi", "r": 2}
+    {"kind": "takagi", "r": 2}      (alias: useries of radix r over distance)
     {"kind": "theta_splice", "r": 2}
     {"kind": "abs_sin"}
     {"kind": "sin2pi"}
@@ -38,7 +38,6 @@ from .funcs import (
     Scale,
     Sin2Pi,
     Sum,
-    Takagi,
     ThetaSplice,
     USeries,
 )
@@ -69,7 +68,7 @@ def build_func(doc, path: str = "$") -> FuncExpr:
             return DistancePower(_require_int(doc, "p", path))
         if kind == "takagi":
             _allow_keys(doc, {"r"}, path)
-            return Takagi(_require_int(doc, "r", path))
+            return USeries(_require_int(doc, "r", path), Distance())
         if kind == "theta_splice":
             _allow_keys(doc, {"r"}, path)
             return ThetaSplice(_require_int(doc, "r", path))
@@ -117,13 +116,12 @@ def build_func(doc, path: str = "$") -> FuncExpr:
 
 
 def to_spec_dict(f: FuncExpr) -> dict:
-    """Inverse of :func:`build_func` up to expression equality."""
+    """Inverse of :func:`build_func` up to expression equality; the
+    ``takagi`` alias comes back in its ``useries`` form."""
     if isinstance(f, Distance):
         return {"kind": "distance"}
     if isinstance(f, DistancePower):
         return {"kind": "distance_power", "p": f.power}
-    if isinstance(f, Takagi):
-        return {"kind": "takagi", "r": f.r}
     if isinstance(f, ThetaSplice):
         return {"kind": "theta_splice", "r": f.r}
     if isinstance(f, AbsSin):

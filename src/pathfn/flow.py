@@ -34,7 +34,6 @@ from .core.funcs import (
     FuncExpr,
     Scale,
     Sum,
-    Takagi,
     ThetaSplice,
     USeries,
     as_piecewise_poly,
@@ -402,7 +401,7 @@ def _envelope_float(
 
 def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
     """Best-effort certificate that f >= 0 on [0, 1]."""
-    if isinstance(f, (Distance, DistancePower, AbsSin, Takagi, ThetaSplice)):
+    if isinstance(f, (Distance, DistancePower, AbsSin, ThetaSplice)):
         return True
     if isinstance(f, Scale):
         return f.a >= 0 and _certified_nonneg_on_unit(f.child)

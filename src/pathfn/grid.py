@@ -17,12 +17,10 @@ from typing import Iterator, List, Sequence, Tuple
 from .core.funcs import (
     AbsSin,
     Dilate,
-    Distance,
     FuncExpr,
     Scale,
     Sin2Pi,
     Sum,
-    Takagi,
     USeries,
     as_piecewise_poly,
 )
@@ -49,9 +47,8 @@ def grid_values(f: FuncExpr, Q: int) -> Table:
     if isinstance(f, Dilate):
         vals, den = grid_values(f.child, Q)
         return [vals[f.m * j % Q] for j in range(Q + 1)], den
-    if isinstance(f, (Takagi, USeries)):
-        psi = f.psi if isinstance(f, USeries) else Distance()
-        return _series_table(grid_values(psi, Q), f.r, Q)
+    if isinstance(f, USeries):
+        return _series_table(grid_values(f.psi, Q), f.r, Q)
     if isinstance(f, (AbsSin, Sin2Pi)):
         raise UnsupportedExactError(f"{type(f).__name__} has no exact branch")
     raise TypeError(f"unknown expression {f!r}")

@@ -1,6 +1,7 @@
-"""The series transform U: psi -> sum_j r^{-j} psi(r^j x) as a first-class object.
+"""Routines on the series transform U_psi = sum_j r^{-j} psi(r^j x).
 
-Provides certified truncated evaluation, exact finite-sum evaluation at
+The transform is the expression ``USeries(r, psi)``; its certified truncated
+value is ``eval_approx``.  This module adds exact finite-sum evaluation at
 radix-rational points, the exact decomposition of the transform's second
 differences into generator differences, and the sufficient-condition checker
 that yields a steepness constant c for the transform from a linear lower
@@ -8,7 +9,8 @@ bound and a semiconcavity bound on the generator.
 
 Duplicate routes are kept apart on purpose, each the other's oracle: the
 identity scan reads its left side off the transform's grid table and its
-right side off the generator's table plus ``u_eval_exact``; and
+right side off the generator's table plus ``u_eval_exact``, while
+``u_delta_identity_residual`` evaluates both sides per triplet; and
 ``u_eval_exact`` sums the transform at j/r^N as a finite sum, without the
 orbit walk and cycle closed form of ``eval_exact``.
 """
@@ -27,9 +29,7 @@ from .core.funcs import (
     Sum,
     USeries,
     as_piecewise_poly,
-    eval_approx,
     eval_exact,
-    sup_abs_bound,
     supports_exact,
 )
 from .core.points import (
@@ -43,7 +43,7 @@ from .core.points import (
     validate_radix,
 )
 from .core.polys import certify_nonneg, poly_eval
-from .core.scalars import Approx, reduce_mod1
+from .core.scalars import reduce_mod1
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     ScanReport,
@@ -55,24 +55,7 @@ from .errors import UnsupportedExactError
 from .grid import grid_values, stencil_rows
 
 
-@dataclass(frozen=True)
-class SeriesFunc:
-    """A generator psi with its radix and a certified bound on sup |psi|."""
-
-    r: int
-    psi: FuncExpr
-    sup_psi: Fraction
-
-    @classmethod
-    def create(cls, psi: FuncExpr, r: int) -> "SeriesFunc":
-        validate_radix(r)
-        return cls(r=r, psi=psi, sup_psi=sup_abs_bound(psi))
-
-    def expr(self) -> USeries:
-        return USeries(self.r, self.psi)
-
-
-def u_eval_exact(s: SeriesFunc, p: Union[RadixPoint, Fraction, int]) -> Fraction:
+def u_eval_exact(s: USeries, p: Union[RadixPoint, Fraction, int]) -> Fraction:
     """Exact transform value at a radix-rational point j/r^N.
 
     Terms with index >= N vanish (the argument becomes an integer and every
@@ -94,18 +77,7 @@ def u_eval_exact(s: SeriesFunc, p: Union[RadixPoint, Fraction, int]) -> Fraction
     return total
 
 
-def u_eval_approx(
-    s: SeriesFunc, x: Union[float, int, Fraction], terms: Optional[int] = None
-) -> Approx:
-    """Truncated transform value with a certified bound.
-
-    The bound combines accumulated evaluation error with the geometric tail
-    sup|psi| * r^(1-J) / (r-1) for J = ``terms``.
-    """
-    return eval_approx(s.expr(), x, series_terms=terms)
-
-
-def u_delta_identity_residual(s: SeriesFunc, t: Triplet) -> Fraction:
+def u_delta_identity_residual(s: USeries, t: Triplet) -> Fraction:
     """Left minus right side of the exact second-difference decomposition
 
         Delta_{n,k}(y; U_psi)
@@ -120,7 +92,7 @@ def u_delta_identity_residual(s: SeriesFunc, t: Triplet) -> Fraction:
     """
     if not is_radix_rational(t.y, s.r):
         raise ValueError(f"y={t.y} is not radix-rational for r={s.r}")
-    lhs = central_second_diff(s.expr(), t, s.r, "exact")
+    lhs = central_second_diff(s, t, s.r, "exact")
     rhs = Fraction(0)
     for j in range(t.n):
         inner = Triplet(t.n - j, t.k % s.r ** (t.n - j), t.y)
@@ -146,7 +118,7 @@ class IdentityReport:
 
 
 def identity_residual_scan(
-    s: SeriesFunc, n_max: int, y_set: Sequence[Fraction], cap: int = DEFAULT_TRIPLET_CAP
+    s: USeries, n_max: int, y_set: Sequence[Fraction], cap: int = DEFAULT_TRIPLET_CAP
 ) -> IdentityReport:
     """Residuals of the decomposition over every triplet with n <= n_max and
     y in y_set, stopping at the first nonzero residual in (n, k, y) order.
@@ -170,7 +142,7 @@ def identity_residual_scan(
     B = lcm(*(y.denominator for y in ys))
     total = triplet_count(r, n_max, len(ys))
     check_scan_cap(cap, total, B * r**n_max)
-    u_vals, u_den = grid_values(s.expr(), B * r**n_max)  # left side
+    u_vals, u_den = grid_values(s, B * r**n_max)  # left side
     p_vals, p_den = grid_values(s.psi, B * r**n_max)  # right side
     u_at_y = {y: u_eval_exact(s, y) for y in ys}
     sums = {y: [0] for y in ys}  # T(n - 1, .) per y; the sum is empty at n = 0
@@ -239,7 +211,7 @@ class SufficientReport:
 
 
 def check_sufficient_conditions(
-    s: SeriesFunc,
+    s: USeries,
     m: Fraction,
     alpha: Fraction,
     scan: ScanParams = ScanParams(),
@@ -270,7 +242,7 @@ def check_sufficient_conditions(
     return SufficientReport(True, c, mode, None, semi)
 
 
-def _trivial_semiconcavity(s: SeriesFunc, alpha: Fraction, scan: ScanParams) -> ScanReport:
+def _trivial_semiconcavity(s: USeries, alpha: Fraction, scan: ScanParams) -> ScanReport:
     # condition (i) already failed; still report a depth-0 slice for context
     return semiconcavity_scan(s.psi, alpha, s.r, 0, scan.y_set(s.r))
 
@@ -307,7 +279,7 @@ def _negative_witness(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
     raise AssertionError("certified-negative piece yielded no witness")
 
 
-def concave_generator_constant(s: SeriesFunc) -> Fraction:
+def concave_generator_constant(s: USeries) -> Fraction:
     """Steepness constant (2r/(r-1)) * psi(1/2) for a concave positive generator."""
     half = eval_exact(s.psi, Fraction(1, 2))
     return Fraction(2 * s.r, s.r - 1) * half
@@ -344,18 +316,18 @@ class ChainReport:
 
 
 def lower_chain_check(
-    s: SeriesFunc, m: Fraction, xs: Sequence[Fraction]
+    s: USeries, m: Fraction, xs: Sequence[Fraction]
 ) -> ChainReport:
     """Exact check of the parabola / Takagi-style / transform chain at radix
     rationals, valid whenever m * d <= psi on [0, 1]."""
     m = Fraction(m)
-    takagi = SeriesFunc.create(Distance(), s.r)
+    tau_r = USeries(s.r, Distance())
     coeff = Fraction(m * s.r, s.r - 1)
     count = 0
     for x in xs:
         x = Fraction(x)
         count += 1
-        tau = u_eval_exact(takagi, x)
+        tau = u_eval_exact(tau_r, x)
         if not (coeff * x * (1 - x) <= m * tau <= u_eval_exact(s, x)):
             return ChainReport(False, count, x)
     return ChainReport(True, count, None)

@@ -14,9 +14,9 @@ from pathfn.core.funcs import (
     Distance,
     DistancePower,
     Sin2Pi,
-    Takagi,
     ThetaSplice,
     USeries,
+    eval_approx,
     eval_exact,
     psi_zero,
     sin_cancellation,
@@ -40,15 +40,13 @@ from pathfn.flow import (
     witness_support_violations,
 )
 from pathfn.series import (
-    SeriesFunc,
     identity_residual_scan,
     u_delta_identity_residual,
-    u_eval_approx,
 )
 
 F = Fraction
-TAU2 = Takagi(2)
-TAU3 = Takagi(3)
+TAU2 = USeries(2, Distance())
+TAU3 = USeries(3, Distance())
 PSI0 = psi_zero(1, 1)
 U_PSI0 = USeries(2, PSI0)
 
@@ -89,7 +87,7 @@ def test_c02_central_identity():
     for psi in (Distance(), DistancePower(2), PSI0, None):
         for r in (2, 3):
             gen = ThetaSplice(r) if psi is None else psi
-            s = SeriesFunc.create(gen, r)
+            s = USeries(r, gen)
             rep = identity_residual_scan(s, 6, radix_y_set(r, 3))
             ok = ok and rep.offender is None
             checked += rep.checked
@@ -171,7 +169,7 @@ def test_c06_lower_bound_chain():
     ok = True
     points = 0
     for r in (2, 3):
-        tau = Takagi(r)
+        tau = USeries(r, Distance())
         c = F(r, r - 1)
         den = r**8
         for j in range(den + 1):
@@ -187,14 +185,14 @@ def test_c06_lower_bound_chain():
 
 
 def test_c07_sine_examples():
-    ueta = SeriesFunc.create(Sin2Pi(), 2)
-    v = u_eval_approx(ueta, F(1, 2))
+    ueta = USeries(2, Sin2Pi())
+    v = eval_approx(ueta, F(1, 2))
     ok = abs(v.value) <= 1e-9 and v.err <= 1e-9
-    comp = SeriesFunc.create(sin_cancellation(2), 2)
+    comp = USeries(2, sin_cancellation(2))
     worst = 0.0
     for j in range(1, 1001):
         xf = j / 1001.0
-        got = u_eval_approx(comp, xf)
+        got = eval_approx(comp, xf)
         worst = max(worst, abs(got.value - abs(math.sin(math.pi * xf))))
     ok = ok and worst <= 1e-6
     gate(7, "sine series: zero at 1/2; cancellation telescopes to |sin(pi x)|",

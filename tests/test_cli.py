@@ -41,6 +41,26 @@ def test_eval_grid_row_count(capsys, spec_file):
     assert lines[0] == "x,value" and len(lines) == 1 + 17  # j/16 for j = 0..16
 
 
+def _refuse_work(monkeypatch, *names):
+    """Make the named CLI entry points fail if a command reaches them."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, boom)
+
+
+def test_eval_grid_cap_exit_2(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "grid_values", "eval_exact", "eval_approx")
+    for mode in ("exact", "float"):
+        code, out, err = run(
+            capsys,
+            ["eval", "--func", spec_file(SPEC_TAKAGI2), "--grid", "12", "--cap", "100", "--mode", mode],
+        )
+        assert code == 2 and out == "" and "4097 points exceeds cap 100" in err
+
+
 def test_eval_unsupported_exact_exits_2(capsys, spec_file):
     code, out, err = run(
         capsys, ["eval", "--func", spec_file(SPEC_WEIER_ETA), "--points", "0.5", "--mode", "exact"]
@@ -227,6 +247,17 @@ def test_flow_hypothesis_violation_exit_2(capsys, spec_file):
     assert code == 2 and "threshold" in err
 
 
+def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce")
+    base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--cap", "100"]
+    # 2^10 + 1 envelope vertices at t = 1/4096
+    code, out, err = run(capsys, base + ["--t", "1/4096"])
+    assert code == 2 and out == "" and "1025 points exceeds cap 100" in err
+    # two vertices, but (2^6 + 1) (2^8 + 1) brute-force evaluations
+    code, out, err = run(capsys, base + ["--t", "1/4", "--crosscheck", "8"])
+    assert code == 2 and out == "" and "16705" in err
+
+
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):
     csv_path = str(tmp_path / "curve.csv")
     code, out, _ = run(
@@ -320,6 +351,24 @@ def test_bounds_psi0(capsys, spec_file):
     )
     assert code == 0
     assert json.loads(out)["detail"]["c"] == "1"
+
+
+def test_bounds_cap_exit_2(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "check_sufficient_conditions", "lower_chain_check")
+    argv = ["bounds", "--psi", spec_file(SPEC_PSI0), "--m", "1", "--alpha", "2", "--r", "2"]
+    # the semiconcavity scan at nmax 6, ydepth 3: 127 * 7 triplets
+    code, out, err = run(capsys, argv + ["--nmax", "6", "--cap", "10"])
+    assert code == 2 and out == "" and "889 triplets exceeds cap 10" in err
+    # at ydepth 1 the 127 triplets fit, but the grid table of 2^7 + 1 points does not
+    code, out, err = run(capsys, argv + ["--nmax", "6", "--ydepth", "1", "--cap", "128"])
+    assert code == 2 and out == "" and "129 points exceeds cap 128" in err
+
+
+def test_series_commands_radix_error_exit_2(capsys, spec_file):
+    for command in ("identity", "bounds"):
+        extra = ["--nmax", "2", "--ydepth", "1"] if command == "identity" else ["--m", "1", "--alpha", "0"]
+        code, out, err = run(capsys, [command, "--psi", spec_file(SPEC_DISTANCE), "--r", "1"] + extra)
+        assert code == 2 and out == "" and "r must be an integer >= 2" in err
 
 
 def test_bounds_theta_fails(capsys, spec_file):

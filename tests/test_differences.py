@@ -11,7 +11,6 @@ from pathfn.core.funcs import (
     PolySplinePeriodic,
     Scale,
     Sin2Pi,
-    Takagi,
     ThetaSplice,
     USeries,
     eval_exact,
@@ -32,7 +31,7 @@ from pathfn.differences import (
 from pathfn.errors import ResourceLimitError
 
 F = Fraction
-TAU2 = Takagi(2)
+TAU2 = USeries(2, Distance())
 U_THETA2 = USeries(2, ThetaSplice(2))
 
 

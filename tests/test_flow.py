@@ -7,7 +7,6 @@ import pytest
 from pathfn.core.funcs import (
     Distance,
     Sin2Pi,
-    Takagi,
     ThetaSplice,
     USeries,
     eval_exact,
@@ -30,7 +29,7 @@ from pathfn.flow import (
 )
 
 F = Fraction
-TAU2 = Takagi(2)
+TAU2 = USeries(2, Distance())
 U_PSI0 = USeries(2, psi_zero(1, 1))
 
 
@@ -210,7 +209,7 @@ def test_bruteforce_radix_matches_grid():
 
 def test_bruteforce_radix_matches_grid_tau3_all_depths():
     # radix-3 variant, every brute depth from the collapse depth up
-    tau3 = Takagi(3)
+    tau3 = USeries(3, Distance())
     rng = random.Random(31)
     for t in (F(1, 3), F(1, 9), F(2)):
         q = FlowQuery(f=tau3, c=F(3, 2), r=3, t=t)

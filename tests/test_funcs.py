@@ -14,7 +14,6 @@ from pathfn.core.funcs import (
     Scale,
     Sin2Pi,
     Sum,
-    Takagi,
     ThetaSplice,
     USeries,
     as_piecewise_poly,
@@ -27,7 +26,7 @@ from pathfn.core.funcs import (
     theta_upper_poly,
 )
 from pathfn.core.parse import parse_func_spec, to_spec_dict, build_func
-from pathfn.core.polys import poly_derivative, poly_eval
+from pathfn.core.polys import certify_nonneg, poly_derivative, poly_eval
 from pathfn.errors import FuncSpecError, UnsupportedExactError
 
 F = Fraction
@@ -42,7 +41,11 @@ D_SPLINE = PolySplinePeriodic(
 
 
 def test_parse_takagi():
-    assert parse_func_spec('{"kind":"takagi","r":2}') == Takagi(2)
+    # "takagi" is a parser alias: it builds, and serialises back as, the series of d
+    for r in (2, 3):
+        f = parse_func_spec(f'{{"kind":"takagi","r":{r}}}')
+        assert f == USeries(r, Distance())
+        assert to_spec_dict(f) == {"kind": "useries", "r": r, "psi": {"kind": "distance"}}
 
 
 def test_parse_psi_zero_shape():
@@ -93,7 +96,7 @@ def test_parse_spline_rejects_value_at_zero():
 
 def test_parse_roundtrip():
     exprs = [
-        Takagi(3),
+        USeries(3, Distance()),
         psi_zero(2, 3),
         USeries(2, sin_cancellation(2)),
         D_SPLINE,
@@ -113,13 +116,13 @@ def test_parse_roundtrip():
         (Distance(), F(1, 4), F(1, 4)),
         (Distance(), F(7, 8), F(1, 8)),
         # finite sums: tau2(1/4) = d(1/4) + d(1/2)/2 = 1/2
-        (Takagi(2), F(1, 4), F(1, 2)),
+        (USeries(2, Distance()), F(1, 4), F(1, 2)),
         # 2-cycle 1/3 <-> 2/3: tau2(1/3) = (d(1/3) + d(2/3)/2) / (1 - 1/4)
-        (Takagi(2), F(1, 3), F(2, 3)),
-        (Takagi(2), F(1, 2), F(1, 2)),
+        (USeries(2, Distance()), F(1, 3), F(2, 3)),
+        (USeries(2, Distance()), F(1, 2), F(1, 2)),
         # 3^j/2 stays at 1/2: geometric sum (1/2) * 3/2
-        (Takagi(3), F(1, 2), F(3, 4)),
-        (Takagi(3), F(1, 3), F(1, 3)),
+        (USeries(3, Distance()), F(1, 2), F(3, 4)),
+        (USeries(3, Distance()), F(1, 3), F(1, 3)),
         (ThetaSplice(2), F(1, 4), F(1, 16)),  # inside the x^2 branch
         (DistancePower(2), F(1, 4), F(1, 16)),
         (psi_zero(1, 1), F(1, 2), F(3, 4)),
@@ -130,7 +133,7 @@ def test_eval_exact_catalog(f, x, expected):
 
 
 def test_eval_exact_periodicity_and_negatives():
-    for f in (Distance(), Takagi(2), ThetaSplice(3), psi_zero(1, 2)):
+    for f in (Distance(), USeries(2, Distance()), ThetaSplice(3), psi_zero(1, 2)):
         for x in (F(1, 3), F(5, 7), F(9, 11)):
             assert eval_exact(f, x) == eval_exact(f, x + 1) == eval_exact(f, x - 2)
 
@@ -175,11 +178,11 @@ def test_takagi_vs_direct_series_oracle(x, r):
     total = tail
     for i in range(j - 1, -1, -1):
         total = prefix[i] + total / r
-    assert eval_exact(Takagi(r), x) == total
+    assert eval_exact(USeries(r, Distance()), x) == total
 
 
 def test_zero_at_integers():
-    for f in (Distance(), Takagi(2), ThetaSplice(2), psi_zero(3, 4), Dilate(2, Takagi(3))):
+    for f in (Distance(), USeries(2, Distance()), ThetaSplice(2), psi_zero(3, 4), Dilate(2, USeries(3, Distance()))):
         assert eval_exact(f, F(0)) == 0
         assert eval_exact(f, F(1)) == 0
 
@@ -208,6 +211,12 @@ def test_theta_quintic_c2_junctions(r):
     assert poly_eval(ddq, F(1)) == 2
 
 
+def test_theta_quintic_certified_nonneg():
+    for r in range(2, 65):
+        assert ThetaSplice(r).r == r
+        assert certify_nonneg(theta_upper_poly(r), F(1, r), F(1)) is True
+
+
 def test_theta_positive_inside():
     for r in (2, 3):
         f = ThetaSplice(r)
@@ -223,12 +232,12 @@ def test_eval_approx_spec_examples():
     assert abs(v.value - 1.0) <= 1e-12 and v.err <= 1e-12
     v2 = eval_approx(Sin2Pi(), 0.25)
     assert abs(v2.value - 1.0) <= 1e-12 and v2.err <= 1e-12
-    v3 = eval_approx(Takagi(2), F(1, 3))
+    v3 = eval_approx(USeries(2, Distance()), F(1, 3))
     assert abs(v3.value - 2 / 3) <= v3.err <= 1e-9
 
 
 def test_eval_approx_takagi_nested():
-    v = eval_approx(USeries(2, Takagi(2)), F(1, 2))
+    v = eval_approx(USeries(2, USeries(2, Distance())), F(1, 2))
     # exact value is 1/2 (only the j=0 term survives)
     assert abs(v.value - 0.5) <= v.err <= 1e-9
 
@@ -237,7 +246,9 @@ def test_sup_abs_bounds():
     assert sup_abs_bound(Distance()) == F(1, 2)
     assert sup_abs_bound(DistancePower(3)) == F(1, 8)
     assert sup_abs_bound(AbsSin()) == 1
-    assert sup_abs_bound(Takagi(2)) == 1  # (1/2) * 2/(2-1)
+    assert sup_abs_bound(psi_zero(1, 1)) == F(3, 4)  # d + d^2 peaks at 1/2
+    for r in (2, 3):  # the Takagi envelope (1/2) * r/(r-1)
+        assert sup_abs_bound(USeries(r, Distance())) == F(r, 2 * (r - 1))
     assert sup_abs_bound(Scale(F(-3), Distance())) == F(3, 2)
     # certified: bound dominates dense samples for the quintic splice
     f = ThetaSplice(2)
@@ -252,7 +263,7 @@ def test_as_piecewise_poly_merging():
         for k in range(5):
             x = lo + (hi - lo) * F(k, 4)
             assert poly_eval(cs, x) == eval_exact(psi_zero(1, 1), x)
-    assert as_piecewise_poly(Takagi(2)) is None
+    assert as_piecewise_poly(USeries(2, Distance())) is None
     assert as_piecewise_poly(sin_cancellation(2)) is None
 
 
@@ -270,13 +281,13 @@ def test_interval_soundness_random_rationals():
         D_SPLINE,
         ThetaSplice(2),
         psi_zero(1, 1),
-        Takagi(2),
-        Takagi(3),
+        USeries(2, Distance()),
+        USeries(3, Distance()),
         USeries(2, psi_zero(1, 1)),
     ]
     per = 100_000 // len(catalog)
     for f in catalog:
-        series_like = isinstance(f, (Takagi, USeries))
+        series_like = isinstance(f, USeries)
         r = getattr(f, "r", 2)
         for _ in range(per):
             if series_like:

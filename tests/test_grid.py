@@ -14,7 +14,6 @@ from pathfn.core.funcs import (
     PolySplinePeriodic,
     Scale,
     Sum,
-    Takagi,
     ThetaSplice,
     USeries,
     eval_exact,
@@ -23,7 +22,7 @@ from pathfn.core.points import enumerate_triplets, radix_y_set
 from pathfn.differences import MembershipQuery, central_second_diff, membership_scan
 from pathfn.errors import ResourceLimitError, UnsupportedExactError
 from pathfn.grid import grid_values
-from pathfn.series import SeriesFunc, identity_residual_scan, u_delta_identity_residual
+from pathfn.series import identity_residual_scan, u_delta_identity_residual
 
 F = Fraction
 
@@ -44,7 +43,7 @@ def random_spline(rng):
 
 def random_tree(rng, depth):
     leaves = [Distance, lambda: DistancePower(rng.randint(1, 3)), lambda: ThetaSplice(rng.choice([2, 3])),
-              lambda: random_spline(rng), lambda: Takagi(rng.choice([2, 3]))]
+              lambda: random_spline(rng), lambda: USeries(rng.choice([2, 3]), Distance())]
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(leaves)()
     kind = rng.randrange(4)
@@ -76,7 +75,7 @@ def test_grid_values_match_eval_exact_on_random_trees(seed):
 @pytest.mark.parametrize("N", [1, 2, 5, 9])
 def test_cyclic_series_table_takagi3_on_dyadic_grid(N):
     # x -> 3x mod 1 permutes the dyadic grid: every orbit is a genuine cycle
-    assert_table_exact(Takagi(3), 2**N)
+    assert_table_exact(USeries(3, Distance()), 2**N)
     assert_table_exact(USeries(3, ThetaSplice(2)), 2**N)
 
 
@@ -86,13 +85,13 @@ def test_takagi_table_matches_integer_level_recursion(r):
     for level in range(1, 9):
         rl = r**level
         w = [min(j, rl - j) + w[j % (rl // r)] for j in range(rl + 1)]
-        vals, den = grid_values(Takagi(r), rl)
+        vals, den = grid_values(USeries(r, Distance()), rl)
         assert [F(v, den) for v in vals] == [F(x, rl) for x in w]
 
 
 def test_takagi_closed_form_at_dyadic_points():
     # tau_2(2^-n) = n 2^-n (Lagarias, The Takagi function and its properties)
-    vals, den = grid_values(Takagi(2), 2**12)
+    vals, den = grid_values(USeries(2, Distance()), 2**12)
     for n in range(13):
         assert F(vals[2 ** (12 - n)], den) == F(n, 2**n)
 
@@ -115,10 +114,10 @@ def brute_worst(f, c, r, n_max, ys):
 @pytest.mark.parametrize(
     "f,c,r,n_max,ys",
     [
-        (Takagi(2), F(1), 2, 4, (F(1, 3),)),
-        (Takagi(2), F(2), 2, 3, (F(1, 3), F(1, 2), F(2, 5))),
+        (USeries(2, Distance()), F(1), 2, 4, (F(1, 3),)),
+        (USeries(2, Distance()), F(2), 2, 3, (F(1, 3), F(1, 2), F(2, 5))),
         (ThetaSplice(2), F(1, 4), 2, 4, (F(1, 3), F(5, 7))),
-        (Takagi(3), F(1), 2, 3, (F(1, 6), F(3, 4))),
+        (USeries(3, Distance()), F(1), 2, 3, (F(1, 6), F(3, 4))),
     ],
 )
 def test_non_radix_y_scan_matches_brute_force(f, c, r, n_max, ys):
@@ -126,7 +125,7 @@ def test_non_radix_y_scan_matches_brute_force(f, c, r, n_max, ys):
     assert (rep.worst_margin, rep.worst_triplet) == brute_worst(f, c, r, n_max, ys)
 
 
-@pytest.mark.parametrize("f", [Distance(), Takagi(2)])
+@pytest.mark.parametrize("f", [Distance(), USeries(2, Distance())])
 @pytest.mark.parametrize("r", [2, 3])
 def test_tie_heavy_scans_keep_the_first_worst_triplet(f, r):
     ys = tuple(F(j, r**2) for j in range(1, r**2))
@@ -139,11 +138,11 @@ def test_tie_heavy_scans_keep_the_first_worst_triplet(f, r):
 
 def test_grid_table_size_counts_against_the_cap():
     # few triplets, but y's denominator makes the table far larger: refused before it is built
-    q = MembershipQuery(f=Takagi(2), c=F(2), r=2, n_max=2, y_set=(F(1, 1000003),))
+    q = MembershipQuery(f=USeries(2, Distance()), c=F(2), r=2, n_max=2, y_set=(F(1, 1000003),))
     with pytest.raises(ResourceLimitError, match="grid table"):
         membership_scan(q, cap=10**5)
     with pytest.raises(ResourceLimitError, match="grid table"):
-        identity_residual_scan(SeriesFunc.create(Distance(), 2), 0, (F(1, 2**40),), cap=10**5)
+        identity_residual_scan(USeries(2, Distance()), 0, (F(1, 2**40),), cap=10**5)
 
 
 @pytest.mark.parametrize("command", ["membership", "identity"])
@@ -173,7 +172,7 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
     the point evaluators alike: the scan must stop where a triplet-by-triplet
     walk of the single-shot residual first sees it."""
     ys = radix_y_set(r, 2)
-    s = SeriesFunc.create(psi, r)
+    s = USeries(r, psi)
 
     def corrupt(real):
         def wrapped(f, x, *args, **kw):

@@ -8,9 +8,9 @@ from pathfn.core.funcs import (
     Distance,
     DistancePower,
     Sin2Pi,
-    Takagi,
     ThetaSplice,
     USeries,
+    eval_approx,
     eval_exact,
     psi_zero,
     sin_cancellation,
@@ -20,29 +20,23 @@ from pathfn.differences import MembershipQuery, membership_scan
 from pathfn.errors import UnsupportedExactError
 from pathfn.series import (
     ScanParams,
-    SeriesFunc,
     check_sufficient_conditions,
     concave_generator_constant,
     identity_residual_scan,
     lower_chain_check,
     steepness_transfer_constant,
     u_delta_identity_residual,
-    u_eval_approx,
     u_eval_exact,
 )
 
 F = Fraction
 
 
-def sf(psi, r):
-    return SeriesFunc.create(psi, r)
-
-
 # ------------------------------------------------------------ exact values
 
 
 def test_u_eval_exact_distance():
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     assert u_eval_exact(s, F(1, 2)) == F(1, 2)  # single term
     assert u_eval_exact(s, F(1, 4)) == F(1, 2)  # 1/4 + (1/2)(1/2)
     assert u_eval_exact(s, F(0)) == 0
@@ -53,39 +47,39 @@ def test_u_eval_exact_distance():
 def test_u_eval_exact_theta_at_first_gridpoint(r):
     # the splice equals its quadratic branch at 1/r, and all later terms hit
     # integers: the transform value is exactly 1/r^2
-    s = sf(ThetaSplice(r), r)
+    s = USeries(r, ThetaSplice(r))
     assert u_eval_exact(s, F(1, r)) == F(1, r * r)
 
 
 def test_u_eval_exact_matches_takagi_builtin():
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     for j in range(0, 65):
         x = F(j, 64)
-        assert u_eval_exact(s, x) == eval_exact(Takagi(2), x)
+        assert u_eval_exact(s, x) == eval_exact(s, x)
 
 
 def test_u_eval_exact_accepts_radix_points():
     from pathfn.core.points import RadixPoint
 
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     p = RadixPoint(r=2, n=2, k=1, y=F(0))  # value 1/4
     assert u_eval_exact(s, p) == u_eval_exact(s, F(1, 4)) == F(1, 2)
 
 
 def test_u_eval_exact_rejects_non_grid_points():
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     with pytest.raises(ValueError):
         u_eval_exact(s, F(1, 3))
     with pytest.raises(UnsupportedExactError):
-        u_eval_exact(sf(Sin2Pi(), 2), F(1, 2))
+        u_eval_exact(USeries(2, Sin2Pi()), F(1, 2))
 
 
 # ------------------------------------------------------- truncated values
 
 
 def test_u_eval_approx_distance_tail():
-    s = sf(Distance(), 2)
-    v = u_eval_approx(s, 0.5, terms=30)
+    s = USeries(2, Distance())
+    v = eval_approx(s, 0.5, series_terms=30)
     assert v.value == 0.5  # only the first term is nonzero
     # tail bound: sup d * r^(1-J)/(r-1) = 2^-30; spec allows ~1.9e-9
     assert v.err <= 1.9e-9
@@ -93,16 +87,16 @@ def test_u_eval_approx_distance_tail():
 
 def test_u_eval_approx_weierstrass_style_zero():
     # sin(2 pi 2^j / 2) vanishes for every j, so the value is 0 up to libm dust
-    s = sf(Sin2Pi(), 2)
-    v = u_eval_approx(s, 0.5, terms=40)
+    s = USeries(2, Sin2Pi())
+    v = eval_approx(s, 0.5, series_terms=40)
     assert abs(v.value) <= v.err
     assert v.err <= 2.0**-38
 
 
 def test_u_eval_approx_sine_cancellation():
     # |sin(pi x)| - (1/r)|sin(pi r x)| telescopes to |sin(pi x)|
-    s = sf(sin_cancellation(2), 2)
-    v = u_eval_approx(s, 0.25, terms=40)
+    s = USeries(2, sin_cancellation(2))
+    v = eval_approx(s, 0.25, series_terms=40)
     assert abs(v.value - math.sin(math.pi / 4)) <= 1e-9
     assert v.err <= 1e-9
 
@@ -110,14 +104,14 @@ def test_u_eval_approx_sine_cancellation():
 def test_exact_approx_coherence_random_grid_points():
     rng = random.Random(99)
     for r in (2, 3):
-        s = sf(Distance(), r)
+        s = USeries(r, Distance())
         for _ in range(5000):
             depth = rng.randint(1, 14)
             den = r**depth
             x = F(rng.randrange(den + 1), den)
             exact = u_eval_exact(s, x)
             for terms in (rng.randint(1, 8), 40):
-                got = u_eval_approx(s, x, terms=terms)
+                got = eval_approx(s, x, series_terms=terms)
                 assert abs(float(F(got.value) - exact)) <= got.err
 
 
@@ -135,17 +129,17 @@ def test_exact_approx_coherence_random_grid_points():
     ],
 )
 def test_identity_residual_is_zero(psi, r, triplet):
-    assert u_delta_identity_residual(sf(psi, r), triplet) == 0
+    assert u_delta_identity_residual(USeries(r, psi), triplet) == 0
 
 
 def test_identity_empty_sum_at_depth_zero():
-    s = sf(psi_zero(2, 1), 2)
+    s = USeries(2, psi_zero(2, 1))
     for j in (1, 3, 5, 7):
         assert u_delta_identity_residual(s, Triplet(0, 0, F(j, 8))) == 0
 
 
 def test_identity_scan_agrees_with_single_shots():
-    s = sf(psi_zero(1, 1), 2)
+    s = USeries(2, psi_zero(1, 1))
     rep = identity_residual_scan(s, 4, radix_y_set(2, 2))
     assert rep.offender is None
     assert rep.checked == 31 * 3  # (2^5 - 1) cells, 3 interior y values
@@ -159,7 +153,7 @@ def test_identity_scan_agrees_with_single_shots():
 def test_identity_scan_flags_broken_evaluator(monkeypatch):
     import pathfn.series as series_mod
 
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     real = series_mod.u_eval_exact
 
     def corrupted(series, p):
@@ -174,37 +168,37 @@ def test_identity_scan_flags_broken_evaluator(monkeypatch):
 
 
 def test_sufficient_conditions_distance():
-    rep = check_sufficient_conditions(sf(Distance(), 2), m=F(1), alpha=F(0))
+    rep = check_sufficient_conditions(USeries(2, Distance()), m=F(1), alpha=F(0))
     assert rep.passed and rep.c == 2
     assert rep.lower_bound_mode == "exact"
 
 
 def test_sufficient_conditions_psi_zero():
-    rep = check_sufficient_conditions(sf(psi_zero(1, 1), 2), m=F(1), alpha=F(2))
+    rep = check_sufficient_conditions(USeries(2, psi_zero(1, 1)), m=F(1), alpha=F(2))
     assert rep.passed and rep.c == 1
 
 
 def test_sufficient_conditions_theta_fails_near_zero():
     # theta(x) = x^2 < m*x for small x, whatever m > 0
-    rep = check_sufficient_conditions(sf(ThetaSplice(2), 2), m=F(1), alpha=F(2))
+    rep = check_sufficient_conditions(USeries(2, ThetaSplice(2)), m=F(1), alpha=F(2))
     assert not rep.passed
     assert rep.lower_bound_witness is not None and rep.lower_bound_witness < F(1, 100)
-    rep2 = check_sufficient_conditions(sf(ThetaSplice(2), 2), m=F(1, 50), alpha=F(1, 50))
+    rep2 = check_sufficient_conditions(USeries(2, ThetaSplice(2)), m=F(1, 50), alpha=F(1, 50))
     assert not rep2.passed
 
 
 def test_sufficient_conditions_precondition():
     with pytest.raises(ValueError, match="2\\*m\\*r > alpha"):
-        check_sufficient_conditions(sf(Distance(), 2), m=F(1), alpha=F(4))
+        check_sufficient_conditions(USeries(2, Distance()), m=F(1), alpha=F(4))
 
 
 def test_lower_chain():
     for r in (2, 3):
-        s = sf(psi_zero(1, 1), r)
+        s = USeries(r, psi_zero(1, 1))
         rep = lower_chain_check(s, F(1), radix_x_samples(r, 4))
         assert rep.holds, rep
     # the pure Takagi chain includes its own quadratic lower bound
-    s2 = sf(Distance(), 2)
+    s2 = USeries(2, Distance())
     assert lower_chain_check(s2, F(1), radix_x_samples(2, 6)).holds
 
 
@@ -212,7 +206,7 @@ def test_lower_chain():
 
 
 def test_concave_generator_constant_matches_membership():
-    s = sf(Distance(), 2)
+    s = USeries(2, Distance())
     c = concave_generator_constant(s)
     assert c == 2
     q = MembershipQuery(f=USeries(2, Distance()), c=c, r=2, n_max=5, y_set=radix_y_set(2, 4))
@@ -224,7 +218,7 @@ def test_transfer_constant_corrected_passes():
     # c' = c*r/(2(r-1)) = 2 (fundamental bound is tight at y=1/2)
     c_prime = steepness_transfer_constant(F(2), 2)
     assert c_prime == 2
-    q = MembershipQuery(f=USeries(2, Takagi(2)), c=c_prime, r=2, n_max=4, y_set=radix_y_set(2, 4))
+    q = MembershipQuery(f=USeries(2, USeries(2, Distance())), c=c_prime, r=2, n_max=4, y_set=radix_y_set(2, 4))
     rep = membership_scan(q)
     assert rep.verdict == "no-violation" and rep.worst_margin == 0
 
@@ -234,17 +228,10 @@ def test_transfer_constant_uncorrected_is_false():
 
     Pinned falsification: the scanner must find the positive margin exactly.
     """
-    q = MembershipQuery(f=USeries(2, Takagi(2)), c=F(4), r=2, n_max=2, y_set=radix_y_set(2, 2))
+    q = MembershipQuery(f=USeries(2, USeries(2, Distance())), c=F(4), r=2, n_max=2, y_set=radix_y_set(2, 2))
     rep = membership_scan(q)
     assert rep.verdict == "violated"
     assert rep.worst_margin == 4 and rep.worst_triplet == Triplet(0, 0, F(1, 2))
-
-
-def test_sup_psi_field():
-    s = sf(psi_zero(1, 1), 2)
-    # max of d + d^2 on [0,1] is at 1/2: 1/2 + 1/4
-    assert s.sup_psi == F(3, 4)
-    assert sf(Distance(), 3).sup_psi == F(1, 2)
 
 
 def test_scan_params_sets():
