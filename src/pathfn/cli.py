@@ -22,11 +22,10 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact, supports_exact
+from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set, triplet_count
 from .core.scalars import Approx, RationalFormatError, format_rational, parse_rational
@@ -39,7 +38,7 @@ from .differences import (
 )
 from .errors import PathfnError
 from .flow import FlowQuery, flow_bruteforce, flow_grid
-from .grid import grid_values
+from .grid import grid_values, scan_grid
 from .series import (
     ScanParams,
     check_sufficient_conditions,
@@ -113,7 +112,8 @@ def _emit(out: io.StringIO, report: Optional[dict]) -> None:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP, help="cap on triplets and grid-table size")
+    p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP,
+                   help="cap on triplets, grid-table points, flow and probe evaluations, and series orbit steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +195,7 @@ def cmd_eval(args, out: io.StringIO) -> int:
             vals, den = grid_values(f, len(xs) - 1)
             values = [Fraction(v, den) for v in vals]
         else:
-            values = [eval_exact(f, x) for x in xs]
+            values = eval_exact_points(f, xs, max_orbit=args.cap)
         rows.append("x,value")
         rows += [f"{format_rational(x)},{format_rational(v)}" for x, v in zip(xs, values)]
     else:
@@ -266,8 +266,10 @@ def cmd_flow(args, out: io.StringIO) -> int:
     r = args.r if args.r is not None else _root_radix(f)
     q = FlowQuery(f=f, c=c, r=r, t=t, n=args.n, mode=args.mode)
     d = args.crosscheck
+    if d is not None and d < 0:
+        raise _UsageError("--crosscheck must be >= 0")
     brute_evals = 0 if d is None else (r ** min(d, 6) + 1) * (r**d + 1)
-    check_scan_cap(args.cap, brute_evals, r ** q.depth())  # and the r^n + 1 envelope vertices
+    check_scan_cap(args.cap, brute_evals, r ** q.depth(), unit="brute-force evaluations")  # grid: r^n + 1 vertices
     pq = flow_grid(q)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"
@@ -317,6 +319,7 @@ def cmd_probe(args, out: io.StringIO) -> int:
     y = _rat(args.y, "--y")
     x = _point_literal(args.x)
     mode = "auto" if args.mode == "exact" else "float"
+    check_scan_cap(args.cap, 3 * (args.depth + 1), unit="point evaluations")
     rows = divergence_probe(f, x, args.depth, y=y, r=r, mode=mode)
     exact_rows = all(not isinstance(row.gap, Approx) for row in rows)
     lines = ["n,delta_plus,delta_minus,gap" if exact_rows else "n,delta_plus,delta_minus,gap,error_bound"]
@@ -344,8 +347,7 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     s = USeries(args.r, psi)
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
     ys = params.y_set(args.r)
-    grid = lcm(*(y.denominator for y in ys)) * args.r**args.nmax
-    check_scan_cap(args.cap, triplet_count(args.r, args.nmax, len(ys)), grid)
+    check_scan_cap(args.cap, triplet_count(args.r, args.nmax, len(ys)), scan_grid(args.r, args.nmax, ys))
     report = check_sufficient_conditions(s, m, alpha, params)
     detail = report.as_json()
     ok = report.passed

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
 from .polys import (
@@ -256,42 +256,34 @@ def supports_exact(f: FuncExpr) -> bool:
 # Exact evaluation
 # ---------------------------------------------------------------------------
 
-# Value caches for series transforms, keyed by (generator, radix); inner maps
-# send reduced arguments to exact values.  Entries are immutable facts, so
-# concurrent updates are benign.
-_U_CACHES: Dict[Tuple[FuncExpr, int], Dict[Fraction, Fraction]] = {}
-
-
-def clear_caches() -> None:
-    _U_CACHES.clear()
-    _eval_exact_cached.cache_clear()
-
-
 def eval_exact(f: FuncExpr, x: Union[Fraction, int], max_orbit: Optional[int] = None) -> Fraction:
     """f(x) as an exact rational; x may be any rational (reduced mod 1 first).
 
     ``max_orbit`` caps the orbit walk of series nodes; exceeding it raises
     :class:`OrbitLimitError` (used by callers that fall back to certified
-    floats when the argument's cycle is infeasibly long).
+    floats when the argument's cycle is infeasibly long).  Orbit values are
+    shared only within this one call.
     """
-    xr = reduce_mod1(Fraction(x))
-    if max_orbit is None:
-        return _eval_exact_cached(f, xr)
-    return _eval_exact_reduced(f, xr, max_orbit)
+    return eval_exact_points(f, (x,), max_orbit)[0]
 
 
-@lru_cache(maxsize=1 << 22)
-def _eval_exact_cached(f: FuncExpr, x: Fraction) -> Fraction:
-    return _eval_exact_reduced(f, x, None)
+def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[int] = None) -> List[Fraction]:
+    """[f(x) for x in xs] as exact rationals, sharing one orbit memo.
+
+    A point whose orbit meets one already walked in this call stops there,
+    so ``max_orbit`` counts only the new steps of each walk, in list order.
+    """
+    memo: dict = {}  # (psi, r) -> {reduced argument: series value}
+    return [_eval_exact_reduced(f, reduce_mod1(Fraction(x)), max_orbit, memo) for x in xs]
 
 
-def _eval_exact_reduced(f: FuncExpr, x: Fraction, max_orbit: Optional[int] = None) -> Fraction:
+def _eval_exact_reduced(f: FuncExpr, x: Fraction, max_orbit: Optional[int], memo: dict) -> Fraction:
     if isinstance(f, Distance):
         return min(x, 1 - x)
     if isinstance(f, DistancePower):
         return min(x, 1 - x) ** f.power
     if isinstance(f, USeries):
-        return _u_series_exact(f.psi, f.r, x, max_orbit)
+        return _u_series_exact(f.psi, f.r, x, max_orbit, memo)
     if isinstance(f, PolySplinePeriodic):
         return poly_eval(f.pieces[_spline_piece_index(f.knots, x)], x)
     if isinstance(f, ThetaSplice):
@@ -299,13 +291,13 @@ def _eval_exact_reduced(f: FuncExpr, x: Fraction, max_orbit: Optional[int] = Non
             return x * x
         return poly_eval(theta_upper_poly(f.r), x)
     if isinstance(f, Scale):
-        return f.a * _eval_exact_reduced(f.child, x, max_orbit)
+        return f.a * _eval_exact_reduced(f.child, x, max_orbit, memo)
     if isinstance(f, Sum):
         return sum(
-            (_eval_exact_reduced(c, x, max_orbit) for c in f.children), _ZERO
+            (_eval_exact_reduced(c, x, max_orbit, memo) for c in f.children), _ZERO
         )
     if isinstance(f, Dilate):
-        return _eval_exact_reduced(f.child, reduce_mod1(f.m * x), max_orbit)
+        return _eval_exact_reduced(f.child, reduce_mod1(f.m * x), max_orbit, memo)
     if isinstance(f, (AbsSin, Sin2Pi)):
         raise UnsupportedExactError(f"{type(f).__name__} has no exact branch")
     raise TypeError(f"unknown expression {f!r}")
@@ -322,43 +314,24 @@ def _spline_piece_index(knots: Tuple[Fraction, ...], x: Fraction) -> int:
     return lo
 
 
-def _u_series_exact(psi: FuncExpr, r: int, x: Fraction, max_orbit: Optional[int]) -> Fraction:
+def _u_series_exact(psi: FuncExpr, r: int, x: Fraction, max_orbit: Optional[int], memo: dict) -> Fraction:
     """Exact series value via the eventually-periodic orbit x -> r*x mod 1.
 
     For x = j/r^N the orbit hits 0 after at most N steps and the series is a
     finite sum; a genuine cycle of length L contributes the closed form
-    S / (1 - r^{-L}).  Every orbit point's value is cached.
+    S / (1 - r^{-L}).  Every orbit point's value goes into ``memo``, which
+    the points of one ``eval_exact_points`` call share.
     """
-    cache = _U_CACHES.setdefault((psi, r), {_ZERO: _ZERO})
-    if x in cache:
-        return cache[x]
-
+    cache = memo.setdefault((psi, r), {_ZERO: _ZERO})
     orbit: list = []
     values: list = []
     seen: Dict[Fraction, int] = {}
     cur = x
-    prefix_end: int
-    tail: Fraction
-
-    while True:
-        if cur in cache:
-            prefix_end = len(orbit)
-            tail = cache[cur]
-            break
-        if cur in seen:
+    while cur not in cache:
+        if cur in seen:  # the walk closed a cycle at cur
             j = seen[cur]
-            length = len(orbit) - j
-            s = _ZERO
-            for m in range(length):
-                s += Fraction(values[j + m], r**m)
-            u_cycle = s / (1 - Fraction(1, r**length))
-            cache[orbit[j]] = u_cycle
-            val = u_cycle
-            for i in range(len(orbit) - 1, j, -1):
-                val = values[i] + val / r
-                cache[orbit[i]] = val
-            prefix_end = j
-            tail = u_cycle
+            s = sum((Fraction(v, r**m) for m, v in enumerate(values[j:])), _ZERO)
+            cache[cur] = s / (1 - Fraction(1, r ** (len(orbit) - j)))
             break
         if max_orbit is not None and len(orbit) >= max_orbit:
             raise OrbitLimitError(
@@ -366,11 +339,11 @@ def _u_series_exact(psi: FuncExpr, r: int, x: Fraction, max_orbit: Optional[int]
             )
         seen[cur] = len(orbit)
         orbit.append(cur)
-        values.append(_eval_exact_reduced(psi, cur, max_orbit))
+        values.append(_eval_exact_reduced(psi, cur, max_orbit, memo))
         cur = reduce_mod1(cur * r)
 
-    val = tail
-    for i in range(prefix_end - 1, -1, -1):
+    val = cache[cur]
+    for i in range(len(orbit) - 1, -1, -1):  # re-deriving a cycle's start reproduces its value
         val = values[i] + val / r
         cache[orbit[i]] = val
     return cache[x]
@@ -497,7 +470,7 @@ _EPS = 2.3e-16  # outward bound on one relative rounding
 def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
     """(value, error bound) with exact rational arguments throughout."""
     if isinstance(f, (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)):
-        v = float(_eval_exact_reduced(f, x))
+        v = float(_eval_exact_reduced(f, x, None, {}))
         return v, _ulp(v)
     if isinstance(f, AbsSin):
         xf = float(x)

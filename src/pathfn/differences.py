@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import FuncExpr, eval_approx, eval_exact
+from .core.funcs import FuncExpr, eval_approx, eval_exact, eval_exact_points
 from .core.points import (
     Triplet,
     enumerate_triplets,
@@ -36,7 +35,7 @@ from .core.points import (
 )
 from .core.scalars import Approx, Scalar, scalar_to_json
 from .errors import OrbitLimitError, ResourceLimitError
-from .grid import grid_values, stencil_rows
+from .grid import grid_values, scan_grid, stencil_rows
 
 DEFAULT_TRIPLET_CAP = 10**7
 DEFAULT_FLOAT_TOL = 1e-8
@@ -133,11 +132,11 @@ class ScanReport:
         return out
 
 
-def check_scan_cap(cap: int, triplets: int, grid: Optional[int] = None) -> None:
-    """Refuse a scan of more than ``cap`` triplets, or an exact scan whose
-    grid table {j/grid} would hold more than ``cap`` points."""
-    if triplets > cap:
-        raise ResourceLimitError(f"scan of {triplets} triplets exceeds cap {cap}")
+def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str = "triplets") -> None:
+    """Refuse a scan of more than ``cap`` ``unit`` (triplets by default), or
+    one whose grid table {j/grid} would hold more than ``cap`` points."""
+    if count > cap:
+        raise ResourceLimitError(f"scan of {count} {unit} exceeds cap {cap}")
     if grid is not None and grid + 1 > cap:
         raise ResourceLimitError(f"grid table of {grid + 1} points exceeds cap {cap}")
 
@@ -184,7 +183,7 @@ def _run_scan(
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
     # the largest margin wins; ties go to the lexicographically smallest (n, k, y)
     if mode == "exact":
-        grid = lcm(*(y.denominator for y in ys)) * r**n_max
+        grid = scan_grid(r, n_max, ys)
         check_scan_cap(cap, total, grid)
         margins = _table_margins(f, r, n_max, ys, grid, offset)
         worst, worst_t = min(margins, key=lambda m: (-m[0], m[1]))
@@ -366,27 +365,27 @@ def _probe_rows(
     mode: str,
     orbit_cap: Optional[int],
 ) -> List[ProbeRow]:
-    rows: List[ProbeRow] = []
+    stencils: List[Triplet] = []
     for n in range(n_depth + 1):
         scaled = xq * r**n
         k = scaled.numerator // scaled.denominator
         yn = y if on_grid else scaled - k
         if yn == 0:  # radix point at depth below its own: scaled is integral
             yn = y
-        t = Triplet(n, k, yn)
-        left, mid, right = t.points(r)
+        stencils.append(Triplet(n, k, yn))
+    points = [p for t in stencils for p in t.points(r)]  # one batch, so orbit walks are shared
+    if mode == "exact":
+        vals: List[Scalar] = eval_exact_points(f, points, max_orbit=orbit_cap)
+    else:
+        vals = [eval_approx(f, p) for p in points]
+    rows: List[ProbeRow] = []
+    for t, fl, fm, fr in zip(stencils, vals[0::3], vals[1::3], vals[2::3]):
         if mode == "exact":
-            fl = eval_exact(f, left, max_orbit=orbit_cap)
-            fm = eval_exact(f, mid, max_orbit=orbit_cap)
-            fr = eval_exact(f, right, max_orbit=orbit_cap)
-            dminus: Scalar = (fm - fl) * r**n / yn
-            dplus: Scalar = (fr - fm) * r**n / (1 - yn)
+            dminus: Scalar = (fm - fl) * r**t.n / t.y
+            dplus: Scalar = (fr - fm) * r**t.n / (1 - t.y)
         else:
-            fl_a = eval_approx(f, left)
-            fm_a = eval_approx(f, mid)
-            fr_a = eval_approx(f, right)
-            rn = Approx(float(r**n), 0.0)
-            dminus = (fm_a - fl_a) * rn / Approx.from_fraction(yn)
-            dplus = (fr_a - fm_a) * rn / Approx.from_fraction(1 - yn)
-        rows.append(ProbeRow(n, k, yn, dplus, dminus, dplus - dminus))
+            rn = Approx(float(r**t.n), 0.0)
+            dminus = (fm - fl) * rn / Approx.from_fraction(t.y)
+            dplus = (fr - fm) * rn / Approx.from_fraction(1 - t.y)
+        rows.append(ProbeRow(t.n, t.k, t.y, dplus, dminus, dplus - dminus))
     return rows

@@ -47,6 +47,7 @@ from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_rational
 from .differences import central_second_diff, backward_diff, forward_diff, fundamental_bound_check
 from .errors import AmbiguousEnvelopeError, FlowConditionError
+from .grid import grid_values
 
 
 def parabola_eval(
@@ -178,6 +179,8 @@ class FlowQuery:
             raise ValueError("c must be positive")
         if self.t <= 0:
             raise ValueError("t must be positive")
+        if self.n is not None and self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
 
     def depth(self) -> int:
         if self.n is not None:
@@ -299,8 +302,8 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     den = q.r**n
     zs = [Fraction(k, den) for k in range(den + 1)]
     if q.mode == "exact":
-        fz = [eval_exact(q.f, z) for z in zs]
-        return _envelope_exact(zs, fz, q.t)
+        vals, vden = grid_values(q.f, den)
+        return _envelope_exact(zs, [Fraction(v, vden) for v in vals], q.t)
     fz_a = [eval_approx(q.f, z) for z in zs]
     return _envelope_float(zs, fz_a, q.t)
 
@@ -445,10 +448,10 @@ def flow_bruteforce(
 ) -> Scalar:
     """Direct minimization of f(z) + (x - z)^2/(2t) over a dense z-grid.
 
-    Radix mode (``radix_depth`` with ``r``): exact arithmetic over
-    z in {j/r^N}; an upper bound of the true infimum that, for steep initial
-    data and admissible times, matches ``flow_grid`` exactly once N reaches
-    the collapse depth.  Step mode (``step``): float grid, returning the
+    Radix mode (``radix_depth`` with ``r``): exact arithmetic over z in
+    {j/r^N}, f(z) read periodically off one grid table; an upper bound of the
+    true infimum that, for steep initial data and admissible times, matches
+    ``flow_grid`` exactly once N reaches the collapse depth.  Step mode (``step``): float grid, returning the
     sampled minimum with the evaluation bound of the winning point.
 
     When f is not certifiably nonnegative on [0, 1] the z-range widens to
@@ -467,13 +470,14 @@ def flow_bruteforce(
         xq = Fraction(x)
         lo, hi = (Fraction(0), Fraction(1)) if nonneg else _search_window(f, t, xq)
         den = r**radix_depth
+        vals, vden = grid_values(f, den)
         j_lo = math.ceil(lo * den)
         j_hi = math.floor(hi * den)
         best: Optional[Fraction] = None
         inv2t = Fraction(1, 2 * t)
         for j in range(j_lo, j_hi + 1):
             z = Fraction(j, den)
-            v = eval_exact(f, z) + (xq - z) ** 2 * inv2t
+            v = Fraction(vals[j % den], vden) + (xq - z) ** 2 * inv2t
             if best is None or v < best:
                 best = v
         assert best is not None

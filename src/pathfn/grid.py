@@ -106,6 +106,11 @@ def _series_table(psi: Table, s: int, Q: int) -> Table:
     return vals, pden * mult
 
 
+def scan_grid(r: int, n_max: int, ys: Sequence[Fraction]) -> int:
+    """B r^n_max, B the lcm of the y denominators: the table :func:`stencil_rows` reads."""
+    return lcm(*(y.denominator for y in ys)) * r**n_max
+
+
 def stencil_rows(
     vals: List[int], r: int, n_max: int, ys: Sequence[Fraction]
 ) -> Iterator[Tuple[int, Fraction, int, List[int]]]:

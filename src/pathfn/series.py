@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .core.funcs import (
@@ -52,7 +51,7 @@ from .differences import (
     semiconcavity_scan,
 )
 from .errors import UnsupportedExactError
-from .grid import grid_values, stencil_rows
+from .grid import grid_values, scan_grid, stencil_rows
 
 
 def u_eval_exact(s: USeries, p: Union[RadixPoint, Fraction, int]) -> Fraction:
@@ -139,11 +138,12 @@ def identity_residual_scan(
             raise ValueError(f"y={y} must lie strictly inside (0, 1)")
         if not is_radix_rational(y, r):
             raise ValueError(f"y={y} is not radix-rational for r={r}")
-    B = lcm(*(y.denominator for y in ys))
+    Q = scan_grid(r, n_max, ys)
+    B = Q // r**n_max
     total = triplet_count(r, n_max, len(ys))
-    check_scan_cap(cap, total, B * r**n_max)
-    u_vals, u_den = grid_values(s, B * r**n_max)  # left side
-    p_vals, p_den = grid_values(s.psi, B * r**n_max)  # right side
+    check_scan_cap(cap, total, Q)
+    u_vals, u_den = grid_values(s, Q)  # left side
+    p_vals, p_den = grid_values(s.psi, Q)  # right side
     u_at_y = {y: u_eval_exact(s, y) for y in ys}
     sums = {y: [0] for y in ys}  # T(n - 1, .) per y; the sum is empty at n = 0
     rows = zip(stencil_rows(u_vals, r, n_max, ys), stencil_rows(p_vals, r, n_max, ys))

@@ -52,13 +52,21 @@ def _refuse_work(monkeypatch, *names):
 
 
 def test_eval_grid_cap_exit_2(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "grid_values", "eval_exact", "eval_approx")
+    _refuse_work(monkeypatch, "grid_values", "eval_exact_points", "eval_approx")
     for mode in ("exact", "float"):
         code, out, err = run(
             capsys,
             ["eval", "--func", spec_file(SPEC_TAKAGI2), "--grid", "12", "--cap", "100", "--mode", mode],
         )
         assert code == 2 and out == "" and "4097 points exceeds cap 100" in err
+
+
+def test_eval_points_orbit_cap_exit_2(capsys, spec_file):
+    # 2 has order 5002 mod 5003, so the orbit walk of 1/5003 stops after 100 steps
+    code, out, err = run(
+        capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003", "--cap", "100"]
+    )
+    assert code == 2 and out == "" and "exceeded 100 steps" in err
 
 
 def test_eval_unsupported_exact_exits_2(capsys, spec_file):
@@ -255,7 +263,16 @@ def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
     assert code == 2 and out == "" and "1025 points exceeds cap 100" in err
     # two vertices, but (2^6 + 1) (2^8 + 1) brute-force evaluations
     code, out, err = run(capsys, base + ["--t", "1/4", "--crosscheck", "8"])
-    assert code == 2 and out == "" and "16705" in err
+    assert code == 2 and out == "" and "16705 brute-force evaluations exceeds cap 100" in err
+
+
+def test_flow_negative_depths_exit_2(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce")
+    base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4"]
+    code, out, err = run(capsys, base + ["--crosscheck", "-1"])
+    assert code == 2 and out == "" and "--crosscheck must be >= 0" in err
+    code, out, err = run(capsys, base + ["--n", "-1"])
+    assert code == 2 and out == "" and "n must be >= 0" in err
 
 
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):
@@ -312,6 +329,14 @@ def test_probe_distance_linear(capsys, spec_file):
     assert code == 0
     gaps = [Fraction(line.split(",")[3]) for line in out.splitlines()[1:]]
     assert gaps[0] == -2 and all(g == 0 for g in gaps[1:])
+
+
+def test_probe_cap_exit_2(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "divergence_probe")
+    code, out, err = run(
+        capsys, ["probe", "--func", spec_file(SPEC_TAKAGI2), "--x", "1/3", "--N", "40", "--cap", "100"]
+    )
+    assert code == 2 and out == "" and "123 point evaluations exceeds cap 100" in err
 
 
 def test_probe_float_fallback_column(capsys, spec_file):

@@ -301,6 +301,16 @@ def test_probe_float_fallback_certified():
         assert row.gap.value + row.gap.err <= -2
 
 
+def test_probe_does_not_depend_on_earlier_evaluations():
+    # 2 has order 5002 mod 5003, so the walk of 1/5003 exceeds the auto-mode
+    # orbit cap whether or not the same point was evaluated before
+    x = F(1, 5003)
+    before = divergence_probe(TAU2, x, 3)
+    eval_exact(TAU2, x)
+    assert divergence_probe(TAU2, x, 3) == before
+    assert all(isinstance(row.gap, Approx) for row in before)
+
+
 def test_probe_validates_inputs():
     with pytest.raises(ValueError):
         divergence_probe(TAU2, F(1, 3), 0)

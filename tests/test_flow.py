@@ -1,12 +1,16 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from pathfn.core.funcs import (
+    Dilate,
     Distance,
+    Scale,
     Sin2Pi,
+    Sum,
     ThetaSplice,
     USeries,
     eval_exact,
@@ -219,6 +223,17 @@ def test_bruteforce_radix_matches_grid_tau3_all_depths():
                 m = rng.randint(0, 4)
                 x = F(rng.randint(0, 3**m), 3**m)
                 assert flow_bruteforce(tau3, t, x, radix_depth=depth, r=3) == pq.eval(x)
+
+
+def test_bruteforce_radix_window_for_signed_function():
+    # d(x) - d(2x) dips to -1/4, so at t = 1/3 the z-range widens to [x - 3, x + 3];
+    # at x = 3/2 the minimizer lies outside [0, 1]
+    f = Sum((Distance(), Scale(F(-1), Dilate(2, Distance()))))
+    t, den = F(1, 3), 2**5
+    for x in (F(0), F(1, 8), F(3, 10), F(1), F(3, 2)):
+        zs = [F(j, den) for j in range(math.ceil((x - 3) * den), math.floor((x + 3) * den) + 1)]
+        direct = min(eval_exact(f, z) + (x - z) ** 2 / (2 * t) for z in zs)
+        assert flow_bruteforce(f, t, x, radix_depth=5, r=2) == direct
 
 
 def test_bruteforce_trivial_minimizer():

@@ -19,6 +19,7 @@ from pathfn.core.funcs import (
     as_piecewise_poly,
     eval_approx,
     eval_exact,
+    eval_exact_points,
     psi_zero,
     sin_cancellation,
     sup_abs_bound,
@@ -27,7 +28,7 @@ from pathfn.core.funcs import (
 )
 from pathfn.core.parse import parse_func_spec, to_spec_dict, build_func
 from pathfn.core.polys import certify_nonneg, poly_derivative, poly_eval
-from pathfn.errors import FuncSpecError, UnsupportedExactError
+from pathfn.errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
 
 F = Fraction
 
@@ -136,6 +137,19 @@ def test_eval_exact_periodicity_and_negatives():
     for f in (Distance(), USeries(2, Distance()), ThetaSplice(3), psi_zero(1, 2)):
         for x in (F(1, 3), F(5, 7), F(9, 11)):
             assert eval_exact(f, x) == eval_exact(f, x + 1) == eval_exact(f, x - 2)
+
+
+def test_eval_exact_points_share_orbits():
+    # 1/7, 2/7, 4/7 form one cycle; 1/14 and 9/14 fall into it after one step
+    xs = [F(1, 7), F(2, 7), F(1, 14), F(4, 7), F(9, 14), F(1, 2), F(15, 7)]
+    for f in (USeries(2, Distance()), USeries(2, psi_zero(1, 1)), Sum((Distance(), USeries(3, ThetaSplice(2))))):
+        assert eval_exact_points(f, xs) == [eval_exact(f, x) for x in xs]
+    # max_orbit counts only the steps a point adds to the walks before it
+    tau2 = USeries(2, Distance())
+    with pytest.raises(OrbitLimitError):
+        eval_exact(tau2, F(1, 14), max_orbit=3)
+    pair = [F(1, 7), F(1, 14)]
+    assert eval_exact_points(tau2, pair, max_orbit=3) == [eval_exact(tau2, x) for x in pair]
 
 
 def test_eval_exact_unsupported():
