@@ -16,7 +16,10 @@ Two evaluation modes:
 * ``eval_approx`` -- float results with certified error bounds.  Arguments
   are kept as exact rationals all the way down (any float input is itself an
   exact dyadic rational), so the only error sources are final rounding,
-  libm sine slack, and the explicit truncation tail of series nodes.
+  libm sine slack, and the explicit truncation tail of series nodes.  At a
+  grid point j/r^N the orbit of a radix-r series reaches 0 within N steps;
+  every later term is psi(integer) = 0, so the series stops there with no
+  tail.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ from .scalars import (
 
 # Truncation target for default series term counts in float mode.
 TAIL_TARGET = Fraction(1, 10**12)
+
+# Entries kept by each cache of bounds keyed on expression trees or radixes.
+_BOUND_CACHE_SIZE = 256
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -218,7 +224,7 @@ def sin_cancellation(r: int) -> Sum:
     return Sum((AbsSin(), Scale(Fraction(-1, r), Dilate(r, AbsSin()))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BOUND_CACHE_SIZE)
 def theta_upper_poly(r: int) -> Coeffs:
     """The quintic continuation of the x^2 splice on [1/r, 1]."""
     a = Fraction(1, r)
@@ -408,7 +414,7 @@ def as_piecewise_poly(f: FuncExpr) -> Optional[Tuple[Tuple[Fraction, Fraction, C
     return None  # USeries, AbsSin, Sin2Pi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BOUND_CACHE_SIZE)
 def sup_abs_bound(f: FuncExpr) -> Fraction:
     """Certified upper bound on sup over [0, 1] of |f|.
 
@@ -439,7 +445,7 @@ def series_tail_bound(psi: FuncExpr, r: int, terms: int) -> Fraction:
     return sup_abs_bound(psi) * Fraction(r, (r - 1) * r**terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BOUND_CACHE_SIZE)
 def default_series_terms(psi: FuncExpr, r: int) -> int:
     """Smallest term count whose tail bound is at most TAIL_TARGET."""
     terms = 1
@@ -458,7 +464,9 @@ def eval_approx(
     The argument is taken literally as the exact rational it denotes (floats
     are dyadic rationals) and stays exact through the tree, so the bound
     covers only output rounding, libm sine slack, and series truncation.
-    ``series_terms`` overrides the term count of the outermost series node.
+    A series whose orbit reaches 0 (every x = j/r^N) is summed exactly up to
+    there and carries no truncation tail.  ``series_terms`` overrides the
+    term count of the outermost series node.
     """
     xq = Fraction(x)
     return Approx(*_eval_ap(f, reduce_mod1(xq), series_terms))
@@ -503,6 +511,8 @@ def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[flo
         w_rel = 0.0    # accumulated relative error of w
         cur = x
         for j in range(terms):
+            if cur == 0:  # every later term is psi(integer) = 0: the sum is exact
+                return v, e
             pv, pe = _eval_ap(psi, cur, None)
             tv = pv * w
             w_hi = _mul_up(w, 1.0 + w_rel)  # upper bound on the true r^-j

@@ -10,24 +10,25 @@ discrete curvature at scale r^-n.  The membership scan checks the steep
 concavity bound Delta <= -2 c r^n over a finite triplet family; the
 semiconcavity scan checks Delta <= alpha.  Exact mode gives mathematically
 exact verdicts for the scanned subfamily; float mode reports three-valued
-verdicts and never converts rounding noise into a claim.
+verdicts decided from certified bounds and never converts rounding noise
+into a claim.
 
 Exact scans read one grid table of f (``pathfn.grid``) and compare stencils
-in integers; nothing in them passes through float.  The single-stencil
-functions here use the orbit-walking ``eval_exact``, a separate route that
-the tests use as the table's oracle.
+in integers; nothing in them passes through float.  Float scans read f once
+per grid point they touch.  The single-stencil functions here evaluate f
+point by point (the orbit-walking ``eval_exact`` or ``eval_approx``), a
+separate route that the tests use as the scans' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, eval_approx, eval_exact, eval_exact_points
 from .core.points import (
     Triplet,
-    enumerate_triplets,
     is_radix_rational,
     reduce_mod1,
     triplet_count,
@@ -38,7 +39,6 @@ from .errors import OrbitLimitError, ResourceLimitError
 from .grid import grid_values, scan_grid, stencil_rows
 
 DEFAULT_TRIPLET_CAP = 10**7
-DEFAULT_FLOAT_TOL = 1e-8
 
 _AUTO_ORBIT_CAP = 4096
 
@@ -89,7 +89,6 @@ class MembershipQuery:
     n_max: int
     y_set: Tuple[Fraction, ...]
     mode: str = "exact"
-    tol: float = DEFAULT_FLOAT_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", Fraction(self.c))
@@ -106,10 +105,13 @@ class ScanReport:
     """Outcome of a margin scan.
 
     ``worst_margin`` is the maximum over scanned triplets of Delta plus the
-    criterion offset (2 c r^n for membership, -alpha for semiconcavity); the
-    verdict is 'violated' exactly when it is positive (exact mode) or above
-    tol (float mode), and 'inconclusive' when the float bound straddles it.
-    Ties pick the lexicographically smallest (n, k, y).
+    criterion offset (2 c r^n for membership, -alpha for semiconcavity), by
+    centre value in float mode; ties pick the lexicographically smallest
+    (n, k, y).  Exact mode: 'violated' exactly when it is positive.  Float
+    mode decides from every triplet's certified interval: 'violated' when
+    some margin is certainly positive, 'no-violation' when every margin is
+    certainly <= 0, else 'inconclusive'; ``inconclusive_count`` counts the
+    margins whose interval straddles 0.
     """
 
     verdict: str
@@ -117,7 +119,7 @@ class ScanReport:
     worst_triplet: Triplet
     scanned: int
     mode: str
-    tol: Optional[float] = None
+    inconclusive_count: Optional[int] = None
 
     def as_json(self) -> dict:
         out = {
@@ -128,7 +130,7 @@ class ScanReport:
             "mode": self.mode,
         }
         if self.mode == "float":
-            out["tol"] = self.tol
+            out["inconclusive_count"] = self.inconclusive_count
         return out
 
 
@@ -141,10 +143,53 @@ def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str =
         raise ResourceLimitError(f"grid table of {grid + 1} points exceeds cap {cap}")
 
 
-def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], offset_of_n):
-    """Float margins, one certified Approx per triplet in (n, k, y) order."""
-    for t in enumerate_triplets(r, n_max, ys):
-        yield central_second_diff(f, t, r, "float") + Approx.from_fraction(offset_of_n(t.n)), t
+def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid: int, offset_of_n):
+    """Float margins, one certified Approx per triplet in (n, k, y) order.
+
+    f(j/grid) is evaluated the first time a stencil needs it and then read
+    back, so no point is evaluated twice.  Each margin is built by the same
+    Approx operations as ``central_second_diff`` plus the offset, so it is
+    the same value that point-by-point evaluation gives.
+    """
+    table: Dict[int, Approx] = {}
+
+    def at(j: int) -> Approx:
+        v = table.get(j)
+        if v is None:
+            v = table[j] = eval_approx(f, Fraction(j, grid))
+        return v
+
+    for n in range(n_max + 1):
+        stride = grid // r**n
+        scale = Approx(float(2 * r**n), 0.0)
+        offset = Approx.from_fraction(offset_of_n(n))
+        steps = [
+            (y, y.numerator * stride // y.denominator, _step(1 - y, n, r, "float"), _step(y, n, r, "float"))
+            for y in ys
+        ]
+        for k in range(r**n):
+            left, right = at(k * stride), at((k + 1) * stride)
+            for y, a, h_right, h_left in steps:
+                mid = at(k * stride + a)
+                diff = (right - mid) / h_right - (mid - left) / h_left
+                yield diff * scale + offset, Triplet(n, k, y)
+
+
+def _float_verdict(margins: Iterable[Tuple[Approx, Triplet]]) -> Tuple[str, Approx, Triplet, int]:
+    """(verdict, worst margin, its triplet, inconclusive count) of float margins
+    given in (n, k, y) order; see :class:`ScanReport`."""
+    worst: Optional[Tuple[Approx, Triplet]] = None
+    violated, inconclusive = False, 0
+    for m, t in margins:
+        if worst is None or m.value > worst[0].value:  # strict: the first wins ties
+            worst = (m, t)
+        if m.lo() > 0:
+            violated = True
+        elif m.hi() > 0:
+            inconclusive += 1
+    assert worst is not None, "empty scan"
+    verdict = "violated" if violated else "inconclusive" if inconclusive else "no-violation"
+    return verdict, worst[0], worst[1], inconclusive
 
 
 def _table_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid: int, offset_of_n):
@@ -170,7 +215,6 @@ def _run_scan(
     kind: str,
     const: Fraction,
     mode: str,
-    tol: float,
     cap: int,
 ) -> ScanReport:
     ys = sorted(set(map(Fraction, y_set)))
@@ -181,33 +225,24 @@ def _run_scan(
     if not total:
         raise ValueError("empty scan: no triplets enumerated")
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
-    # the largest margin wins; ties go to the lexicographically smallest (n, k, y)
+    grid = scan_grid(r, n_max, ys)
     if mode == "exact":
-        grid = scan_grid(r, n_max, ys)
         check_scan_cap(cap, total, grid)
         margins = _table_margins(f, r, n_max, ys, grid, offset)
+        # the largest margin wins; ties go to the lexicographically smallest (n, k, y)
         worst, worst_t = min(margins, key=lambda m: (-m[0], m[1]))
+        verdict, inconclusive = ("violated" if worst > 0 else "no-violation"), None
     else:
-        check_scan_cap(cap, total)
-        margins = _scan_margins(f, r, n_max, ys, offset)
-        worst, worst_t = min(margins, key=lambda m: (-m[0].value, m[1]))
+        check_scan_cap(cap, total)  # the float table holds only the points stencils touch
+        verdict, worst, worst_t, inconclusive = _float_verdict(_scan_margins(f, r, n_max, ys, grid, offset))
     return ScanReport(
-        verdict=_verdict(worst, mode, tol),
+        verdict=verdict,
         worst_margin=worst,
         worst_triplet=worst_t,
         scanned=total,
         mode=mode,
-        tol=tol if mode == "float" else None,
+        inconclusive_count=inconclusive,
     )
-
-
-def _verdict(worst: Scalar, mode: str, tol: float) -> str:
-    if mode == "exact":
-        return "violated" if worst > 0 else "no-violation"
-    assert isinstance(worst, Approx)
-    if abs(worst.value) <= worst.err:
-        return "inconclusive"
-    return "violated" if worst.value > tol else "no-violation"
 
 
 def membership_scan(q: MembershipQuery, cap: int = DEFAULT_TRIPLET_CAP) -> ScanReport:
@@ -216,7 +251,7 @@ def membership_scan(q: MembershipQuery, cap: int = DEFAULT_TRIPLET_CAP) -> ScanR
     Margin of a triplet: Delta_{n,k}(y; f) + 2 c r^n.  A 'no-violation'
     verdict in exact mode is an exact statement about the scanned subfamily
     (and only about it)."""
-    return _run_scan(q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, q.tol, cap)
+    return _run_scan(q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, cap)
 
 
 def semiconcavity_scan(
@@ -226,14 +261,13 @@ def semiconcavity_scan(
     n_max: int,
     y_set: Sequence[Fraction],
     mode: str = "exact",
-    tol: float = DEFAULT_FLOAT_TOL,
     cap: int = DEFAULT_TRIPLET_CAP,
 ) -> ScanReport:
     """Scan of Delta_{n,k}(y; psi) <= alpha over the finite family."""
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, tol, cap)
+    return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, cap)
 
 
 @dataclass(frozen=True)

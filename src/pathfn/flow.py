@@ -451,24 +451,30 @@ def flow_bruteforce(
     Radix mode (``radix_depth`` with ``r``): exact arithmetic over z in
     {j/r^N}, f(z) read periodically off one grid table; an upper bound of the
     true infimum that, for steep initial data and admissible times, matches
-    ``flow_grid`` exactly once N reaches the collapse depth.  Step mode (``step``): float grid, returning the
-    sampled minimum with the evaluation bound of the winning point.
+    ``flow_grid`` exactly once N reaches the collapse depth.  Step mode
+    (``step``): float grid; the winner is picked by float value and returned
+    as its certified f(z) plus the exactly computed (x - z)^2/(2t), so the
+    result contains the true value of the sampled objective at that z.
 
-    When f is not certifiably nonnegative on [0, 1] the z-range widens to
-    the oscillation window around x.
+    When f is certifiably nonnegative on [0, 1], z ranges over
+    [floor(x), floor(x) + 1]: f vanishes at the integers, so the integer end
+    on the far side of x beats any z beyond it.  Otherwise the z-range
+    widens to the oscillation window around x.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
     if (radix_depth is None) == (step is None):
         raise ValueError("specify exactly one of radix_depth (with r) or step")
-    nonneg = _certified_nonneg_on_unit(f)
+    xq = Fraction(x)
+    if _certified_nonneg_on_unit(f):
+        lo, hi = math.floor(xq), math.floor(xq) + 1
+    else:
+        lo, hi = _search_window(f, t, xq)
     if radix_depth is not None:
         if r is None:
             raise ValueError("radix mode needs r")
         validate_radix(r)
-        xq = Fraction(x)
-        lo, hi = (Fraction(0), Fraction(1)) if nonneg else _search_window(f, t, xq)
         den = r**radix_depth
         vals, vden = grid_values(f, den)
         j_lo = math.ceil(lo * den)
@@ -483,19 +489,12 @@ def flow_bruteforce(
         assert best is not None
         return best
     xf = float(x)
-    loF, hiF = (0.0, 1.0) if nonneg else tuple(map(float, _search_window(f, t, Fraction(x))))
+    loF, hiF = float(lo), float(hi)
     count = max(2, int(math.ceil((hiF - loF) / step)) + 1)
     tf = float(t)
-    best_v: Optional[float] = None
-    best_err = 0.0
-    for i in range(count):
-        z = loF + (hiF - loF) * i / (count - 1)
-        fz = _eval_float_cached(f, z)
-        v = fz.value + (xf - z) ** 2 / (2.0 * tf)
-        if best_v is None or v < best_v:
-            best_v, best_err = v, fz.err
-    assert best_v is not None
-    return Approx(best_v, best_err * 2 + math.ulp(max(abs(best_v), 1.0)) * 8)
+    zs = (loF + (hiF - loF) * i / (count - 1) for i in range(count))
+    best_z = min(zs, key=lambda z: _eval_float_cached(f, z).value + (xf - z) ** 2 / (2.0 * tf))
+    return _eval_float_cached(f, best_z) + Approx.from_fraction((xq - Fraction(best_z)) ** 2 / (2 * t))
 
 
 def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:

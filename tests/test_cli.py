@@ -157,6 +157,18 @@ def test_membership_cap_exit_2(capsys, spec_file):
     assert code == 2 and "cap" in err
 
 
+def test_membership_float_report_counts_inconclusive_triplets(capsys, spec_file):
+    code, out, _ = run(
+        capsys,
+        ["membership", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--r", "2",
+         "--nmax", "3", "--ydepth", "2", "--mode", "float"],
+    )
+    detail = json.loads(out)["detail"]
+    assert code == 2 and detail["verdict"] == "inconclusive"
+    assert detail["inconclusive_count"] > 0 and "tol" not in detail
+    assert detail["worst_margin"]["error_bound"] < 1e-13
+
+
 def test_membership_deterministic_reports(capsys, spec_file):
     argv = ["membership", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--r", "2",
             "--nmax", "4", "--ydepth", "3"]

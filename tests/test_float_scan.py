@@ -1,0 +1,201 @@
+"""Certified float mode on the grid: finite series at grid points, float scans
+read one table of f, and float verdicts come from certified bounds."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import pathfn.differences as differences
+from pathfn.core.funcs import (
+    AbsSin,
+    Dilate,
+    Distance,
+    DistancePower,
+    Scale,
+    Sin2Pi,
+    Sum,
+    ThetaSplice,
+    USeries,
+    default_series_terms,
+    eval_approx,
+    eval_exact,
+    psi_zero,
+    series_tail_bound,
+    sin_cancellation,
+    sup_abs_bound,
+    theta_upper_poly,
+)
+from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set, triplet_count
+from pathfn.core.scalars import Approx
+from pathfn.differences import (
+    MembershipQuery,
+    central_second_diff,
+    membership_scan,
+    semiconcavity_scan,
+)
+from pathfn.grid import scan_grid
+
+F = Fraction
+TAU2 = USeries(2, Distance())
+TAU3 = USeries(3, Distance())
+
+
+def random_float_tree(rng, depth):
+    leaves = [Distance, AbsSin, Sin2Pi, lambda: DistancePower(rng.randint(1, 3)),
+              lambda: ThetaSplice(rng.choice([2, 3])), lambda: sin_cancellation(rng.choice([2, 3]))]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Scale(F(rng.randint(-5, 5), rng.randint(1, 6)), random_float_tree(rng, depth - 1))
+    if kind == 1:
+        return Sum(tuple(random_float_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    if kind == 2:
+        return Dilate(rng.randint(1, 4), random_float_tree(rng, depth - 1))
+    return USeries(rng.choice([2, 3]), random_float_tree(rng, depth - 1))
+
+
+def counting_eval(monkeypatch):
+    calls = []
+
+    def counted(f, x, series_terms=None):
+        calls.append(x)
+        return eval_approx(f, x, series_terms)
+
+    monkeypatch.setattr(differences, "eval_approx", counted)
+    return calls
+
+
+# ------------------------------------------------------------- float scans
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("r, n_max, ys", [
+    (2, 3, radix_y_set(2, 2)),
+    (3, 2, radix_y_set(3, 1)),
+    (2, 2, (F(1, 3), F(2, 5))),  # non-radix: Q = 15 * 4 exceeds the 3 * 14 stencil points
+])
+def test_float_scan_margins_equal_per_stencil_margins(monkeypatch, seed, r, n_max, ys):
+    rng = random.Random(seed)
+    f = USeries(r, random_float_tree(rng, 2)) if seed % 2 else random_float_tree(rng, 3)
+    offset = lambda n: 2 * F(3, 2) * r**n  # noqa: E731
+    grid = scan_grid(r, n_max, ys)
+    calls = counting_eval(monkeypatch)
+    got = list(differences._scan_margins(f, r, n_max, ys, grid, offset))
+    triplets = list(enumerate_triplets(r, n_max, ys))
+    assert len(calls) == len(set(calls)) <= min(grid + 1, 3 * len(triplets))
+    assert [t for _, t in got] == triplets
+    for (m, t) in got:
+        want = central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n))
+        assert (m.value, m.err) == (want.value, want.err), (f, t)
+
+
+def test_float_scan_reads_each_grid_point_once(monkeypatch):
+    calls = counting_eval(monkeypatch)
+    ys = radix_y_set(2, 3)
+    rep = membership_scan(MembershipQuery(f=TAU2, c=F(2), r=2, n_max=4, y_set=ys, mode="float"))
+    assert rep.scanned == triplet_count(2, 4, len(ys))
+    assert len(calls) == scan_grid(2, 4, ys) + 1 <= 3 * rep.scanned
+
+
+def test_float_scan_worst_is_the_first_largest_centre():
+    ys = radix_y_set(2, 2)
+    f = USeries(2, psi_zero(1, 1))
+    rep = semiconcavity_scan(f, F(1), 2, 3, ys, mode="float")
+    off = Approx.from_fraction(F(-1))
+    margins = [(central_second_diff(f, t, 2, "float") + off, t) for t in enumerate_triplets(2, 3, ys)]
+    best = max(m.value for m, _ in margins)
+    first = next((m, t) for m, t in margins if m.value == best)
+    assert (rep.worst_margin, rep.worst_triplet) == first
+
+
+# --------------------------------------------------- verdicts from bounds
+
+
+def test_float_verdict_finds_certified_margin_below_old_tolerance():
+    # margin 2^-30 at (0, 0, 1/2), certified positive in float mode as well
+    q = dict(f=Distance(), c=2 + F(1, 2**31), r=2, n_max=0, y_set=(F(1, 2),))
+    exact = membership_scan(MembershipQuery(**q))
+    assert exact.verdict == "violated" and exact.worst_margin == F(1, 2**30)
+    rep = membership_scan(MembershipQuery(**q, mode="float"))
+    assert rep.verdict == "violated" and rep.worst_margin.lo() > 0
+    assert rep.inconclusive_count == 0
+    assert rep.as_json()["inconclusive_count"] == 0 and "tol" not in rep.as_json()
+
+
+def test_float_verdict_counts_a_straddling_margin_with_a_lower_centre():
+    t1, t2, t3 = Triplet(0, 0, F(1, 2)), Triplet(1, 0, F(1, 2)), Triplet(1, 1, F(1, 2))
+    margins = [(Approx(-1e-3, 1e-6), t1), (Approx(-0.5, 1.0), t2), (Approx(-2.0, 0.1), t3)]
+    verdict, worst, worst_t, count = differences._float_verdict(margins)
+    assert (verdict, worst, worst_t, count) == ("inconclusive", margins[0][0], t1, 1)
+    # the centre-worst margin alone is certainly negative
+    assert differences._float_verdict(margins[:1])[0] == "no-violation"
+    # one certified positive margin decides, however narrow
+    tiny = Approx(1e-12, 1e-13)
+    assert differences._float_verdict(margins + [(tiny, t3)]) == ("violated", tiny, t3, 1)
+
+
+def test_float_verdict_ties_keep_the_first_triplet():
+    t1, t2 = Triplet(0, 0, F(1, 4)), Triplet(0, 0, F(1, 2))
+    verdict, worst, worst_t, count = differences._float_verdict([(Approx(-1.0, 0.5), t1), (Approx(-1.0, 0.0), t2)])
+    assert (verdict, worst_t, count) == ("no-violation", t1, 0)
+
+
+def test_float_inconclusive_count_is_the_zero_margins_of_takagi():
+    ys = radix_y_set(2, 2)
+    rep = membership_scan(MembershipQuery(f=TAU2, c=F(2), r=2, n_max=3, y_set=ys, mode="float"))
+    zeros = sum(central_second_diff(TAU2, t, 2) + 4 * 2**t.n == 0 for t in enumerate_triplets(2, 3, ys))
+    assert rep.verdict == "inconclusive" and rep.inconclusive_count == zeros > 0
+
+
+# ----------------------------------------------- finite series at grid points
+
+
+@pytest.mark.parametrize("f, r, N", [
+    (TAU2, 2, 10),
+    (TAU3, 3, 6),
+    (USeries(2, USeries(2, Distance())), 2, 8),
+    (USeries(2, Scale(F(1, 2), Dilate(2, TAU2))), 2, 7),
+])
+def test_eval_approx_on_the_grid_is_a_finite_sum(f, r, N):
+    for j in range(r**N + 1):
+        x = F(j, r**N)
+        got = eval_approx(f, x)
+        assert abs(F(got.value) - eval_exact(f, x)) <= F(got.err)
+        assert got.err < 1e-13, (x, got)
+
+
+def test_eval_approx_at_zero_is_exactly_zero():
+    for f in (TAU2, USeries(2, sin_cancellation(2)), USeries(3, Sin2Pi())):
+        assert eval_approx(f, 0) == Approx(0.0, 0.0)
+
+
+def test_eval_approx_off_the_grid_keeps_the_tail():
+    for f, x in ((TAU2, F(1, 3)), (TAU3, F(1, 2)), (USeries(2, AbsSin()), F(1, 5))):
+        tail = series_tail_bound(f.psi, f.r, default_series_terms(f.psi, f.r))
+        got = eval_approx(f, x)
+        assert got.err >= tail
+        if not isinstance(f.psi, AbsSin):
+            assert abs(F(got.value) - eval_exact(f, x)) <= F(got.err)
+    # an explicit term count that stops before the orbit reaches 0 keeps its tail
+    assert eval_approx(TAU2, F(1, 2**10), series_terms=5).err >= series_tail_bound(Distance(), 2, 5)
+
+
+def test_grid_point_errors_shrink_the_takagi_scan_bound():
+    rep = membership_scan(MembershipQuery(f=TAU2, c=F(2), r=2, n_max=5, y_set=radix_y_set(2, 4), mode="float"))
+    assert rep.worst_margin.err < 1e-13
+
+
+# ------------------------------------------------------------- bounded caches
+
+
+def test_bound_caches_stay_bounded():
+    for cached in (sup_abs_bound, default_series_terms, theta_upper_poly):
+        assert cached.cache_info().maxsize is not None
+    limit = sup_abs_bound.cache_info().maxsize
+    for a in range(1, 501):
+        sup_abs_bound(Scale(F(a, 7), TAU2))
+        default_series_terms(Scale(F(a, 7), Distance()), 2)
+    assert sup_abs_bound.cache_info().currsize <= limit < 500
+    assert default_series_terms.cache_info().currsize <= default_series_terms.cache_info().maxsize < 500

@@ -236,6 +236,30 @@ def test_bruteforce_radix_window_for_signed_function():
         assert flow_bruteforce(f, t, x, radix_depth=5, r=2) == direct
 
 
+def test_bruteforce_nonneg_window_follows_x():
+    # f >= 0 vanishes at the integers, so the minimizer lies in [floor(x), floor(x) + 1]
+    # and the flow is 1-periodic; x = 17/8 used to search [0, 1] and return 81/32
+    t = F(1, 4)
+    assert flow_bruteforce(TAU2, t, F(17, 8), radix_depth=6, r=2) == F(1, 32)
+    for x in (F(1, 8), F(5, 16), F(7, 8), F(1)):
+        exact = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2)
+        step = flow_bruteforce(TAU2, t, float(x), step=1 / 64)
+        for shift in (2, -1):
+            assert flow_bruteforce(TAU2, t, x + shift, radix_depth=6, r=2) == exact
+            assert flow_bruteforce(TAU2, t, float(x + shift), step=1 / 64) == step
+
+
+def test_bruteforce_step_bound_contains_the_exact_sampled_value():
+    # step 1/64 samples z = j/64 exactly, so the exact minimum over the samples
+    # is the radix brute force at depth 6; the float result must contain it
+    for t in (F(1, 4), F(1, 3), F(1, 1000)):
+        for x in (F(1, 8), F(5, 64), F(3, 10), F(17, 8), 0.7):
+            got = flow_bruteforce(TAU2, t, x, step=1 / 64)
+            exact = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2)
+            assert F(got.lo()) <= exact <= F(got.hi()), (t, x, got)
+            assert got.err < 1e-12
+
+
 def test_bruteforce_trivial_minimizer():
     # f >= 0 and the vertex parabola at z = 0 is flat zero
     assert flow_bruteforce(TAU2, F(1, 4), F(0), radix_depth=5, r=2) == 0
