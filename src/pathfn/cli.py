@@ -32,6 +32,7 @@ from .core.scalars import Approx, RationalFormatError, format_rational, parse_ra
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
+    approx_table,
     check_scan_cap,
     divergence_probe,
     membership_scan,
@@ -199,10 +200,9 @@ def cmd_eval(args, out: io.StringIO) -> int:
         rows.append("x,value")
         rows += [f"{format_rational(x)},{format_rational(v)}" for x, v in zip(xs, values)]
     else:
+        values = approx_table(f, len(xs) - 1) if args.grid is not None else [eval_approx(f, x) for x in xs]
         rows.append("x,value,error_bound")
-        for x in xs:
-            v = eval_approx(f, x)
-            rows.append(f"{format_rational(x)},{v.value!r},{v.err!r}")
+        rows += [f"{format_rational(x)},{v.value!r},{v.err!r}" for x, v in zip(xs, values)]
     out.write("\n".join(rows) + "\n")
     return EXIT_PASS
 

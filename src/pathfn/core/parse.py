@@ -145,10 +145,6 @@ def to_spec_dict(f: FuncExpr) -> dict:
     raise TypeError(f"unknown expression {f!r}")
 
 
-def func_spec_json(f: FuncExpr) -> str:
-    return json.dumps(to_spec_dict(f), sort_keys=True)
-
-
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise FuncSpecError(f"{path}: missing field '{key}'")

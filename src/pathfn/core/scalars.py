@@ -93,6 +93,12 @@ class Approx:
         return Approx(v, _ulp(v))
 
     @staticmethod
+    def from_bounds(lo: float, hi: float) -> "Approx":
+        """An Approx whose interval contains [lo, hi]."""
+        v = lo / 2 + hi / 2
+        return Approx(v, _up(max(hi - v, v - lo)))
+
+    @staticmethod
     def coerce(x: "ApproxLike") -> "Approx":
         if isinstance(x, Approx):
             return x
@@ -153,35 +159,10 @@ class Approx:
     def __rtruediv__(self, other: "ApproxLike") -> "Approx":
         return Approx.coerce(other) / self
 
-    def abs(self) -> "Approx":
-        return Approx(abs(self.value), self.err)
-
-    def frac(self) -> "Approx":
-        """Value mod 1.  fmod is exact for IEEE doubles; the +1 for negatives
-        costs at most one ulp."""
-        v = math.fmod(self.value, 1.0)
-        if v < 0.0:
-            v += 1.0
-            return Approx(v, _add_up(self.err, _ulp(v)))
-        return Approx(v, self.err)
-
-    @staticmethod
-    def min2(a: "Approx", b: "Approx") -> "Approx":
-        # |min(a*,b*) - min(a,b)| <= max(ea, eb)
-        return Approx(min(a.value, b.value), max(a.err, b.err))
-
-    @staticmethod
-    def max2(a: "Approx", b: "Approx") -> "Approx":
-        return Approx(max(a.value, b.value), max(a.err, b.err))
-
-    # certain comparisons; None when the intervals overlap
+    # certain comparisons
     def definitely_le(self, other: "ApproxLike") -> bool:
         o = Approx.coerce(other)
         return self.hi() <= o.lo()
-
-    def definitely_lt(self, other: "ApproxLike") -> bool:
-        o = Approx.coerce(other)
-        return self.hi() < o.lo()
 
     def overlaps(self, other: "ApproxLike") -> bool:
         o = Approx.coerce(other)
@@ -240,12 +221,3 @@ def sin_2pi_bounds(xv: float, xe: float) -> Tuple[float, float]:
     )
     return v, e
 
-
-def sin_pi_abs(x: Approx) -> Approx:
-    """|sin(pi * x)| with a certified bound."""
-    return Approx(*sin_pi_abs_bounds(x.value, x.err))
-
-
-def sin_2pi(x: Approx) -> Approx:
-    """sin(2 * pi * x) with a certified bound."""
-    return Approx(*sin_2pi_bounds(x.value, x.err))

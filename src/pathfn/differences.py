@@ -13,18 +13,21 @@ exact verdicts for the scanned subfamily; float mode reports three-valued
 verdicts decided from certified bounds and never converts rounding noise
 into a claim.
 
-Exact scans read one grid table of f (``pathfn.grid``) and compare stencils
-in integers; nothing in them passes through float.  Float scans read f once
-per grid point they touch.  The single-stencil functions here evaluate f
-point by point (the orbit-walking ``eval_exact`` or ``eval_approx``), a
-separate route that the tests use as the scans' oracle.
+Both scan modes walk stencils by one routine, ``grid.stencil_slices``.
+Exact scans slice one grid table of f and compare stencils in integers;
+nothing in them passes through float.  Float scans slice the indices to find
+the grid points that stencils touch, evaluate f once at each into a table of
+certified values (:func:`approx_table`), and slice that table the same way.
+The single-stencil functions here evaluate f point by point (the
+orbit-walking ``eval_exact`` or ``eval_approx``), a separate route that the
+tests use as the scans' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Container, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .core.funcs import FuncExpr, eval_approx, eval_exact, eval_exact_points
 from .core.points import (
@@ -36,7 +39,7 @@ from .core.points import (
 )
 from .core.scalars import Approx, Scalar, scalar_to_json
 from .errors import OrbitLimitError, ResourceLimitError
-from .grid import grid_values, scan_grid, stencil_rows
+from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 
 DEFAULT_TRIPLET_CAP = 10**7
 
@@ -143,45 +146,45 @@ def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str =
         raise ResourceLimitError(f"grid table of {grid + 1} points exceeds cap {cap}")
 
 
+def approx_table(f: FuncExpr, Q: int, points: Optional[Container[int]] = None) -> List[Optional[Approx]]:
+    """Certified f(j/Q) for j = 0..Q, the float counterpart of
+    :func:`pathfn.grid.grid_values`; with ``points``, only those j are
+    evaluated and the other entries are None."""
+    return [
+        eval_approx(f, Fraction(j, Q)) if points is None or j in points else None for j in range(Q + 1)
+    ]
+
+
 def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid: int, offset_of_n):
-    """Float margins, one certified Approx per triplet in (n, k, y) order.
+    """Float margins, one certified Approx per triplet, in (n, y, k) order.
 
-    f(j/grid) is evaluated the first time a stencil needs it and then read
-    back, so no point is evaluated twice.  Each margin is built by the same
+    The stencil slices of ``range(grid + 1)`` name the grid points that
+    stencils touch; f is evaluated once at each, and the same slices of that
+    table give every stencil's values.  Each margin is built by the same
     Approx operations as ``central_second_diff`` plus the offset, so it is
-    the same value that point-by-point evaluation gives.
+    the value that point-by-point evaluation gives.
     """
-    table: Dict[int, Approx] = {}
-
-    def at(j: int) -> Approx:
-        v = table.get(j)
-        if v is None:
-            v = table[j] = eval_approx(f, Fraction(j, grid))
-        return v
-
-    for n in range(n_max + 1):
-        stride = grid // r**n
+    touched: Set[int] = set()
+    for _, _, _, left, mid, right in stencil_slices(range(grid + 1), r, n_max, ys):
+        touched.update(left, mid, right)
+    vals = approx_table(f, grid, touched)
+    for n, y, _, left, mid, right in stencil_slices(vals, r, n_max, ys):
         scale = Approx(float(2 * r**n), 0.0)
         offset = Approx.from_fraction(offset_of_n(n))
-        steps = [
-            (y, y.numerator * stride // y.denominator, _step(1 - y, n, r, "float"), _step(y, n, r, "float"))
-            for y in ys
-        ]
-        for k in range(r**n):
-            left, right = at(k * stride), at((k + 1) * stride)
-            for y, a, h_right, h_left in steps:
-                mid = at(k * stride + a)
-                diff = (right - mid) / h_right - (mid - left) / h_left
-                yield diff * scale + offset, Triplet(n, k, y)
+        h_right, h_left = _step(1 - y, n, r, "float"), _step(y, n, r, "float")
+        for k, (lv, mv, rv) in enumerate(zip(left, mid, right)):
+            diff = (rv - mv) / h_right - (mv - lv) / h_left
+            yield diff * scale + offset, Triplet(n, k, y)
 
 
 def _float_verdict(margins: Iterable[Tuple[Approx, Triplet]]) -> Tuple[str, Approx, Triplet, int]:
     """(verdict, worst margin, its triplet, inconclusive count) of float margins
-    given in (n, k, y) order; see :class:`ScanReport`."""
+    in any order; see :class:`ScanReport`."""
     worst: Optional[Tuple[Approx, Triplet]] = None
     violated, inconclusive = False, 0
     for m, t in margins:
-        if worst is None or m.value > worst[0].value:  # strict: the first wins ties
+        # the exact scan's key: the largest centre wins, ties go to the smallest triplet
+        if worst is None or (-m.value, t) < (-worst[0].value, worst[1]):
             worst = (m, t)
         if m.lo() > 0:
             violated = True
@@ -226,14 +229,13 @@ def _run_scan(
         raise ValueError("empty scan: no triplets enumerated")
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
     grid = scan_grid(r, n_max, ys)
+    check_scan_cap(cap, total, grid)
     if mode == "exact":
-        check_scan_cap(cap, total, grid)
         margins = _table_margins(f, r, n_max, ys, grid, offset)
         # the largest margin wins; ties go to the lexicographically smallest (n, k, y)
         worst, worst_t = min(margins, key=lambda m: (-m[0], m[1]))
         verdict, inconclusive = ("violated" if worst > 0 else "no-violation"), None
     else:
-        check_scan_cap(cap, total)  # the float table holds only the points stencils touch
         verdict, worst, worst_t, inconclusive = _float_verdict(_scan_margins(f, r, n_max, ys, grid, offset))
     return ScanReport(
         verdict=verdict,
@@ -282,10 +284,14 @@ class BoundFailure:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """``holds`` when every y is certainly at or above its bound.  Float mode
+    lists a y whose interval straddles its bound under ``inconclusive``."""
+
     holds: bool
     checked: int
     failures: Tuple[BoundFailure, ...]
     equality_points: Tuple[Fraction, ...]
+    inconclusive: Tuple[Fraction, ...] = ()
 
     def as_json(self) -> dict:
         return {
@@ -293,6 +299,7 @@ class BoundReport:
             "checked": self.checked,
             "failures": [f.as_json() for f in self.failures],
             "equality_points": [str(y) for y in self.equality_points],
+            "inconclusive": [str(y) for y in self.inconclusive],
         }
 
 
@@ -309,6 +316,7 @@ def fundamental_bound_check(
         raise ValueError("c must be positive")
     failures: List[BoundFailure] = []
     equalities: List[Fraction] = []
+    inconclusive: List[Fraction] = []
     count = 0
     for y in sorted(set(map(Fraction, y_set))):
         if not (0 < y < 1):
@@ -329,7 +337,10 @@ def fundamental_bound_check(
             assert isinstance(fy, Approx)
             if Fraction(fy.hi()) < bound:  # exact comparison: certified failure
                 failures.append(BoundFailure(y, fy, bound))
-    return BoundReport(not failures, count, tuple(failures), tuple(equalities))
+            elif Fraction(fy.lo()) < bound:  # the interval straddles the bound
+                inconclusive.append(y)
+    holds = not failures and not inconclusive
+    return BoundReport(holds, count, tuple(failures), tuple(equalities), tuple(inconclusive))
 
 
 @dataclass(frozen=True)

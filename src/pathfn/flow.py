@@ -7,8 +7,9 @@ Two routes compute it:
   collapses onto the grid {k/r^n}; the result is the lower envelope of
   r^n + 1 equal-curvature parabolas, built by the classic stack algorithm in
   exact rational arithmetic.
-* ``flow_bruteforce`` -- direct minimization over a dense z-grid (exact
-  radix grid or float step), used as an independent oracle.
+* ``flow_bruteforce`` -- direct minimization over the radix z-grid
+  {j/r^N}, in exact or certified float arithmetic, used as an independent
+  oracle.
 
 The envelope is piecewise quadratic; on each piece u(t,x) = f(z) +
 (x-z)^2/(2t) solves u_t + u_x^2/2 = 0 classically, and every piece of
@@ -23,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import (
@@ -37,7 +38,6 @@ from .core.funcs import (
     ThetaSplice,
     USeries,
     as_piecewise_poly,
-    eval_approx,
     eval_exact,
     sup_abs_bound,
     supports_exact,
@@ -45,27 +45,17 @@ from .core.funcs import (
 from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_rational
-from .differences import central_second_diff, backward_diff, forward_diff, fundamental_bound_check
+from .differences import approx_table, central_second_diff, backward_diff, forward_diff, fundamental_bound_check
 from .errors import AmbiguousEnvelopeError, FlowConditionError
 from .grid import grid_values
 
 
-def parabola_eval(
-    f: FuncExpr,
-    t: Fraction,
-    x: Union[Fraction, float],
-    z: Union[Fraction, float],
-    mode: str = "exact",
-) -> Scalar:
+def parabola_eval(f: FuncExpr, t: Fraction, x: Fraction, z: Fraction) -> Fraction:
     """q(t, x; z) = f(z) + (x - z)^2 / (2t)."""
-    if mode == "exact":
-        t, x, z = Fraction(t), Fraction(x), Fraction(z)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        return eval_exact(f, z) + (x - z) ** 2 / (2 * t)
-    ta, xa, za = (Approx.coerce(Fraction(v)) for v in (t, x, z))
-    d = xa - za
-    return eval_approx(f, Fraction(z)) + d * d / (ta * 2)
+    t, x, z = Fraction(t), Fraction(x), Fraction(z)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return eval_exact(f, z) + (x - z) ** 2 / (2 * t)
 
 
 def crossing_points(
@@ -247,9 +237,6 @@ class PiecewiseQuadratic:
             "pieces": [p.as_json() for p in self.pieces],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_json(), sort_keys=True)
-
     def sample_rows(self, count: int) -> List[Tuple[Fraction, Fraction]]:
         """Evenly spaced (x, value) samples for CSV output."""
         if count < 2:
@@ -298,23 +285,29 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
         raise FlowConditionError(
             f"t={q.t} below the admissible threshold 1/(2*c*r^n)={threshold} at depth n={n}"
         )
-    _require_steepness_evidence(q.f, q.c, q.r, q.mode)
+    _require_steepness_evidence(q.f, q.c, q.r)
     den = q.r**n
     zs = [Fraction(k, den) for k in range(den + 1)]
     if q.mode == "exact":
         vals, vden = grid_values(q.f, den)
         return _envelope_exact(zs, [Fraction(v, vden) for v in vals], q.t)
-    fz_a = [eval_approx(q.f, z) for z in zs]
-    return _envelope_float(zs, fz_a, q.t)
+    return _envelope_float(zs, approx_table(q.f, den), q.t)
 
 
-def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int, mode: str) -> None:
-    probe_mode = "exact" if (mode == "exact" and supports_exact(f)) else "float"
+def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int) -> None:
+    """Refuse unless c y (1 - y) <= f(y) certainly holds on the depth-3 y set:
+    exactly whenever f has an exact branch, whatever the flow's mode."""
+    probe_mode = "exact" if supports_exact(f) else "float"
     report = fundamental_bound_check(f, c, radix_y_set(r, 3), mode=probe_mode)
-    if not report.holds:
+    if report.failures:
         first = report.failures[0]
         raise FlowConditionError(
             f"no steepness evidence at c={c}: f({first.y}) = {first.fy} < {first.bound}"
+        )
+    if report.inconclusive:
+        y = report.inconclusive[0]
+        raise FlowConditionError(
+            f"no steepness evidence at c={c}: f({y}) is not certainly >= {c * y * (1 - y)}"
         )
 
 
@@ -422,12 +415,6 @@ def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
     return False
 
 
-@lru_cache(maxsize=1 << 20)
-def _eval_float_cached(f: FuncExpr, z: float) -> Approx:
-    # z-grids repeat across brute-force queries at different x and t
-    return eval_approx(f, z)
-
-
 def _search_window(f: FuncExpr, t: Fraction, x: Fraction) -> Tuple[Fraction, Fraction]:
     """Minimizer window [x - L, x + L]: any z with |z - x| > L would need
     f(z) below inf f, since the quadratic penalty already exceeds the
@@ -442,19 +429,20 @@ def flow_bruteforce(
     f: FuncExpr,
     t: Fraction,
     x: Union[Fraction, float],
-    radix_depth: Optional[int] = None,
-    r: Optional[int] = None,
-    step: Optional[float] = None,
+    radix_depth: int,
+    r: int,
+    mode: str = "exact",
 ) -> Scalar:
-    """Direct minimization of f(z) + (x - z)^2/(2t) over a dense z-grid.
+    """Direct minimization of f(z) + (x - z)^2/(2t) over z in {j/r^N},
+    N = ``radix_depth``, with f(z) read periodically off one table of f over
+    a period.
 
-    Radix mode (``radix_depth`` with ``r``): exact arithmetic over z in
-    {j/r^N}, f(z) read periodically off one grid table; an upper bound of the
-    true infimum that, for steep initial data and admissible times, matches
-    ``flow_grid`` exactly once N reaches the collapse depth.  Step mode
-    (``step``): float grid; the winner is picked by float value and returned
-    as its certified f(z) plus the exactly computed (x - z)^2/(2t), so the
-    result contains the true value of the sampled objective at that z.
+    Exact mode returns the sampled minimum: an upper bound of the true
+    infimum that, for steep initial data and admissible times, matches
+    ``flow_grid`` exactly once N reaches the collapse depth.  Float mode reads
+    certified values of f and returns an Approx that contains the exact
+    sampled minimum: it spans the minimum of the lower ends and the minimum
+    of the upper ends of the certified objective values.
 
     When f is certifiably nonnegative on [0, 1], z ranges over
     [floor(x), floor(x) + 1]: f vanishes at the integers, so the integer end
@@ -464,37 +452,28 @@ def flow_bruteforce(
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if (radix_depth is None) == (step is None):
-        raise ValueError("specify exactly one of radix_depth (with r) or step")
+    validate_radix(r)
+    if radix_depth < 0:
+        raise ValueError(f"radix_depth must be >= 0, got {radix_depth}")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     xq = Fraction(x)
     if _certified_nonneg_on_unit(f):
         lo, hi = math.floor(xq), math.floor(xq) + 1
     else:
         lo, hi = _search_window(f, t, xq)
-    if radix_depth is not None:
-        if r is None:
-            raise ValueError("radix mode needs r")
-        validate_radix(r)
-        den = r**radix_depth
+    den = r**radix_depth
+    js = range(math.ceil(lo * den), math.floor(hi * den) + 1)
+    inv2t = Fraction(1, 2 * t)
+    if mode == "exact":
         vals, vden = grid_values(f, den)
-        j_lo = math.ceil(lo * den)
-        j_hi = math.floor(hi * den)
-        best: Optional[Fraction] = None
-        inv2t = Fraction(1, 2 * t)
-        for j in range(j_lo, j_hi + 1):
-            z = Fraction(j, den)
-            v = Fraction(vals[j % den], vden) + (xq - z) ** 2 * inv2t
-            if best is None or v < best:
-                best = v
-        assert best is not None
-        return best
-    xf = float(x)
-    loF, hiF = float(lo), float(hi)
-    count = max(2, int(math.ceil((hiF - loF) / step)) + 1)
-    tf = float(t)
-    zs = (loF + (hiF - loF) * i / (count - 1) for i in range(count))
-    best_z = min(zs, key=lambda z: _eval_float_cached(f, z).value + (xf - z) ** 2 / (2.0 * tf))
-    return _eval_float_cached(f, best_z) + Approx.from_fraction((xq - Fraction(best_z)) ** 2 / (2 * t))
+        return min(Fraction(vals[j % den], vden) + (xq - Fraction(j, den)) ** 2 * inv2t for j in js)
+    fz = approx_table(f, den)
+    lo_min = hi_min = math.inf
+    for j in js:
+        v = fz[j % den] + Approx.from_fraction((xq - Fraction(j, den)) ** 2 * inv2t)
+        lo_min, hi_min = min(lo_min, v.lo()), min(hi_min, v.hi())
+    return Approx.from_bounds(lo_min, hi_min)
 
 
 def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:

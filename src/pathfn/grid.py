@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, TypeVar
 
 from .core.funcs import (
     AbsSin,
@@ -27,6 +27,7 @@ from .core.funcs import (
 from .errors import UnsupportedExactError
 
 Table = Tuple[List[int], int]
+T = TypeVar("T")
 
 
 def grid_values(f: FuncExpr, Q: int) -> Table:
@@ -111,12 +112,14 @@ def scan_grid(r: int, n_max: int, ys: Sequence[Fraction]) -> int:
     return lcm(*(y.denominator for y in ys)) * r**n_max
 
 
-def stencil_rows(
-    vals: List[int], r: int, n_max: int, ys: Sequence[Fraction]
-) -> Iterator[Tuple[int, Fraction, int, List[int]]]:
-    """(n, y, a, g) for n = 0..n_max and each y = a/B of the sorted ``ys``,
-    where ``vals`` is a table on Q = B r^n_max, B a multiple of every y
-    denominator, and g[k] = a (I_R - I_M) - (B - a) (I_M - I_L) at (n, k, y)."""
+def stencil_slices(
+    vals: Sequence[T], r: int, n_max: int, ys: Sequence[Fraction]
+) -> Iterator[Tuple[int, Fraction, int, Sequence[T], Sequence[T], Sequence[T]]]:
+    """(n, y, a, left, mid, right) for n = 0..n_max and each y = a/B of the
+    sorted ``ys``, where ``vals`` is indexed by j = 0..Q on Q = B r^n_max, B a
+    multiple of every y denominator, and left[k], mid[k], right[k] are the
+    entries at the stencil (n, k, y).  ``vals`` may be any sliceable
+    sequence: a table, or ``range(Q + 1)`` for the indices themselves."""
     B = (len(vals) - 1) // r**n_max
     for n in range(n_max + 1):
         step = r ** (n_max - n)
@@ -124,6 +127,15 @@ def stencil_rows(
         left, right = vals[0:-1:stride], vals[stride::stride]
         for y in ys:
             a = y.numerator * (B // y.denominator)
-            b = B - a
-            mid = vals[a * step : -1 : stride]
-            yield n, y, a, [a * R + b * L - B * M for L, M, R in zip(left, mid, right)]
+            yield n, y, a, left, vals[a * step : -1 : stride], right
+
+
+def stencil_rows(
+    vals: List[int], r: int, n_max: int, ys: Sequence[Fraction]
+) -> Iterator[Tuple[int, Fraction, int, List[int]]]:
+    """(n, y, a, g) over :func:`stencil_slices` of an integer table, with
+    g[k] = a (I_R - I_M) - (B - a) (I_M - I_L) at (n, k, y)."""
+    B = (len(vals) - 1) // r**n_max
+    for n, y, a, left, mid, right in stencil_slices(vals, r, n_max, ys):
+        b = B - a
+        yield n, y, a, [a * R + b * L - B * M for L, M, R in zip(left, mid, right)]

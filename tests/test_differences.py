@@ -233,6 +233,16 @@ def test_fundamental_bound_weierstrass_style_fails_float():
     assert rep.failures[0].y == F(1, 2)
 
 
+def test_fundamental_bound_float_straddle_is_not_evidence():
+    # c = 2 + 2^-60 puts the bound c/4 within d(1/2)'s rounding: exact mode
+    # finds the failure, float mode cannot certify either side
+    c = 2 + F(1, 2**60)
+    assert not fundamental_bound_check(Distance(), c, [F(1, 2)]).holds
+    rep = fundamental_bound_check(Distance(), c, [F(1, 2)], mode="float")
+    assert not rep.holds and rep.failures == () and rep.inconclusive == (F(1, 2),)
+    assert rep.as_json()["inconclusive"] == ["1/2"]
+
+
 def test_membership_implies_positivity_slice():
     ys = radix_y_set(2, 3)
     q = MembershipQuery(f=TAU2, c=F(2), r=2, n_max=2, y_set=ys)

@@ -85,7 +85,7 @@ def test_float_scan_margins_equal_per_stencil_margins(monkeypatch, seed, r, n_ma
     got = list(differences._scan_margins(f, r, n_max, ys, grid, offset))
     triplets = list(enumerate_triplets(r, n_max, ys))
     assert len(calls) == len(set(calls)) <= min(grid + 1, 3 * len(triplets))
-    assert [t for _, t in got] == triplets
+    assert sorted(t for _, t in got) == triplets
     for (m, t) in got:
         want = central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n))
         assert (m.value, m.err) == (want.value, want.err), (f, t)
@@ -99,15 +99,27 @@ def test_float_scan_reads_each_grid_point_once(monkeypatch):
     assert len(calls) == scan_grid(2, 4, ys) + 1 <= 3 * rep.scanned
 
 
-def test_float_scan_worst_is_the_first_largest_centre():
-    ys = radix_y_set(2, 2)
-    f = USeries(2, psi_zero(1, 1))
-    rep = semiconcavity_scan(f, F(1), 2, 3, ys, mode="float")
-    off = Approx.from_fraction(F(-1))
-    margins = [(central_second_diff(f, t, 2, "float") + off, t) for t in enumerate_triplets(2, 3, ys)]
+@pytest.mark.parametrize("f, r, ys, alpha", [
+    (USeries(2, psi_zero(1, 1)), 2, radix_y_set(2, 2), F(1)),  # semiconcavity at alpha
+    # the tie-heavy membership scans at c = 2 of test_grid.py, every y = j/r^2
+    *[(f, r, tuple(F(j, r**2) for j in range(1, r**2)), None) for f in (Distance(), TAU2) for r in (2, 3)],
+    # tau3 at r = 2 ties (3, 2, 3/4) with (3, 5, 1/4): the first in (n, y, k) order is not the smallest
+    (TAU3, 2, tuple(F(j, 4) for j in range(1, 4)), None),
+], ids=["upsi0-semiconcavity", "distance-r2", "distance-r3", "tau2-r2", "tau2-r3", "tau3-r2"])
+def test_float_scan_worst_is_the_first_largest_centre(f, r, ys, alpha):
+    # stencils are visited in (n, y, k) order, so the tie-break rests on the sort key alone
+    if alpha is None:
+        rep = membership_scan(MembershipQuery(f=f, c=F(2), r=r, n_max=3, y_set=ys, mode="float"))
+        offset = lambda n: F(4 * r**n)  # noqa: E731
+    else:
+        rep = semiconcavity_scan(f, alpha, r, 3, ys, mode="float")
+        offset = lambda n: -alpha  # noqa: E731
+    margins = [(central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n)), t)
+               for t in enumerate_triplets(r, 3, ys)]
     best = max(m.value for m, _ in margins)
-    first = next((m, t) for m, t in margins if m.value == best)
-    assert (rep.worst_margin, rep.worst_triplet) == first
+    ties = [(m, t) for m, t in margins if m.value == best]
+    assert (rep.worst_margin, rep.worst_triplet) == ties[0]
+    assert alpha is not None or len(ties) > 1
 
 
 # --------------------------------------------------- verdicts from bounds
@@ -140,6 +152,8 @@ def test_float_verdict_ties_keep_the_first_triplet():
     t1, t2 = Triplet(0, 0, F(1, 4)), Triplet(0, 0, F(1, 2))
     verdict, worst, worst_t, count = differences._float_verdict([(Approx(-1.0, 0.5), t1), (Approx(-1.0, 0.0), t2)])
     assert (verdict, worst_t, count) == ("no-violation", t1, 0)
+    # the order of visits does not matter: the smallest triplet wins a tie
+    assert differences._float_verdict([(Approx(-1.0, 0.0), t2), (Approx(-1.0, 0.5), t1)])[2] == t1
 
 
 def test_float_inconclusive_count_is_the_zero_margins_of_takagi():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pathfn.core.funcs import (
+    AbsSin,
     Dilate,
     Distance,
     Scale,
@@ -191,6 +192,17 @@ def test_flow_grid_float_mode_clean_case():
     assert [p.x_lo for p in pq.pieces] == [F(0), F(3, 8), F(5, 8)]
 
 
+def test_flow_grid_float_needs_certain_steepness_evidence():
+    # tau2(1/2) = 1/2 sits just below c/4 at c = 2 + 2^-60: exact mode refuses,
+    # and so must float mode, whose interval for tau2(1/2) straddles the bound
+    for mode in ("exact", "float"):
+        with pytest.raises(FlowConditionError, match="steepness"):
+            flow_grid(FlowQuery(f=TAU2, c=2 + F(1, 2**60), r=2, t=F(1, 4), mode=mode))
+    # without an exact branch, a straddling y is no evidence either
+    with pytest.raises(FlowConditionError, match="not certainly"):
+        flow_grid(FlowQuery(f=USeries(2, AbsSin()), c=F(4), r=2, t=F(1, 4), mode="float"))
+
+
 def test_piecewise_quadratic_json_roundtrip():
     pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8)))
     doc = pq.as_json()
@@ -242,19 +254,18 @@ def test_bruteforce_nonneg_window_follows_x():
     t = F(1, 4)
     assert flow_bruteforce(TAU2, t, F(17, 8), radix_depth=6, r=2) == F(1, 32)
     for x in (F(1, 8), F(5, 16), F(7, 8), F(1)):
-        exact = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2)
-        step = flow_bruteforce(TAU2, t, float(x), step=1 / 64)
-        for shift in (2, -1):
-            assert flow_bruteforce(TAU2, t, x + shift, radix_depth=6, r=2) == exact
-            assert flow_bruteforce(TAU2, t, float(x + shift), step=1 / 64) == step
+        for mode in ("exact", "float"):
+            at_x = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2, mode=mode)
+            for shift in (2, -1):
+                assert flow_bruteforce(TAU2, t, x + shift, radix_depth=6, r=2, mode=mode) == at_x
 
 
-def test_bruteforce_step_bound_contains_the_exact_sampled_value():
-    # step 1/64 samples z = j/64 exactly, so the exact minimum over the samples
-    # is the radix brute force at depth 6; the float result must contain it
+def test_bruteforce_float_contains_the_exact_sampled_value():
+    # both modes sample z = j/64, so the float result must contain the exact
+    # minimum over the same samples
     for t in (F(1, 4), F(1, 3), F(1, 1000)):
         for x in (F(1, 8), F(5, 64), F(3, 10), F(17, 8), 0.7):
-            got = flow_bruteforce(TAU2, t, x, step=1 / 64)
+            got = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2, mode="float")
             exact = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2)
             assert F(got.lo()) <= exact <= F(got.hi()), (t, x, got)
             assert got.err < 1e-12
@@ -266,29 +277,32 @@ def test_bruteforce_trivial_minimizer():
 
 
 def test_bruteforce_argument_validation():
+    for kwargs in (dict(radix_depth=4, r=2, mode="step"), dict(radix_depth=-1, r=2), dict(radix_depth=4, r=1)):
+        with pytest.raises(ValueError):
+            flow_bruteforce(TAU2, F(1, 4), F(0), **kwargs)
     with pytest.raises(ValueError):
-        flow_bruteforce(TAU2, F(1, 4), F(0))  # neither grid given
-    with pytest.raises(ValueError):
-        flow_bruteforce(TAU2, F(1, 4), F(0), radix_depth=4, r=2, step=0.1)
+        flow_bruteforce(TAU2, F(0), F(0), radix_depth=4, r=2)
 
 
 def test_bruteforce_float_window_for_signed_function():
     # U of sin(2 pi x) dips negative, so the search window must widen; the
-    # sampled minimum refines consistently as the step shrinks
+    # depth-11 grid contains the depth-9 grid, so its sampled minimum can only be lower
     ueta = USeries(2, Sin2Pi())
-    v1 = flow_bruteforce(ueta, F(1), 0.3, step=2e-3)
-    v2 = flow_bruteforce(ueta, F(1), 0.3, step=5e-4)
-    assert isinstance(v1, Approx) and isinstance(v2, Approx)
-    assert v2.value <= v1.value + 1e-6  # refinement can only find lower values
-    assert abs(v1.value - v2.value) <= 1e-2
-    assert v1.value < 0  # the minimizer actually uses the negative dip
+    v9 = flow_bruteforce(ueta, F(1), 0.3, radix_depth=9, r=2, mode="float")
+    v11 = flow_bruteforce(ueta, F(1), 0.3, radix_depth=11, r=2, mode="float")
+    assert isinstance(v9, Approx) and isinstance(v11, Approx)
+    assert v11.lo() <= v9.hi()
+    assert abs(v9.value - v11.value) <= 1e-2
+    assert v9.hi() < 0  # the minimizer actually uses the negative dip
 
 
 def test_bruteforce_float_agrees_with_grid():
+    # at an admissible time the infimum over all z sits on the depth-n grid,
+    # so a finer float brute force contains the envelope's value at any x
     pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4)))
     for xf in (0.125, 0.3, 0.77):
-        b = flow_bruteforce(TAU2, F(1, 4), xf, step=1e-4)
-        assert abs(b.value - float(pq.eval(F(xf)))) <= 1e-3
+        b = flow_bruteforce(TAU2, F(1, 4), xf, radix_depth=6, r=2, mode="float")
+        assert F(b.lo()) <= pq.eval(F(xf)) <= F(b.hi())
 
 
 # ------------------------------------------------------- flow shape checks

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -143,6 +144,8 @@ def test_grid_table_size_counts_against_the_cap():
     q = MembershipQuery(f=USeries(2, Distance()), c=F(2), r=2, n_max=2, y_set=(F(1, 1000003),))
     with pytest.raises(ResourceLimitError, match="grid table"):
         membership_scan(q, cap=10**5)
+    with pytest.raises(ResourceLimitError, match="grid table"):  # float scans slice the same grid
+        membership_scan(dataclasses.replace(q, mode="float"), cap=10**5)
     with pytest.raises(ResourceLimitError, match="grid table"):
         identity_residual_scan(USeries(2, Distance()), 0, (F(1, 2**40),), cap=10**5)
 

@@ -10,8 +10,8 @@ from pathfn.core.scalars import (
     format_rational,
     parse_rational,
     reduce_mod1,
-    sin_2pi,
-    sin_pi_abs,
+    sin_2pi_bounds,
+    sin_pi_abs_bounds,
 )
 
 
@@ -77,20 +77,20 @@ def test_sin_primitives_certified(x):
     # high-precision reference instead
     mpmath = pytest.importorskip("mpmath")
     ref_abs = abs(mpmath.sin(mpmath.pi * mpmath.mpf(x.numerator) / x.denominator))
-    got = sin_pi_abs(Approx.from_fraction(x))
-    assert abs(float(ref_abs) - got.value) <= got.err + 1e-300
+    xa = Approx.from_fraction(x)
+    v, e = sin_pi_abs_bounds(xa.value, xa.err)
+    assert abs(float(ref_abs) - v) <= e + 1e-300
     ref2 = mpmath.sin(2 * mpmath.pi * mpmath.mpf(x.numerator) / x.denominator)
-    got2 = sin_2pi(Approx.from_fraction(x))
-    assert abs(float(ref2) - got2.value) <= got2.err + 1e-300
+    v2, e2 = sin_2pi_bounds(xa.value, xa.err)
+    assert abs(float(ref2) - v2) <= e2 + 1e-300
 
 
-def test_approx_frac_and_min():
-    a = Approx(2.75, 1e-12).frac()
-    assert a.value == 0.75
-    b = Approx(-0.25, 0.0).frac()
-    assert b.value == 0.75
-    m = Approx.min2(Approx(1.0, 1e-3), Approx(2.0, 1e-6))
-    assert m.value == 1.0 and m.err == 1e-3
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(0, 1e3))
+def test_approx_from_bounds_contains_both_ends(lo, width):
+    hi = lo + width
+    a = Approx.from_bounds(lo, hi)
+    assert a.lo() <= lo and hi <= a.hi()
 
 
 def test_approx_division_by_zero_interval():
