@@ -72,6 +72,8 @@ from .flow import (
     crossing_points,
     dominance_check,
     flow_bruteforce,
+    flow_bruteforce_count,
+    flow_bruteforce_points,
     flow_grid,
     parabola_eval,
     pde_residual,

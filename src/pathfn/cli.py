@@ -28,7 +28,7 @@ from . import __version__
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set, triplet_count
-from .core.scalars import Approx, RationalFormatError, format_rational, parse_rational
+from .core.scalars import Approx, RationalFormatError, Scalar, format_rational, parse_rational
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
@@ -38,7 +38,7 @@ from .differences import (
     membership_scan,
 )
 from .errors import PathfnError
-from .flow import FlowQuery, flow_bruteforce, flow_grid
+from .flow import FlowQuery, PiecewiseQuadratic, flow_bruteforce_count, flow_bruteforce_points, flow_grid
 from .grid import grid_values, scan_grid
 from .series import (
     ScanParams,
@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="also emit an x,value CSV with this many rows")
     p.add_argument("--csv", metavar="FILE", default=None, help="write samples to FILE instead of stdout")
     p.add_argument("--crosscheck", type=int, default=None, metavar="DEPTH",
-                   help="verify exact agreement with radix brute force at this depth")
+                   help="verify agreement with radix brute force at this depth "
+                        "(exact equality; in float mode, overlap of certified intervals)")
     _common_flags(p)
 
     p = sub.add_parser("probe", help="difference-quotient gaps along zooming stencils")
@@ -268,23 +269,18 @@ def cmd_flow(args, out: io.StringIO) -> int:
     d = args.crosscheck
     if d is not None and d < 0:
         raise _UsageError("--crosscheck must be >= 0")
-    brute_evals = 0 if d is None else (r ** min(d, 6) + 1) * (r**d + 1)
+    xs = [] if d is None else [Fraction(j, r ** min(d, 6)) for j in range(r ** min(d, 6) + 1)]
+    brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, d, r)
     check_scan_cap(args.cap, brute_evals, r ** q.depth(), unit="brute-force evaluations")  # grid: r^n + 1 vertices
     pq = flow_grid(q)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"
-    if args.crosscheck is not None:
-        mismatches = []
-        den = r ** min(args.crosscheck, 6)
-        for j in range(den + 1):
-            x = Fraction(j, den)
-            grid_v = pq.eval(x)
-            brute_v = flow_bruteforce(f, t, x, radix_depth=args.crosscheck, r=r)
-            if grid_v != brute_v:
-                mismatches.append(str(x))
+    if d is not None:
+        brute = flow_bruteforce_points(f, t, xs, radix_depth=d, r=r, mode=args.mode)
+        mismatches = [str(x) for x, b in zip(xs, brute) if _certainly_differ(pq, x, b)]
         detail["crosscheck"] = {
-            "radix_depth": args.crosscheck,
-            "points": den + 1,
+            "radix_depth": d,
+            "points": len(xs),
             "mismatches": mismatches,
         }
         if mismatches:
@@ -311,6 +307,16 @@ def cmd_flow(args, out: io.StringIO) -> int:
     if csv_text and not args.csv:
         out.write(csv_text)
     return EXIT_PASS if verdict == "pass" else EXIT_VIOLATION
+
+
+def _certainly_differ(pq: PiecewiseQuadratic, x: Fraction, brute: Scalar) -> bool:
+    """Exact mode: the values differ.  Float mode: [v - err, v + err], v the
+    envelope's value, and the brute force's certified interval are disjoint."""
+    v = pq.eval(x)
+    if not isinstance(brute, Approx):
+        return v != brute
+    err = Fraction(pq.err)
+    return v + err < Fraction(brute.lo()) or v - err > Fraction(brute.hi())
 
 
 def cmd_probe(args, out: io.StringIO) -> int:

@@ -4,12 +4,21 @@ Two routes compute it:
 
 * ``flow_grid`` -- for initial data satisfying the steep concavity bound at
   constant c and times t >= 1/(2 c r^n), the infimum over all real z
-  collapses onto the grid {k/r^n}; the result is the lower envelope of
-  r^n + 1 equal-curvature parabolas, built by the classic stack algorithm in
-  exact rational arithmetic.
-* ``flow_bruteforce`` -- direct minimization over the radix z-grid
-  {j/r^N}, in exact or certified float arithmetic, used as an independent
-  oracle.
+  collapses onto the grid {k/R}, R = r^n; the result is the lower envelope of
+  R + 1 equal-curvature parabolas, built by the classic stack algorithm
+  (Felzenszwalb & Huttenlocher, *Distance Transforms of Sampled Functions*).
+  The algorithm runs in integers on the grid table f(k/R) = I_k/D: with
+  t = p/q, the parabolas of vertices i < j cross at num/den with
+  num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0, so
+  every stack comparison is one cross-multiplication, and ``Fraction``s are
+  built only for the surviving pieces.  Float mode decides every comparison
+  on certified intervals first, then runs the same integer pass on the
+  centre values as dyadic integers over one common denominator.
+* ``flow_bruteforce_points`` -- the independent oracle: a plain minimum over
+  the radix z-grid {j/r^N}, in exact or certified float arithmetic, for many
+  x on one table of f.  At x = a/X the exact objective at z_j is
+  N_j / (2pX^2R^2D) with N_j = 2pX^2R^2 I_(j mod R) + qD (aR - jX)^2, so the
+  minimum is taken over integers.  ``flow_bruteforce`` is its one-point case.
 
 The envelope is piecewise quadratic; on each piece u(t,x) = f(z) +
 (x-z)^2/(2t) solves u_t + u_x^2/2 = 0 classically, and every piece of
@@ -205,11 +214,16 @@ class PiecewiseQuadratic:
     """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces.
 
     Invariants: pieces tile [0, 1] with positive widths, adjacent pieces agree
-    at shared breakpoints, and vertices sit on the radix grid.
+    at shared breakpoints, and vertices sit on the radix grid.  ``err`` bounds
+    how far ``eval`` may sit from the envelope of the exact vertex values: 0
+    in exact mode; in float mode, the largest certified error of the vertex
+    values (the envelope of values each within err of the exact ones is
+    within err of the exact envelope).  It is not part of the JSON form.
     """
 
     t: Fraction
     pieces: Tuple[Piece, ...]
+    err: float = 0.0
 
     def breakpoints(self) -> Tuple[Fraction, ...]:
         return tuple(p.x_lo for p in self.pieces) + (self.pieces[-1].x_hi,)
@@ -238,13 +252,19 @@ class PiecewiseQuadratic:
         }
 
     def sample_rows(self, count: int) -> List[Tuple[Fraction, Fraction]]:
-        """Evenly spaced (x, value) samples for CSV output."""
+        """Evenly spaced (x, value) samples for CSV output, equal to
+        ``(x, eval(x))``: one forward walk along the pieces."""
         if count < 2:
             raise ValueError("need at least 2 samples")
-        return [
-            (x, self.eval(x))
-            for x in (Fraction(i, count - 1) for i in range(count))
-        ]
+        rows = []
+        k, last = 0, len(self.pieces) - 1
+        for i in range(count):
+            x = Fraction(i, count - 1)
+            while k < last and self.pieces[k + 1].x_lo <= x:
+                k += 1
+            p = self.pieces[k]
+            rows.append((x, p.fz + (x - p.z) ** 2 / (2 * self.t)))
+        return rows
 
 
 def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
@@ -263,13 +283,6 @@ def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
     return PiecewiseQuadratic(Fraction(doc["t"]), pieces)
 
 
-def _parabola_intersection(
-    zi: Fraction, fi: Fraction, zj: Fraction, fj: Fraction, t: Fraction
-) -> Fraction:
-    """Abscissa where two equal-curvature parabolas cross (zi < zj)."""
-    return t * (fj - fi) / (zj - zi) + (zi + zj) / 2
-
-
 def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     """Lower envelope of the r^n + 1 grid-vertex parabolas on [0, 1].
 
@@ -286,12 +299,9 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
             f"t={q.t} below the admissible threshold 1/(2*c*r^n)={threshold} at depth n={n}"
         )
     _require_steepness_evidence(q.f, q.c, q.r)
-    den = q.r**n
-    zs = [Fraction(k, den) for k in range(den + 1)]
     if q.mode == "exact":
-        vals, vden = grid_values(q.f, den)
-        return _envelope_exact(zs, [Fraction(v, vden) for v in vals], q.t)
-    return _envelope_float(zs, approx_table(q.f, den), q.t)
+        return _envelope_exact(*grid_values(q.f, q.r**n), q.t)
+    return _envelope_float(approx_table(q.f, q.r**n), q.t)
 
 
 def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int) -> None:
@@ -311,71 +321,88 @@ def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int) -> None:
         )
 
 
-def _envelope_exact(
-    zs: List[Fraction], fz: List[Fraction], t: Fraction
-) -> PiecewiseQuadratic:
-    # stack algorithm over vertices in increasing z; lefts[i] is the left
-    # boundary of the surviving cell of stack[i] (None = unbounded)
+# A point of the envelope's x-axis as an integer pair (num, den), den > 0.
+_Cut = Tuple[int, int]
+
+
+def _envelope_exact(vals: List[int], den: int, t: Fraction, err: float = 0.0) -> PiecewiseQuadratic:
+    """Lower envelope on [0, 1] of the parabolas vals[k]/den + (x - k/R)^2/(2t),
+    R = len(vals) - 1, by the stack algorithm in integers (see the module
+    docstring for the crossing num/den)."""
+    R = len(vals) - 1
+    a, b = 2 * t.numerator * R * R, t.denominator * den
+    # the crossing of i < j is num / (C (j - i)) with C = 2 b R; C is common to
+    # every crossing, so comparisons use the pair (num, j - i)
+    C = 2 * b * R
+
+    def crossing(i: int, j: int) -> _Cut:
+        return a * (vals[j] - vals[i]) + b * (i + j) * (j - i), j - i
+
     stack: List[int] = [0]
-    lefts: List[Optional[Fraction]] = [None]
-    for j in range(1, len(zs)):
-        while True:
-            i = stack[-1]
-            s = _parabola_intersection(zs[i], fz[i], zs[j], fz[j], t)
-            if lefts[-1] is not None and s <= lefts[-1]:
-                stack.pop()
-                lefts.pop()
-                continue
-            break
+    cuts: List[_Cut] = []  # cuts[m] is the left boundary of stack[m + 1]'s cell
+    for j in range(1, R + 1):
+        num, dj = crossing(stack[-1], j)
+        while cuts and num * cuts[-1][1] <= cuts[-1][0] * dj:
+            stack.pop()
+            cuts.pop()
+            num, dj = crossing(stack[-1], j)
         stack.append(j)
-        lefts.append(s)
-    pieces: List[Piece] = []
-    zero, one = Fraction(0), Fraction(1)
-    for idx, i in enumerate(stack):
-        lo = lefts[idx] if lefts[idx] is not None else zero
-        hi = lefts[idx + 1] if idx + 1 < len(lefts) else one
-        lo, hi = max(lo, zero), min(hi, one)
-        if lo < hi:
-            pieces.append(Piece(lo, hi, zs[i], fz[i]))
-    _check_envelope_invariants(pieces, t)
-    return PiecewiseQuadratic(t, tuple(pieces))
+        cuts.append((num, dj))
+    bounds = [(0, 1)] + [(num, C * dj) for num, dj in cuts] + [(1, 1)]
+    kept: List[Tuple[int, _Cut, _Cut]] = []  # (vertex, lo, hi), clamped to [0, 1]
+    for m, i in enumerate(stack):
+        lo, hi = bounds[m], bounds[m + 1]
+        if lo[0] < 0:
+            lo = (0, 1)
+        if hi[0] > hi[1]:
+            hi = (1, 1)
+        if lo[0] * hi[1] < hi[0] * lo[1]:
+            kept.append((i, lo, hi))
+    _check_envelope_invariants(kept, vals, den, t)
+    xs = {cut: Fraction(*cut) for _, lo, hi in kept for cut in (lo, hi)}
+    pieces = tuple(Piece(xs[lo], xs[hi], Fraction(i, R), Fraction(vals[i], den)) for i, lo, hi in kept)
+    return PiecewiseQuadratic(t, pieces, err)
 
 
-def _check_envelope_invariants(pieces: List[Piece], t: Fraction) -> None:
-    if not pieces or pieces[0].x_lo != 0 or pieces[-1].x_hi != 1:
+def _check_envelope_invariants(kept: List[Tuple[int, _Cut, _Cut]], vals: List[int], den: int, t: Fraction) -> None:
+    """Pieces (vertex, lo, hi) tile [0, 1] with positive widths, and adjacent
+    pieces agree at their shared breakpoint x = N/M: for vertices i < j,
+    2pR^2 M (I_i - I_j) + qD (j - i)(2NR - (i + j) M) = 0 is
+    2pDR^2 M times the difference of the two parabolas at x."""
+    R, p, q = len(vals) - 1, t.numerator, t.denominator
+    if not kept or kept[0][1][0] != 0 or kept[-1][2][0] != kept[-1][2][1]:
         raise AssertionError("envelope does not tile [0, 1]")
-    for a, b in zip(pieces, pieces[1:]):
-        if a.x_hi != b.x_lo:
+    for _, (lo_n, lo_d), (hi_n, hi_d) in kept:
+        if lo_n * hi_d >= hi_n * lo_d:
+            raise AssertionError("envelope piece of non-positive width")
+    for (i, _, (n, m)), (j, (n2, m2), _) in zip(kept, kept[1:]):
+        if n * m2 != n2 * m or i >= j:
             raise AssertionError("envelope pieces do not share endpoints")
-        x = a.x_hi
-        va = a.fz + (x - a.z) ** 2 / (2 * t)
-        vb = b.fz + (x - b.z) ** 2 / (2 * t)
-        if va != vb:
+        if 2 * p * R * R * m * (vals[i] - vals[j]) + q * den * (j - i) * (2 * n * R - (i + j) * m):
             raise AssertionError("envelope discontinuous at a breakpoint")
 
 
-def _envelope_float(
-    zs: List[Fraction], fz: List[Approx], t: Fraction
-) -> PiecewiseQuadratic:
-    """Float-mode envelope.
+def _envelope_float(fz: List[Approx], t: Fraction) -> PiecewiseQuadratic:
+    """Float-mode envelope of the vertex values fz[k] at z = k/R.
 
     Every ordering decision is first made with certified interval comparisons
     and any ambiguity raises (the combinatorial structure must never depend
     on rounding).  Once the structure is certain, the emitted object is the
     exact envelope of the parabolas through the computed values taken as
     exact dyadic rationals, so all structural invariants hold exactly for
-    that perturbed data.
+    that perturbed data; its ``err`` is the largest vertex error.
     """
+    R = len(fz) - 1
     ta = Approx.from_fraction(t)
     stack: List[int] = [0]
     lefts: List[Optional[Approx]] = [None]
 
     def intersect(i: int, j: int) -> Approx:
-        dz = Approx.from_fraction(zs[j] - zs[i])
-        mid = Approx.from_fraction((zs[i] + zs[j]) / 2)
+        dz = Approx.from_fraction(Fraction(j - i, R))
+        mid = Approx.from_fraction(Fraction(i + j, 2 * R))
         return ta * (fz[j] - fz[i]) / dz + mid
 
-    for j in range(1, len(zs)):
+    for j in range(1, R + 1):
         while True:
             i = stack[-1]
             s = intersect(i, j)
@@ -383,7 +410,7 @@ def _envelope_float(
             if prev is not None:
                 if s.overlaps(prev):
                     raise AmbiguousEnvelopeError(
-                        f"breakpoint between z={zs[i]} and z={zs[j]} is ambiguous; use exact mode"
+                        f"breakpoint between z={Fraction(i, R)} and z={Fraction(j, R)} is ambiguous; use exact mode"
                     )
                 if s.definitely_le(prev):
                     stack.pop()
@@ -392,7 +419,10 @@ def _envelope_float(
             break
         stack.append(j)
         lefts.append(s)
-    return _envelope_exact(zs, [Fraction(v.value) for v in fz], t)
+    # centres are dyadic, so the largest denominator is a common one
+    ratios = [v.value.as_integer_ratio() for v in fz]
+    den = max(d for _, d in ratios)
+    return _envelope_exact([n * (den // d) for n, d in ratios], den, t, max(v.err for v in fz))
 
 
 def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
@@ -415,14 +445,87 @@ def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
     return False
 
 
-def _search_window(f: FuncExpr, t: Fraction, x: Fraction) -> Tuple[Fraction, Fraction]:
-    """Minimizer window [x - L, x + L]: any z with |z - x| > L would need
-    f(z) below inf f, since the quadratic penalty already exceeds the
-    oscillation; L = sqrt(2 t osc) + 1 with osc <= 2 sup|f|."""
-    osc = 2 * sup_abs_bound(f)
-    bound = 2 * Fraction(t) * osc
-    l_int = math.isqrt(bound.numerator // bound.denominator + 1) + 2
-    return x - l_int, x + l_int
+def _z_windows(f: FuncExpr, t: Fraction, xs: Sequence[Fraction], den: int) -> List[range]:
+    """For each x, the indices j of the z = j/den that its minimum searches.
+
+    When f is certifiably nonnegative on [0, 1], z ranges over
+    [floor(x), floor(x) + 1]: f vanishes at the integers, so the integer end
+    on the far side of x beats any z beyond it.  Otherwise z ranges over
+    [x - L, x + L]: any z with |z - x| > L would need f(z) below inf f, since
+    the quadratic penalty already exceeds the oscillation;
+    L = isqrt(floor(2 t osc) + 1) + 2 with osc <= 2 sup|f|.
+    """
+    if _certified_nonneg_on_unit(f):
+        return [range(math.floor(x) * den, (math.floor(x) + 1) * den + 1) for x in xs]
+    bound = 4 * t * sup_abs_bound(f)
+    L = math.isqrt(bound.numerator // bound.denominator + 1) + 2
+    return [range(math.ceil((x - L) * den), math.floor((x + L) * den) + 1) for x in xs]
+
+
+def _bruteforce_args(t: Fraction, radix_depth: int, r: int, mode: str) -> Fraction:
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    validate_radix(r)
+    if radix_depth < 0:
+        raise ValueError(f"radix_depth must be >= 0, got {radix_depth}")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    return t
+
+
+def flow_bruteforce_count(f: FuncExpr, t: Fraction, xs: Sequence[Union[Fraction, float]], radix_depth: int, r: int) -> int:
+    """The number of objective values :func:`flow_bruteforce_points` compares
+    for these arguments, counted without evaluating f."""
+    t = _bruteforce_args(t, radix_depth, r, "exact")
+    return sum(len(js) for js in _z_windows(f, t, [Fraction(x) for x in xs], r**radix_depth))
+
+
+def flow_bruteforce_points(
+    f: FuncExpr,
+    t: Fraction,
+    xs: Sequence[Union[Fraction, float]],
+    radix_depth: int,
+    r: int,
+    mode: str = "exact",
+) -> List[Scalar]:
+    """Direct minimization of f(z) + (x - z)^2/(2t) over z in {j/R},
+    R = r^N with N = ``radix_depth``, for each x of ``xs``, with f(z) read
+    periodically off one table of f over a period.
+
+    Exact mode returns the sampled minimum: an upper bound of the true
+    infimum that, for steep initial data and admissible times, matches
+    ``flow_grid`` exactly once N reaches the collapse depth.  With t = p/q,
+    x = a/X and f(j/R) = I_j/D, the objective at z_j is N_j / (2pX^2R^2D),
+    N_j = 2pX^2R^2 I_(j mod R) + qD (aR - jX)^2, and the result is the plain
+    minimum of the integers N_j over x's window (see ``_z_windows``).  Float
+    mode reads certified values of f and returns an Approx that contains the
+    exact sampled minimum: it spans the minimum of the lower ends and the
+    minimum of the upper ends of the certified objective values.
+    """
+    t = _bruteforce_args(t, radix_depth, r, mode)
+    p, q = t.numerator, t.denominator
+    R = r**radix_depth
+    xqs = [Fraction(x) for x in xs]
+    windows = _z_windows(f, t, xqs, R)
+    out: List[Scalar] = []
+    if mode == "exact":
+        vals, D = grid_values(f, R)
+        for x, js in zip(xqs, windows):
+            a, X = x.numerator, x.denominator
+            c, aR, qD = 2 * p * X * X * R * R, a * R, q * D
+            out.append(Fraction(min(c * vals[j % R] + qD * (aR - j * X) ** 2 for j in js), c * D))
+        return out
+    fz = approx_table(f, R)
+    for x, js in zip(xqs, windows):
+        a, X = x.numerator, x.denominator
+        c, aR = 2 * p * X * X * R * R, a * R
+        lo_min = hi_min = math.inf
+        for j in js:
+            v = fz[j % R] + Approx.from_fraction(Fraction(q * (aR - j * X) ** 2, c))
+            lo_min, hi_min = min(lo_min, v.lo()), min(hi_min, v.hi())
+        out.append(Approx.from_bounds(lo_min, hi_min))
+    return out
 
 
 def flow_bruteforce(
@@ -433,47 +536,8 @@ def flow_bruteforce(
     r: int,
     mode: str = "exact",
 ) -> Scalar:
-    """Direct minimization of f(z) + (x - z)^2/(2t) over z in {j/r^N},
-    N = ``radix_depth``, with f(z) read periodically off one table of f over
-    a period.
-
-    Exact mode returns the sampled minimum: an upper bound of the true
-    infimum that, for steep initial data and admissible times, matches
-    ``flow_grid`` exactly once N reaches the collapse depth.  Float mode reads
-    certified values of f and returns an Approx that contains the exact
-    sampled minimum: it spans the minimum of the lower ends and the minimum
-    of the upper ends of the certified objective values.
-
-    When f is certifiably nonnegative on [0, 1], z ranges over
-    [floor(x), floor(x) + 1]: f vanishes at the integers, so the integer end
-    on the far side of x beats any z beyond it.  Otherwise the z-range
-    widens to the oscillation window around x.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    validate_radix(r)
-    if radix_depth < 0:
-        raise ValueError(f"radix_depth must be >= 0, got {radix_depth}")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    xq = Fraction(x)
-    if _certified_nonneg_on_unit(f):
-        lo, hi = math.floor(xq), math.floor(xq) + 1
-    else:
-        lo, hi = _search_window(f, t, xq)
-    den = r**radix_depth
-    js = range(math.ceil(lo * den), math.floor(hi * den) + 1)
-    inv2t = Fraction(1, 2 * t)
-    if mode == "exact":
-        vals, vden = grid_values(f, den)
-        return min(Fraction(vals[j % den], vden) + (xq - Fraction(j, den)) ** 2 * inv2t for j in js)
-    fz = approx_table(f, den)
-    lo_min = hi_min = math.inf
-    for j in js:
-        v = fz[j % den] + Approx.from_fraction((xq - Fraction(j, den)) ** 2 * inv2t)
-        lo_min, hi_min = min(lo_min, v.lo()), min(hi_min, v.hi())
-    return Approx.from_bounds(lo_min, hi_min)
+    """:func:`flow_bruteforce_points` at one point."""
+    return flow_bruteforce_points(f, t, [x], radix_depth, r, mode)[0]
 
 
 def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:

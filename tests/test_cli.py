@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
+
+import pytest
 
 import pathfn.cli as cli
 import pathfn.series
@@ -268,7 +271,7 @@ def test_flow_hypothesis_violation_exit_2(capsys, spec_file):
 
 
 def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce")
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
     base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--cap", "100"]
     # 2^10 + 1 envelope vertices at t = 1/4096
     code, out, err = run(capsys, base + ["--t", "1/4096"])
@@ -279,12 +282,90 @@ def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
 
 
 def test_flow_negative_depths_exit_2(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce")
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
     base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4"]
     code, out, err = run(capsys, base + ["--crosscheck", "-1"])
     assert code == 2 and out == "" and "--crosscheck must be >= 0" in err
     code, out, err = run(capsys, base + ["--n", "-1"])
     assert code == 2 and out == "" and "n must be >= 0" in err
+
+
+SPEC_SIGNED = {"kind": "sum", "terms": [
+    {"kind": "takagi", "r": 2}, {"kind": "scale", "a": "-1/100", "child": {"kind": "distance_power", "p": 2}}]}
+
+
+def test_flow_crosscheck_cap_counts_signed_windows(capsys, spec_file, monkeypatch):
+    # a signed f searches [x - L, x + L] for each x, not r^d + 1 z values: at
+    # t = 1/4, d = 3 that is 9 x times 49 z, where the cap used to count 9 * 9
+    import pathfn.flow
+
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    for name in ("grid_values", "approx_table"):
+        monkeypatch.setattr(pathfn.flow, name, lambda *a: pytest.fail("table built before the cap check"))
+    base = ["flow", "--func", spec_file(SPEC_SIGNED), "--c", "1"]
+    code, out, err = run(capsys, base + ["--t", "1/4", "--crosscheck", "3", "--cap", "100"])
+    assert code == 2 and out == "" and "441 brute-force evaluations exceeds cap 100" in err
+    code, out, err = run(capsys, base + ["--t", "1/4", "--crosscheck", "3", "--cap", "440"])
+    assert code == 2 and "441 brute-force evaluations" in err
+    # the window grows like sqrt(t): about 2.7e8 evaluations, refused under the default cap
+    code, out, err = run(capsys, base + ["--t", "1000000", "--crosscheck", "10"])
+    count = int(re.search(r"scan of (\d+) brute-force evaluations", err).group(1))
+    assert code == 2 and out == "" and count > 2 * 10**8
+
+
+def test_flow_crosscheck_signed_window_runs_at_its_count(capsys, spec_file):
+    base = ["flow", "--func", spec_file(SPEC_SIGNED), "--c", "1", "--t", "1/4", "--crosscheck", "3"]
+    code, out, _ = run(capsys, base + ["--cap", "441"])
+    assert code == 0 and json.loads(out)["detail"]["crosscheck"]["mismatches"] == []
+
+
+SPEC_TAKAGI3 = {"kind": "takagi", "r": 3}
+TAU3_FLOW = ["--c", "3/2", "--t", "1/9", "--r", "3", "--crosscheck", "3"]
+
+
+def test_flow_float_crosscheck_tau3_passes(capsys, spec_file):
+    # the float envelope runs through non-dyadic centre values; comparing them
+    # for equality with the exact brute force reported 12 false mismatches
+    for mode in ("exact", "float"):
+        code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI3), *TAU3_FLOW, "--mode", mode])
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "pass", mode
+        assert doc["detail"]["crosscheck"] == {"mismatches": [], "points": 28, "radix_depth": 3}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flow_crosscheck_catches_a_shifted_vertex(capsys, spec_file, monkeypatch, mode):
+    # shifting the vertex z = 1/3 up by 1/100, far more than its error bound,
+    # must still show as a mismatch in float mode
+    real = cli.flow_grid
+
+    def shifted(q):
+        pq = real(q)
+        assert pq.err < 1e-12
+        pieces = tuple(dataclasses.replace(p, fz=p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
+        return dataclasses.replace(pq, pieces=pieces)
+
+    monkeypatch.setattr(cli, "flow_grid", shifted)
+    code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI3), *TAU3_FLOW, "--mode", mode])
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert "1/3" in doc["detail"]["crosscheck"]["mismatches"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flow_crosscheck_builds_one_table(capsys, spec_file, monkeypatch, mode):
+    import pathfn.flow
+
+    sizes = []
+    for name in ("grid_values", "approx_table"):
+        real = getattr(pathfn.flow, name)
+        monkeypatch.setattr(pathfn.flow, name, lambda f, Q, _real=real: sizes.append(Q) or _real(f, Q))
+    code, out, _ = run(
+        capsys,
+        ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/8", "--crosscheck", "6", "--mode", mode],
+    )
+    assert code == 0 and json.loads(out)["detail"]["crosscheck"]["points"] == 65
+    assert sizes == [2, 64]  # the envelope's vertices, then one brute-force table
 
 
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):

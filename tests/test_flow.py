@@ -15,16 +15,20 @@ from pathfn.core.funcs import (
     ThetaSplice,
     USeries,
     eval_exact,
+    eval_exact_points,
     psi_zero,
 )
 from pathfn.core.points import Triplet
 from pathfn.core.scalars import Approx
+from pathfn.differences import approx_table
 from pathfn.errors import AmbiguousEnvelopeError, FlowConditionError
 from pathfn.flow import (
     FlowQuery,
     crossing_points,
     dominance_check,
     flow_bruteforce,
+    flow_bruteforce_count,
+    flow_bruteforce_points,
     flow_grid,
     parabola_eval,
     pde_residual,
@@ -32,6 +36,7 @@ from pathfn.flow import (
     subdiff_witnesses,
     witness_support_violations,
 )
+from pathfn.grid import grid_values
 
 F = Fraction
 TAU2 = USeries(2, Distance())
@@ -213,6 +218,112 @@ def test_piecewise_quadratic_json_roundtrip():
     assert len(rows) == 17 and rows[0][0] == 0 and rows[-1][0] == 1
 
 
+@pytest.mark.parametrize(
+    "f, c, r, t, n",
+    [(TAU2, F(2), 2, F(1, 4), None), (TAU2, F(2), 2, F(1, 8), None), (TAU2, F(2), 2, F(1, 4), 1),
+     (TAU2, F(2), 2, F(1, 1024), None), (USeries(3, Distance()), F(3, 2), 3, F(1, 9), None),
+     (U_PSI0, F(1), 2, F(1, 64), None)],
+)
+def test_sample_rows_walk_equals_eval(f, c, r, t, n):
+    # count = r^n + 1 puts samples on the vertices; with the breakpoints'
+    # common denominator B, count = B + 1 puts one on every breakpoint
+    q = FlowQuery(f=f, c=c, r=r, t=t, n=n)
+    pq = flow_grid(q)
+    B = math.lcm(*(x.denominator for x in pq.breakpoints()))
+    for count in (2, 3, r ** q.depth() + 1, B + 1, 97):
+        rows = pq.sample_rows(count)
+        assert rows == [(F(i, count - 1), pq.eval(F(i, count - 1))) for i in range(count)]
+    assert set(pq.breakpoints()) <= {x for x, _ in pq.sample_rows(B + 1)}
+
+
+# -------------------------------------------------------- integer envelope
+
+
+def envelope_reference(zs, fz, t):
+    """The stack algorithm in plain Fractions: (x_lo, x_hi, z, fz) of each
+    envelope piece of positive width within [0, 1]."""
+    stack, lefts = [0], [None]
+    for j in range(1, len(zs)):
+        while True:
+            i = stack[-1]
+            s = t * (fz[j] - fz[i]) / (zs[j] - zs[i]) + (zs[i] + zs[j]) / 2
+            if lefts[-1] is not None and s <= lefts[-1]:
+                stack.pop()
+                lefts.pop()
+                continue
+            break
+        stack.append(j)
+        lefts.append(s)
+    out = []
+    for m, i in enumerate(stack):
+        lo = F(0) if m == 0 else max(lefts[m], F(0))
+        hi = F(1) if m + 1 == len(stack) else min(lefts[m + 1], F(1))
+        if lo < hi:
+            out.append((lo, hi, zs[i], fz[i]))
+    return out
+
+
+def pieces_of(pq):
+    return [(p.x_lo, p.x_hi, p.z, p.fz) for p in pq.pieces]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("t", [F(1, 3), F(5, 7), F(1000)])
+def test_integer_envelope_equals_fraction_stack_algorithm(r, t):
+    # f = K (tau_r + a small random tree) with c = K at or near the critical
+    # time 1/(2 c r^n), so that many vertices survive; a draw without
+    # steepness evidence is skipped, and enough must remain
+    from test_grid import random_tree
+
+    rng = random.Random(1000 * r + t.numerator)
+    compared = 0
+    for n in [0, 1, 2, 3, 5, 8] if r == 2 else [0, 1, 2, 4, 8]:
+        for _ in range(3 if n < 8 else 1):
+            K = F(1, 2 * r**n) / t * rng.choice([1, F(3, 2)])
+            f = Scale(K, Sum((USeries(r, Distance()), Scale(F(1, 40), random_tree(rng, 3)))))
+            try:
+                pq = flow_grid(FlowQuery(f=f, c=K, r=r, t=t, n=n))
+            except FlowConditionError:
+                continue
+            R = r**n
+            zs = [F(k, R) for k in range(R + 1)]
+            vals, den = grid_values(f, R)
+            assert pieces_of(pq) == envelope_reference(zs, [F(v, den) for v in vals], t), (f, n)
+            assert pq.err == 0
+            compared += 1
+    assert compared >= 12
+
+
+def test_integer_envelope_on_arbitrary_tables():
+    # signed tables with many ties: cells left of 0 or right of 1 are clamped
+    # away, which steep initial data (f >= 0, f(0) = f(1) = 0) never needs
+    from pathfn.flow import _envelope_exact
+
+    rng = random.Random(7)
+    for _ in range(300):
+        R, den = rng.randint(1, 12), rng.randint(1, 5)
+        vals = [rng.randint(-6, 6) for _ in range(R + 1)]
+        t = F(rng.randint(1, 9), rng.randint(1, 9 * R))
+        zs = [F(k, R) for k in range(R + 1)]
+        expected = envelope_reference(zs, [F(v, den) for v in vals], t)
+        assert pieces_of(_envelope_exact(vals, den, t)) == expected, (vals, den, t)
+
+
+def test_float_envelope_is_the_exact_envelope_of_its_centres():
+    for f, c, t in ((TAU2, F(2), F(1, 8)), (TAU2, F(2), F(1, 1000)), (U_PSI0, F(1), F(1, 100))):
+        q = FlowQuery(f=f, c=c, r=2, t=t, mode="float")
+        pq = flow_grid(q)
+        R = 2 ** q.depth()
+        table = approx_table(f, R)
+        zs = [F(k, R) for k in range(R + 1)]
+        assert pieces_of(pq) == envelope_reference(zs, [F(v.value) for v in table], t)
+        assert pq.err == max(v.err for v in table) > 0
+        # within err of the exact envelope at every breakpoint and vertex
+        exact = flow_grid(FlowQuery(f=f, c=c, r=2, t=t))
+        for x in set(pq.breakpoints()) | set(zs):
+            assert abs(pq.eval(x) - exact.eval(x)) <= F(pq.err)
+
+
 # --------------------------------------------------------------- brute force
 
 
@@ -271,6 +382,36 @@ def test_bruteforce_float_contains_the_exact_sampled_value():
             assert got.err < 1e-12
 
 
+def direct_minimum(f, t, x, den, lo, hi):
+    """min over z = j/den in [lo, hi] of f(z) + (x - z)^2/(2t), in Fractions."""
+    zs = [F(j, den) for j in range(math.ceil(lo * den), math.floor(hi * den) + 1)]
+    return min(v + (x - z) ** 2 / (2 * t) for z, v in zip(zs, eval_exact_points(f, zs)))
+
+
+SIGNED = Sum((Distance(), Scale(F(-1), Dilate(2, Distance()))))
+
+
+@pytest.mark.parametrize(
+    "f, r, t, depth, window",
+    [(TAU2, 2, F(1, 4), 6, None), (TAU2, 2, F(1, 3), 5, None), (USeries(3, Distance()), 3, F(5, 7), 3, None),
+     (SIGNED, 2, F(1, 3), 5, 3)],  # the signed function searches [x - 3, x + 3]
+)
+def test_bruteforce_points_equals_per_point_and_direct_minimum(f, r, t, depth, window):
+    xs = [F(0), F(1, 8), F(3, 10), F(1), F(3, 2), F(-3, 2), F(17, 8), F(-1, 7), F(5, 2)]
+    got = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=r)
+    assert got == [flow_bruteforce(f, t, x, radix_depth=depth, r=r) for x in xs]
+    den = r**depth
+    windows = [(x - window, x + window) if window else (math.floor(x), math.floor(x) + 1) for x in xs]
+    assert got == [direct_minimum(f, t, x, den, lo, hi) for x, (lo, hi) in zip(xs, windows)]
+    assert flow_bruteforce_count(f, t, xs, depth, r) == sum(
+        math.floor(hi * den) - math.ceil(lo * den) + 1 for lo, hi in windows
+    )
+    floats = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=r, mode="float")
+    assert floats == [flow_bruteforce(f, t, x, radix_depth=depth, r=r, mode="float") for x in xs]
+    for v, b in zip(got, floats):
+        assert F(b.lo()) <= v <= F(b.hi()), (v, b)
+
+
 def test_bruteforce_trivial_minimizer():
     # f >= 0 and the vertex parabola at z = 0 is flat zero
     assert flow_bruteforce(TAU2, F(1, 4), F(0), radix_depth=5, r=2) == 0
@@ -280,8 +421,13 @@ def test_bruteforce_argument_validation():
     for kwargs in (dict(radix_depth=4, r=2, mode="step"), dict(radix_depth=-1, r=2), dict(radix_depth=4, r=1)):
         with pytest.raises(ValueError):
             flow_bruteforce(TAU2, F(1, 4), F(0), **kwargs)
+        with pytest.raises(ValueError):
+            flow_bruteforce_points(TAU2, F(1, 4), [F(0)], **kwargs)
     with pytest.raises(ValueError):
         flow_bruteforce(TAU2, F(0), F(0), radix_depth=4, r=2)
+    for kwargs in (dict(radix_depth=-1, r=2), dict(radix_depth=4, r=1)):
+        with pytest.raises(ValueError):
+            flow_bruteforce_count(TAU2, F(1, 4), [F(0)], **kwargs)
 
 
 def test_bruteforce_float_window_for_signed_function():
