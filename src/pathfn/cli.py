@@ -114,7 +114,8 @@ def _emit(out: io.StringIO, report: Optional[dict]) -> None:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP,
-                   help="cap on triplets, grid-table points, flow and probe evaluations, and series orbit steps")
+                   help="cap on triplets, grid-table points, flow and probe evaluations, and the entries "
+                        "each exact point adds to a series table")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,9 +10,13 @@ which is the engine behind Takagi-style constructions.
 
 Two evaluation modes:
 
-* ``eval_exact`` -- exact rational arithmetic.  Series values at rational
-  points are finite because the multiply-by-r orbit of a rational argument is
-  eventually periodic; the cyclic tail is summed in closed form.
+* ``eval_exact`` -- exact rational arithmetic.  A point p/q is index p on
+  the grid of step 1/q, and the multiply-by-r orbit of p/q is the residue
+  orbit p -> r p mod q, so every value on it shares one denominator.  The
+  points are read off an integer table of the grid engine
+  (``pathfn.grid.point_values``) that holds only the indices the tree's
+  node maps reach from them; each cycle of a series orbit is summed in
+  closed form.
 * ``eval_approx`` -- float results with certified error bounds.  Arguments
   are kept as exact rationals all the way down (any float input is itself an
   exact dyadic rational), so the only error sources are final rounding,
@@ -24,12 +28,14 @@ Two evaluation modes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
+from ..errors import FuncSpecError
 from .polys import (
     Coeffs,
     certify_nonneg,
@@ -202,6 +208,9 @@ class USeries(FuncExpr):
         _check_child(self.psi)
 
 
+_POLY_LEAVES = (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)
+
+
 def _check_radix(r) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r < 2:
         raise FuncSpecError(f"r must be an integer >= 2, got {r!r}")
@@ -243,7 +252,7 @@ def theta_upper_poly(r: int) -> Coeffs:
 
 def supports_exact(f: FuncExpr) -> bool:
     """Whether every path of the tree has an exact rational branch."""
-    if isinstance(f, (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)):
+    if isinstance(f, _POLY_LEAVES):
         return True
     if isinstance(f, (AbsSin, Sin2Pi)):
         return False
@@ -265,94 +274,73 @@ def supports_exact(f: FuncExpr) -> bool:
 def eval_exact(f: FuncExpr, x: Union[Fraction, int], max_orbit: Optional[int] = None) -> Fraction:
     """f(x) as an exact rational; x may be any rational (reduced mod 1 first).
 
-    ``max_orbit`` caps the orbit walk of series nodes; exceeding it raises
+    One point of :func:`eval_exact_points`: ``max_orbit`` caps the entries
+    x adds to the table of each series node, and exceeding it raises
     :class:`OrbitLimitError` (used by callers that fall back to certified
-    floats when the argument's cycle is infeasibly long).  Orbit values are
-    shared only within this one call.
+    floats when the argument's cycle is infeasibly long).
     """
     return eval_exact_points(f, (x,), max_orbit)[0]
 
 
 def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[int] = None) -> List[Fraction]:
-    """[f(x) for x in xs] as exact rationals, sharing one orbit memo.
+    """[f(x) for x in xs] as exact rationals.
 
-    A point whose orbit meets one already walked in this call stops there,
-    so ``max_orbit`` counts only the new steps of each walk, in list order.
+    A polynomial leaf is evaluated at each point directly.  Otherwise the
+    reduced points are grouped by the part of their denominator that is
+    coprime to f's series radixes, which multiplying by a radix never
+    changes, so points on one orbit share a group.  Each group is read off
+    one sparse integer table on the lcm Q of its denominators, dropped after
+    its points are read.  ``max_orbit`` caps the entries that each point
+    adds to its group's table of each series node, in list order; the cap is
+    checked while the table's indices are walked, before any value is
+    computed, and exceeding it raises :class:`OrbitLimitError`.
     """
-    memo: dict = {}  # (psi, r) -> {reduced argument: series value}
-    return [_eval_exact_reduced(f, reduce_mod1(Fraction(x)), max_orbit, memo) for x in xs]
+    xs = [reduce_mod1(Fraction(x)) for x in xs]
+    if isinstance(f, _POLY_LEAVES):  # a leaf needs no table
+        return [_eval_leaf_exact(f, x) for x in xs]
+    from ..grid import point_values  # the grid engine builds on this module
+
+    radixes = _radix_product(f)
+    groups: Dict[int, List[int]] = {}  # coprime part -> positions in xs
+    for i, x in enumerate(xs):
+        q = x.denominator
+        while gcd(q, radixes) > 1:
+            q //= gcd(q, radixes)
+        groups.setdefault(q, []).append(i)
+    out: List[Fraction] = [_ZERO] * len(xs)
+    for members in groups.values():
+        Q = lcm(*(xs[i].denominator for i in members))
+        js = [xs[i].numerator * (Q // xs[i].denominator) for i in members]
+        vals, den = point_values(f, Q, js, max_orbit)
+        for i, j in zip(members, js):
+            out[i] = Fraction(vals[j], den)
+    return out
 
 
-def _eval_exact_reduced(f: FuncExpr, x: Fraction, max_orbit: Optional[int], memo: dict) -> Fraction:
+def _radix_product(f: FuncExpr) -> int:
+    """The product of the radixes of f's series nodes (1 when there are none)."""
+    if isinstance(f, USeries):
+        return f.r * _radix_product(f.psi)
+    if isinstance(f, (Scale, Dilate)):
+        return _radix_product(f.child)
+    if isinstance(f, Sum):
+        return prod(_radix_product(c) for c in f.children)
+    return 1
+
+
+def _eval_leaf_exact(f: FuncExpr, x: Fraction) -> Fraction:
+    """Exact value of a piecewise-polynomial leaf at a reduced x."""
     if isinstance(f, Distance):
         return min(x, 1 - x)
     if isinstance(f, DistancePower):
         return min(x, 1 - x) ** f.power
-    if isinstance(f, USeries):
-        return _u_series_exact(f.psi, f.r, x, max_orbit, memo)
-    if isinstance(f, PolySplinePeriodic):
-        return poly_eval(f.pieces[_spline_piece_index(f.knots, x)], x)
+    if isinstance(f, PolySplinePeriodic):  # the last piece that starts at or before x
+        return poly_eval(f.pieces[bisect_right(f.knots, x, 1, len(f.pieces)) - 1], x)
     if isinstance(f, ThetaSplice):
         if x * f.r <= 1:
             return x * x
         return poly_eval(theta_upper_poly(f.r), x)
-    if isinstance(f, Scale):
-        return f.a * _eval_exact_reduced(f.child, x, max_orbit, memo)
-    if isinstance(f, Sum):
-        return sum(
-            (_eval_exact_reduced(c, x, max_orbit, memo) for c in f.children), _ZERO
-        )
-    if isinstance(f, Dilate):
-        return _eval_exact_reduced(f.child, reduce_mod1(f.m * x), max_orbit, memo)
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        raise UnsupportedExactError(f"{type(f).__name__} has no exact branch")
-    raise TypeError(f"unknown expression {f!r}")
-
-
-def _spline_piece_index(knots: Tuple[Fraction, ...], x: Fraction) -> int:
-    lo, hi = 0, len(knots) - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if knots[mid] <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _u_series_exact(psi: FuncExpr, r: int, x: Fraction, max_orbit: Optional[int], memo: dict) -> Fraction:
-    """Exact series value via the eventually-periodic orbit x -> r*x mod 1.
-
-    For x = j/r^N the orbit hits 0 after at most N steps and the series is a
-    finite sum; a genuine cycle of length L contributes the closed form
-    S / (1 - r^{-L}).  Every orbit point's value goes into ``memo``, which
-    the points of one ``eval_exact_points`` call share.
-    """
-    cache = memo.setdefault((psi, r), {_ZERO: _ZERO})
-    orbit: list = []
-    values: list = []
-    seen: Dict[Fraction, int] = {}
-    cur = x
-    while cur not in cache:
-        if cur in seen:  # the walk closed a cycle at cur
-            j = seen[cur]
-            s = sum((Fraction(v, r**m) for m, v in enumerate(values[j:])), _ZERO)
-            cache[cur] = s / (1 - Fraction(1, r ** (len(orbit) - j)))
-            break
-        if max_orbit is not None and len(orbit) >= max_orbit:
-            raise OrbitLimitError(
-                f"series orbit of {x} exceeded {max_orbit} steps (radix {r})"
-            )
-        seen[cur] = len(orbit)
-        orbit.append(cur)
-        values.append(_eval_exact_reduced(psi, cur, max_orbit, memo))
-        cur = reduce_mod1(cur * r)
-
-    val = cache[cur]
-    for i in range(len(orbit) - 1, -1, -1):  # re-deriving a cycle's start reproduces its value
-        val = values[i] + val / r
-        cache[orbit[i]] = val
-    return cache[x]
+    raise TypeError(f"not a polynomial leaf: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +348,7 @@ def _u_series_exact(psi: FuncExpr, r: int, x: Fraction, max_orbit: Optional[int]
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=_BOUND_CACHE_SIZE)
 def as_piecewise_poly(f: FuncExpr) -> Optional[Tuple[Tuple[Fraction, Fraction, Coeffs], ...]]:
     """Piecewise-polynomial form on [0, 1] when the tree admits one, else None."""
     if isinstance(f, Distance):
@@ -477,8 +466,8 @@ _EPS = 2.3e-16  # outward bound on one relative rounding
 
 def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
     """(value, error bound) with exact rational arguments throughout."""
-    if isinstance(f, (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)):
-        v = float(_eval_exact_reduced(f, x, None, {}))
+    if isinstance(f, _POLY_LEAVES):
+        v = float(_eval_leaf_exact(f, x))
         return v, _ulp(v)
     if isinstance(f, AbsSin):
         xf = float(x)

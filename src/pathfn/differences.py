@@ -18,9 +18,9 @@ Exact scans slice one grid table of f and compare stencils in integers;
 nothing in them passes through float.  Float scans slice the indices to find
 the grid points that stencils touch, evaluate f once at each into a table of
 certified values (:func:`approx_table`), and slice that table the same way.
-The single-stencil functions here evaluate f point by point (the
-orbit-walking ``eval_exact`` or ``eval_approx``), a separate route that the
-tests use as the scans' oracle.
+The single-stencil functions here evaluate f point by point (``eval_exact``,
+which reads each point off its own sparse table, or ``eval_approx``), a
+separate route that the tests use as the scans' oracle.
 """
 
 from __future__ import annotations
@@ -418,7 +418,7 @@ def _probe_rows(
         if yn == 0:  # radix point at depth below its own: scaled is integral
             yn = y
         stencils.append(Triplet(n, k, yn))
-    points = [p for t in stencils for p in t.points(r)]  # one batch, so orbit walks are shared
+    points = [p for t in stencils for p in t.points(r)]  # one batch: points on one orbit share a table
     if mode == "exact":
         vals: List[Scalar] = eval_exact_points(f, points, max_orbit=orbit_cap)
     else:

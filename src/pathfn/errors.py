@@ -15,8 +15,9 @@ class UnsupportedExactError(PathfnError):
 
 
 class OrbitLimitError(PathfnError):
-    """Exact series evaluation abandoned: the multiply-by-r orbit of the
-    argument exceeded the step cap (its cycle is too long)."""
+    """Exact series evaluation refused before any value work: the
+    multiply-by-r orbit of an argument would add more entries than the cap
+    to a series node's table (its cycle is too long)."""
 
 
 class ResourceLimitError(PathfnError):

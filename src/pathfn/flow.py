@@ -329,6 +329,8 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, err: float = 0.0) ->
     """Lower envelope on [0, 1] of the parabolas vals[k]/den + (x - k/R)^2/(2t),
     R = len(vals) - 1, by the stack algorithm in integers (see the module
     docstring for the crossing num/den)."""
+    g = math.gcd(den, *vals)  # reduced data keep the crossings and their gcds small
+    vals, den = [v // g for v in vals], den // g
     R = len(vals) - 1
     a, b = 2 * t.numerator * R * R, t.denominator * den
     # the crossing of i < j is num / (C (j - i)) with C = 2 b R; C is common to

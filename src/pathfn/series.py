@@ -12,7 +12,7 @@ identity scan reads its left side off the transform's grid table and its
 right side off the generator's table plus ``u_eval_exact``, while
 ``u_delta_identity_residual`` evaluates both sides per triplet; and
 ``u_eval_exact`` sums the transform at j/r^N as a finite sum, without the
-orbit walk and cycle closed form of ``eval_exact``.
+sparse integer table and cycle closed form that ``eval_exact`` reads.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import pathfn.cli as cli
+import pathfn.grid
 import pathfn.series
 from conftest import (
     SPEC_DISTANCE,
@@ -70,6 +71,22 @@ def test_eval_points_orbit_cap_exit_2(capsys, spec_file):
         capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003", "--cap", "100"]
     )
     assert code == 2 and out == "" and "exceeded 100 steps" in err
+
+
+def test_eval_points_orbit_cap_refuses_before_value_work(capsys, spec_file, monkeypatch):
+    # the cap is charged while the sparse table's indices are walked, so the
+    # value rules are never reached; uncapped, the same point reaches them
+    def refuse(*args, **kwargs):
+        raise AssertionError("value work before the orbit cap check")
+
+    for name in ("_poly_points", "_close_cycles"):
+        monkeypatch.setattr(pathfn.grid, name, refuse)
+    code, out, err = run(
+        capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003", "--cap", "100"]
+    )
+    assert code == 2 and out == "" and "exceeded 100 steps" in err
+    with pytest.raises(AssertionError, match="value work"):
+        cli.main(["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003"])
 
 
 def test_eval_unsupported_exact_exits_2(capsys, spec_file):

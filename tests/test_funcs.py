@@ -152,6 +152,65 @@ def test_eval_exact_points_share_orbits():
     assert eval_exact_points(tau2, pair, max_orbit=3) == [eval_exact(tau2, x) for x in pair]
 
 
+def orbit_oracle(f, x):
+    """f(x) by a plain Fraction walk: each series follows its orbit
+    x -> r x mod 1 to the first repeat and closes the cycle with S / (1 - r^-L)."""
+    x %= 1
+    if isinstance(f, Distance):
+        return min(x, 1 - x)
+    if isinstance(f, DistancePower):
+        return min(x, 1 - x) ** f.power
+    if isinstance(f, ThetaSplice):
+        return x * x if x * f.r <= 1 else poly_eval(theta_upper_poly(f.r), x)
+    if isinstance(f, PolySplinePeriodic):
+        return poly_eval(f.pieces[max(i for i, t in enumerate(f.knots[:-1]) if t <= x)], x)
+    if isinstance(f, Scale):
+        return f.a * orbit_oracle(f.child, x)
+    if isinstance(f, Sum):
+        return sum(orbit_oracle(c, x) for c in f.children)
+    if isinstance(f, Dilate):
+        return orbit_oracle(f.child, f.m * x)
+    orbit = []
+    while x not in orbit:
+        orbit.append(x)
+        x = x * f.r % 1
+    start = orbit.index(x)
+    terms = [orbit_oracle(f.psi, y) / f.r**k for k, y in enumerate(orbit)]
+    return sum(terms[:start]) + sum(terms[start:]) / (1 - F(1, f.r ** (len(orbit) - start)))
+
+
+def random_exact_tree(rng, depth):
+    spline = PolySplinePeriodic(knots=(F(0), F(1, 3), F(1)), pieces=((F(0), F(3)), (F(3, 2), F(-3, 2))))
+    leaves = [Distance(), DistancePower(rng.randint(1, 3)), ThetaSplice(rng.choice([2, 3])), spline]
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Scale(F(rng.randint(-5, 5), rng.randint(1, 6)), random_exact_tree(rng, depth - 1))
+    if kind == 1:
+        return Sum(tuple(random_exact_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    if kind == 2:
+        return Dilate(rng.randint(1, 6), random_exact_tree(rng, depth - 1))
+    return USeries(rng.choice([2, 3]), random_exact_tree(rng, depth - 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eval_exact_points_match_orbit_oracle(seed):
+    # denominators 2^a 3^b c mix radix-smooth and coprime parts; x ranges over [-2, 3)
+    rng = random.Random(seed)
+    for _ in range(8):
+        f = random_exact_tree(rng, 3)
+        xs = []
+        for _ in range(10):
+            q = 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3) * rng.choice([1, 5, 7, 11, 13])
+            xs.append(F(rng.randrange(-2 * q, 3 * q), q))
+        xs += [xs[0] * 2, xs[1] * 3, xs[0]]  # points on shared orbits, and a repeat
+        expected = [orbit_oracle(f, x) for x in xs]
+        assert eval_exact_points(f, xs) == expected, f
+        assert eval_exact_points(f, xs[::-1]) == expected[::-1], f
+        assert [eval_exact(f, x) for x in xs] == expected, f
+
+
 def test_eval_exact_unsupported():
     with pytest.raises(UnsupportedExactError):
         eval_exact(AbsSin(), F(1, 2))
