@@ -53,8 +53,10 @@ from .scalars import (
     _mul_up,
     _ulp,
     reduce_mod1,
+    scale_bounds,
     sin_2pi_bounds,
     sin_pi_abs_bounds,
+    sum_bounds,
 )
 
 # Truncation target for default series term counts in float mode.
@@ -476,18 +478,9 @@ def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[flo
         xf = float(x)
         return sin_2pi_bounds(xf, _ulp(xf))
     if isinstance(f, Scale):
-        cv, ce = _eval_ap(f.child, x, series_terms)
-        af = float(f.a)
-        v = cv * af
-        e = _add_up(_mul_up(ce, abs(af)), _mul_up(abs(cv) + ce, _ulp(af)), _ulp(v))
-        return v, e
+        return scale_bounds(*_eval_ap(f.child, x, series_terms), float(f.a))
     if isinstance(f, Sum):
-        v, e = 0.0, 0.0
-        for c in f.children:
-            cv, ce = _eval_ap(c, x, series_terms)
-            v += cv
-            e = _add_up(e, ce, _ulp(v))
-        return v, e
+        return sum_bounds(_eval_ap(c, x, series_terms) for c in f.children)
     if isinstance(f, Dilate):
         return _eval_ap(f.child, reduce_mod1(f.m * x), series_terms)
     if isinstance(f, USeries):

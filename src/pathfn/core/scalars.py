@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -57,20 +57,20 @@ def _down(x: float) -> float:
     return math.nextafter(x, -_INF)
 
 
-def _ulp(x: float) -> float:
-    return math.ulp(x)
+_ulp = math.ulp
+_nextafter = math.nextafter  # called directly in the hot helpers below
 
 
 def _add_up(*terms: float) -> float:
     """Sum of nonnegative error terms, rounded outward at every step."""
     s = 0.0
     for t in terms:
-        s = _up(s + t)
+        s = _nextafter(s + t, _INF)
     return s
 
 
 def _mul_up(a: float, b: float) -> float:
-    return _up(a * b)
+    return _nextafter(a * b, _INF)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,9 @@ class Approx:
         return Approx(-self.value, self.err)
 
     def __sub__(self, other: "ApproxLike") -> "Approx":
-        return self + (-Approx.coerce(other))
+        o = Approx.coerce(other)
+        v = self.value - o.value  # the same float as self + (-o)
+        return Approx(v, _add_up(self.err, o.err, _ulp(v)))
 
     def __rsub__(self, other: "ApproxLike") -> "Approx":
         return Approx.coerce(other) + (-self)
@@ -186,6 +188,25 @@ def scalar_to_json(s: Scalar):
     if isinstance(s, Fraction):
         return format_rational(s)
     return s.as_json()
+
+
+# (value, err) forms of the node rules that float evaluation shares between
+# one point (``eval_approx``) and a whole grid table (``approx_table``).
+
+
+def scale_bounds(xv: float, xe: float, af: float) -> Tuple[float, float]:
+    """(value, err) form of a * x, af = float(a) and a rational, for hot loops."""
+    v = xv * af
+    return v, _add_up(_mul_up(xe, abs(af)), _mul_up(abs(xv) + xe, _ulp(af)), _ulp(v))
+
+
+def sum_bounds(terms: Iterable[Tuple[float, float]]) -> Tuple[float, float]:
+    """(value, err) form of the sum of (value, err) terms, for hot loops."""
+    v, e = 0.0, 0.0
+    for tv, te in terms:
+        v += tv
+        e = _add_up(e, te, _ulp(v))
+    return v, e
 
 
 # Certified trigonometric primitives.  libm's sin is assumed correct to within

@@ -48,6 +48,7 @@ from .core.funcs import (
     USeries,
     as_piecewise_poly,
     eval_exact,
+    eval_exact_points,
     sup_abs_bound,
     supports_exact,
 )
@@ -142,13 +143,22 @@ def dominance_check(
     samples = [Fraction(x) for x in x_samples]
     if x1 < x2:
         samples.append((x1 + x2) / 2)  # guaranteed violation point
+    # Over one common denominator: with t = p/q, x = a/X, the vertex z = Z/P and
+    # f(z) = I/D, q(t, x; z) = [2p(XP)^2 I + qD (aP - ZX)^2] / (2p(XP)^2 D).
+    vertices = (mid, left, right)
+    fz = eval_exact_points(f, vertices)
+    D = math.lcm(*(v.denominator for v in fz))
+    P = math.lcm(*(z.denominator for z in vertices))
+    X = math.lcm(*(x.denominator for x in samples))
+    c, qD = 2 * t.numerator * (X * P) ** 2, t.denominator * D
+    (cm, zm), (cl, zl), (cr, zr) = (
+        (c * v.numerator * (D // v.denominator), z.numerator * (P // z.denominator) * X) for v, z in zip(fz, vertices)
+    )
     witness = None
-    f_mid, f_left, f_right = (eval_exact(f, p) for p in (mid, left, right))
-    inv2t = Fraction(1, 2 * t)
     for x in samples:
-        q_mid = f_mid + (x - mid) ** 2 * inv2t
-        q_edge = min(f_left + (x - left) ** 2 * inv2t, f_right + (x - right) ** 2 * inv2t)
-        if q_mid < q_edge:
+        aP = x.numerator * (X // x.denominator) * P
+        q_mid = cm + qD * (aP - zm) ** 2
+        if q_mid < cl + qD * (aP - zl) ** 2 and q_mid < cr + qD * (aP - zr) ** 2:
             witness = x
             break
     sampled = witness is None

@@ -5,9 +5,11 @@ term for Scale and Sum; index m*j mod Q for Dilate(m); and for a series of
 radix s, V[j] = P[j] + V[s*j mod Q] / s, each cycle of j -> s*j mod Q closed
 with S / (1 - s^-L).  :func:`grid_values` fills the whole grid j = 0..Q;
 :func:`point_values` fills only the closure of the requested j under the
-node maps, which is how exact evaluation reads any rational point.  For the
-stencil (n, k, y = a/B) on Q = B r^n_max, Delta = 2 r^(2n) B g / (a (B - a) D)
-with the integer g = a (I_R - I_M) - (B - a) (I_M - I_L).
+node maps, which is how exact evaluation reads any rational point.
+``differences.approx_table`` follows the same rules in certified floats.
+For the stencil (n, k, y = a/B) on Q = B r^n_max,
+Delta = 2 r^(2n) B g / (a (B - a) D) with the integer
+g = a (I_R - I_M) - (B - a) (I_M - I_L).
 """
 
 from __future__ import annotations
@@ -176,8 +178,12 @@ def _close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequ
     return mult
 
 
-def _series_table(psi: Table, s: int, Q: int) -> Table:
-    pv, pden = psi
+def series_layout(s: int, Q: int) -> Tuple[List[List[int]], int, Iterator[int]]:
+    """(cycles, K, tail) of x -> s x mod 1 on the grid Q: the cycles other
+    than {0}, each listed from its least entry along j -> s*j mod Q; the
+    pre-period K (see :func:`_preperiod`); and an iterator over every other j
+    in [1, Q) by depth, the number of steps it takes to reach a cycle, so
+    that s*j mod Q comes before j."""
     q1, K = _preperiod(s, Q)
     cycles, seen = [], set()
     for j in range(q1, Q, q1):
@@ -186,15 +192,24 @@ def _series_table(psi: Table, s: int, Q: int) -> Table:
             while (j := s * j % Q) != cycles[-1][0]:
                 cycles[-1].append(j)
             seen.update(cycles[-1])
+    return cycles, K, _tail(s, Q, q1, K)
+
+
+def _tail(s: int, Q: int, q1: int, K: int) -> Iterator[int]:
+    prev = q1
+    for t in range(1, K + 1):
+        step = q1 // gcd(q1, s**t)
+        yield from (j for j in range(step, Q, step) if j % prev)
+        prev = step
+
+
+def _series_table(psi: Table, s: int, Q: int) -> Table:
+    pv, pden = psi
+    cycles, K, tail = series_layout(s, Q)
     vals = [0] * (Q + 1)
     mult = _close_cycles(cycles, pv, s, K, vals)
-    prev = q1
-    for t in range(1, K + 1):  # depth t reads depth t - 1, a multiple of s in D
-        step = q1 // gcd(q1, s**t)
-        for j in range(step, Q, step):
-            if j % prev:
-                vals[j] = pv[j] * mult + vals[s * j % Q] // s
-        prev = step
+    for j in tail:  # depth t reads depth t - 1, a multiple of s in D
+        vals[j] = pv[j] * mult + vals[s * j % Q] // s
     return vals, pden * mult
 
 

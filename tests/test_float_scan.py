@@ -1,5 +1,6 @@
-"""Certified float mode on the grid: finite series at grid points, float scans
-read one table of f, and float verdicts come from certified bounds."""
+"""Certified float mode on the grid: finite series at grid points, float
+tables by node rules, float scans read one table of f, and float verdicts come
+from certified bounds."""
 
 import random
 from fractions import Fraction
@@ -24,17 +25,20 @@ from pathfn.core.funcs import (
     series_tail_bound,
     sin_cancellation,
     sup_abs_bound,
+    supports_exact,
     theta_upper_poly,
 )
 from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set, triplet_count
 from pathfn.core.scalars import Approx
 from pathfn.differences import (
     MembershipQuery,
+    approx_table,
     central_second_diff,
     membership_scan,
     semiconcavity_scan,
 )
-from pathfn.grid import scan_grid
+from pathfn.grid import grid_values, scan_grid
+from test_grid import random_tree
 
 F = Fraction
 TAU2 = USeries(2, Distance())
@@ -56,15 +60,32 @@ def random_float_tree(rng, depth):
     return USeries(rng.choice([2, 3]), random_float_tree(rng, depth - 1))
 
 
-def counting_eval(monkeypatch):
+def counting_sine_bounds(monkeypatch):
     calls = []
-
-    def counted(f, x, series_terms=None):
-        calls.append(x)
-        return eval_approx(f, x, series_terms)
-
-    monkeypatch.setattr(differences, "eval_approx", counted)
+    for name in ("sin_pi_abs_bounds", "sin_2pi_bounds"):
+        real = getattr(differences, name)
+        monkeypatch.setattr(differences, name, lambda xv, xe, _real=real: calls.append(xv) or _real(xv, xe))
     return calls
+
+
+def table_margins(f, r, n_max, ys, offset):
+    """{triplet: margin} built from the entries of one approx_table by index,
+    with the Approx operations of ``central_second_diff`` plus the offset."""
+    Q = scan_grid(r, n_max, ys)
+    B = Q // r**n_max
+    table = approx_table(f, Q)
+    out = {}
+    for t in enumerate_triplets(r, n_max, ys):
+        cell = B * r ** (n_max - t.n)
+        lv, mv, rv = table[t.k * cell], table[t.k * cell + int(t.y * cell)], table[(t.k + 1) * cell]
+        diff = (rv - mv) / Approx.from_fraction((1 - t.y) / r**t.n) - (mv - lv) / Approx.from_fraction(t.y / r**t.n)
+        out[t] = diff * Approx(float(2 * r**t.n), 0.0) + Approx.from_fraction(offset(t.n))
+    return out
+
+
+def contains(a, x):
+    """The Approx invariant |x - value| <= err, without the slack of lo() and hi()."""
+    return abs(x - F(a.value)) <= F(a.err)
 
 
 # ------------------------------------------------------------- float scans
@@ -74,29 +95,35 @@ def counting_eval(monkeypatch):
 @pytest.mark.parametrize("r, n_max, ys", [
     (2, 3, radix_y_set(2, 2)),
     (3, 2, radix_y_set(3, 1)),
-    (2, 2, (F(1, 3), F(2, 5))),  # non-radix: Q = 15 * 4 exceeds the 3 * 14 stencil points
+    (2, 2, (F(1, 3), F(2, 5))),  # non-radix: series orbits on Q = 15 * 4 have cycles
 ])
 def test_float_scan_margins_equal_per_stencil_margins(monkeypatch, seed, r, n_max, ys):
+    # the scan reads its margins off one table, each containing the true margin:
+    # it overlaps the per-stencil float margin, and holds the exact one when f has it
     rng = random.Random(seed)
     f = USeries(r, random_float_tree(rng, 2)) if seed % 2 else random_float_tree(rng, 3)
     offset = lambda n: 2 * F(3, 2) * r**n  # noqa: E731
-    grid = scan_grid(r, n_max, ys)
-    calls = counting_eval(monkeypatch)
-    got = list(differences._scan_margins(f, r, n_max, ys, grid, offset))
-    triplets = list(enumerate_triplets(r, n_max, ys))
-    assert len(calls) == len(set(calls)) <= min(grid + 1, 3 * len(triplets))
-    assert sorted(t for _, t in got) == triplets
-    for (m, t) in got:
-        want = central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n))
-        assert (m.value, m.err) == (want.value, want.err), (f, t)
+    got = list(differences._scan_margins(f, r, n_max, ys, scan_grid(r, n_max, ys), offset))
+    want = table_margins(f, r, n_max, ys, offset)
+    assert sorted(t for _, t in got) == list(want)
+    for m, t in got:
+        assert (m.value, m.err) == (want[t].value, want[t].err), (f, t)
+        assert m.overlaps(central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n))), (f, t)
+        if supports_exact(f):
+            assert contains(m, central_second_diff(f, t, r, "exact") + offset(t.n)), (f, t)
 
 
 def test_float_scan_reads_each_grid_point_once(monkeypatch):
-    calls = counting_eval(monkeypatch)
+    # each sine leaf is evaluated once per grid point, and no point is evaluated on its own
+    monkeypatch.setattr(differences, "eval_approx", lambda *a: pytest.fail("per-point evaluation in a scan"))
+    calls = counting_sine_bounds(monkeypatch)
     ys = radix_y_set(2, 3)
-    rep = membership_scan(MembershipQuery(f=TAU2, c=F(2), r=2, n_max=4, y_set=ys, mode="float"))
-    assert rep.scanned == triplet_count(2, 4, len(ys))
-    assert len(calls) == scan_grid(2, 4, ys) + 1 <= 3 * rep.scanned
+    # two sine leaves in each f; tau2 is read off its exact table
+    for f in (USeries(2, sin_cancellation(2)), Sum((USeries(3, Sin2Pi()), Dilate(3, AbsSin()), TAU2))):
+        calls.clear()
+        rep = membership_scan(MembershipQuery(f=f, c=F(2), r=2, n_max=4, y_set=ys, mode="float"))
+        assert rep.scanned == triplet_count(2, 4, len(ys))
+        assert len(calls) <= 2 * (scan_grid(2, 4, ys) + 1)
 
 
 @pytest.mark.parametrize("f, r, ys, alpha", [
@@ -114,12 +141,65 @@ def test_float_scan_worst_is_the_first_largest_centre(f, r, ys, alpha):
     else:
         rep = semiconcavity_scan(f, alpha, r, 3, ys, mode="float")
         offset = lambda n: -alpha  # noqa: E731
-    margins = [(central_second_diff(f, t, r, "float") + Approx.from_fraction(offset(t.n)), t)
-               for t in enumerate_triplets(r, 3, ys)]
-    best = max(m.value for m, _ in margins)
-    ties = [(m, t) for m, t in margins if m.value == best]
+    margins = table_margins(f, r, 3, ys, offset)
+    best = max(m.value for m in margins.values())
+    ties = [(m, t) for t, m in margins.items() if m.value == best]
     assert (rep.worst_margin, rep.worst_triplet) == ties[0]
     assert alpha is not None or len(ties) > 1
+
+
+# ------------------------------------------------ float tables by node rules
+
+NON_RADIX_YS = (F(1, 3), F(2, 5))
+TABLE_GRIDS = [(2, 2**6, True), (3, 3**4, True),
+               (2, scan_grid(2, 2, NON_RADIX_YS), False), (3, scan_grid(3, 2, NON_RADIX_YS), False)]
+GRID_IDS = ["r2-radix", "r3-radix", "r2-non-radix", "r3-non-radix"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("r, Q, radix", TABLE_GRIDS, ids=GRID_IDS)
+def test_approx_table_overlaps_pointwise_evaluation(seed, r, Q, radix):
+    rng = random.Random(seed)
+    f = USeries(r, random_float_tree(rng, 2)) if seed % 2 else random_float_tree(rng, 3)
+    table = approx_table(f, Q)
+    assert len(table) == Q + 1 and table[Q] == table[0]
+    exact = grid_values(f, Q) if supports_exact(f) else None
+    for j, a in enumerate(table):
+        p = eval_approx(f, F(j, Q))
+        assert a.overlaps(p), (f, j)
+        assert not radix or a.err <= p.err, (f, j)  # off the radix grid, p carries a series tail
+        assert exact is None or contains(a, F(exact[0][j], exact[1])), (f, j)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("r, Q, radix", TABLE_GRIDS, ids=GRID_IDS)
+def test_approx_table_node_rules_contain_the_exact_table(monkeypatch, seed, r, Q, radix):
+    # read only the leaves off exact tables, so that every Scale, Sum, Dilate
+    # and series node of an exact tree runs its float rule
+    f = random_tree(random.Random(seed), 3)
+    vals, den = grid_values(f, Q)
+    monkeypatch.setattr(differences, "supports_exact", lambda g: not isinstance(g, (Scale, Sum, Dilate, USeries)))
+    table = approx_table(f, Q)
+    assert table[Q] == table[0]
+    for j, (a, v) in enumerate(zip(table, vals)):
+        assert contains(a, F(v, den)), (f, j)
+
+
+@pytest.mark.parametrize("s, Q", [(2, 60), (2, 81), (3, 64)])
+def test_cycle_closing_series_contains_the_mpmath_cycle_sum(s, Q):
+    # V(j) = sum over the orbit's pre-period, then the cycle sum C / (1 - s^-L), at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    table = approx_table(USeries(s, AbsSin()), Q)
+    with mpmath.workdps(50):
+        for j, a in enumerate(table):
+            orbit = [j % Q]
+            while (nxt := s * orbit[-1] % Q) not in orbit:
+                orbit.append(nxt)
+            mu, L = orbit.index(nxt), len(orbit) - orbit.index(nxt)
+            p = [abs(mpmath.sinpi(mpmath.mpf(i) / Q)) for i in orbit]
+            cycle = sum(p[mu + m] / mpmath.mpf(s) ** m for m in range(L)) / (1 - mpmath.mpf(s) ** -L)
+            true = sum(p[m] / mpmath.mpf(s) ** m for m in range(mu)) + cycle / mpmath.mpf(s) ** mu
+            assert mpmath.mpf(a.lo()) <= true <= mpmath.mpf(a.hi()), (j, a)
 
 
 # --------------------------------------------------- verdicts from bounds

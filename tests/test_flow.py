@@ -125,6 +125,24 @@ def test_dominance_audit_never_disagrees():
         assert dominance_check(f, tr, 2, t, xs).agree
 
 
+def test_dominance_witness_is_the_first_fraction_sample_below_both_edges():
+    # the integer comparison against the plain Fraction one, on samples with mixed denominators
+    rng = random.Random(11)
+    pool = [TAU2, Distance(), psi_zero(1, 1), ThetaSplice(2), USeries(2, psi_zero(1, 1))]
+    for _ in range(60):
+        f = pool[rng.randrange(len(pool))]
+        n = rng.randint(0, 4)
+        tr = Triplet(n, rng.randrange(2**n), F(rng.randint(1, 31), 32))
+        t = F(rng.randint(1, 64), rng.randint(1, 640))
+        xs = [F(rng.randint(-20, 120), rng.randint(1, 97)) for _ in range(rng.randint(0, 30))]
+        x1, x2 = crossing_points(f, tr, 2, t)
+        samples = xs + [(x1 + x2) / 2] * (x1 < x2)
+        left, mid, right = tr.points(2)
+        q = {z: (lambda x, z=z: eval_exact(f, z) + (x - z) ** 2 / (2 * t)) for z in (left, mid, right)}
+        want = next((x for x in samples if q[mid](x) < min(q[left](x), q[right](x))), None)
+        assert dominance_check(f, tr, 2, t, xs).witness_x == want
+
+
 # ---------------------------------------------------------------- flow grid
 
 
