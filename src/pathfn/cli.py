@@ -273,6 +273,8 @@ def cmd_flow(args, out: io.StringIO) -> int:
     xs = [] if d is None else [Fraction(j, r ** min(d, 6)) for j in range(r ** min(d, 6) + 1)]
     brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, d, r)
     check_scan_cap(args.cap, brute_evals, r ** q.depth(), unit="brute-force evaluations")  # grid: r^n + 1 vertices
+    ys = radix_y_set(r, 1)  # flow_grid's steepness scan at depth n
+    check_scan_cap(args.cap, triplet_count(r, q.depth(), len(ys)), scan_grid(r, q.depth(), ys))
     pq = flow_grid(q)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"
@@ -335,13 +337,8 @@ def cmd_probe(args, out: io.StringIO) -> int:
             lines.append(
                 f"{row.n},{format_rational(row.dplus)},{format_rational(row.dminus)},{format_rational(row.gap)}"
             )
-        else:
-            def _v(s):
-                return s.value if isinstance(s, Approx) else float(s)
-
-            lines.append(
-                f"{row.n},{_v(row.dplus)!r},{_v(row.dminus)!r},{_v(row.gap)!r},{row.gap.err!r}"
-            )
+        else:  # every row of a float probe holds Approx values
+            lines.append(f"{row.n},{row.dplus.value!r},{row.dminus.value!r},{row.gap.value!r},{row.gap.err!r}")
     out.write("\n".join(lines) + "\n")
     return EXIT_PASS
 

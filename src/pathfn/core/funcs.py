@@ -1,4 +1,5 @@
-"""The catalog of periodic base functions and its evaluators.
+"""The catalog of periodic base functions: the node kinds of the expression
+tree, each with its rules, and the evaluators built on them.
 
 Every expression denotes a continuous function with period 1 and value 0 at
 the integers.  The tree algebra is closed under scaling, finite sums, integer
@@ -7,6 +8,15 @@ dilation x -> f(m x), and the self-similar series transform
     (U_psi)(x) = sum_{j>=0} r^{-j} psi(r^j x),
 
 which is the engine behind Takagi-style constructions.
+
+Each node kind owns its rules, as methods of its class (the protocol is
+documented on :class:`FuncExpr`); nothing else in the package tests a node's
+type.  Leaves come in two families: a :class:`PolyLeaf` exposes its
+polynomial pieces, and every route reads it off them; a :class:`SineLeaf`
+exposes its certified bounds function.  Walks that only follow the tree's
+shape (:func:`supports_exact`, the product of the series radixes, the
+nonnegativity certificate of ``pathfn.flow``) recurse through ``children``.
+The table rules use the node-free grid machinery of :mod:`pathfn.grid`.
 
 Two evaluation modes:
 
@@ -28,14 +38,16 @@ Two evaluation modes:
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import FuncSpecError
+from ..errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
+from ..grid import Points, Table, close_cycles, point_values, poly_points, poly_table, preperiod, series_layout
 from .polys import (
     Coeffs,
     certify_nonneg,
@@ -52,6 +64,7 @@ from .scalars import (
     _add_up,
     _mul_up,
     _ulp,
+    _up,
     reduce_mod1,
     scale_bounds,
     sin_2pi_bounds,
@@ -69,20 +82,112 @@ _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
+_EPS = 2.3e-16  # outward bound on one relative rounding
+_MIN_NORMAL = sys.float_info.min
+
+# (lo, hi, coefficients in ascending powers of the global x) per piece of [0, 1]
+PiecewisePoly = Tuple[Tuple[Fraction, Fraction, Coeffs], ...]
+Rows = List[Tuple[float, float]]
+
 
 class FuncExpr:
-    """Base class of the expression tree; all variants are frozen dataclasses."""
+    """Base class of the expression tree; all variants are frozen dataclasses.
+
+    The node protocol.  ``children`` holds the subexpressions.  The node's
+    own rules are its methods: ``piecewise`` (its pieces on [0, 1], or
+    None), ``sup_abs`` (a bound on sup |f| for a node without pieces),
+    ``approx`` (certified (value, err) at one reduced rational x) and the
+    hooks ``_table``, ``_walk`` and ``_rows`` that :meth:`table`,
+    :meth:`walk` and :meth:`rows` call once their generic rule does not
+    apply.  The shape walks read three flags: ``exact`` (False for a node
+    with no exact branch of its own), ``keeps_nonneg`` (the node is
+    nonnegative on [0, 1] whenever its children are) and ``series_radix``.
+    """
 
     __slots__ = ()
+    exact = True
+    keeps_nonneg = True
+    series_radix = 1
+
+    def piecewise(self) -> Optional[PiecewisePoly]:
+        return None
+
+    def table(self, Q: int) -> Table:
+        """(I, D) with f(j/Q) = I[j] / D for j = 0..Q: off the pieces when
+        the tree has them, else by the node's rule."""
+        pw = as_piecewise_poly(self)
+        return poly_table(pw, Q) if pw is not None else self._table(Q)
+
+    def walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
+        """Walk the index closure of ``js`` under the node maps, charging
+        ``cap``, and return the function that computes the values on it."""
+        pw = as_piecewise_poly(self)
+        if pw is not None:
+            return lambda: poly_points(pw, Q, js)
+        return self._walk(Q, js, cap)
+
+    def rows(self, Q: int) -> Rows:
+        """Certified (value, err) of f(j/Q) for j = 0..Q.  A tree with an
+        exact branch is its integer table, each entry rounded once
+        (int / int is correctly rounded); otherwise the node's rule acts on
+        its children's rows as ``approx`` acts on their values."""
+        if supports_exact(self):
+            vals, den = self.table(Q)
+            rounded = [i / den for i in vals]
+            return [(v, _ulp(v) if i else 0.0) for i, v in zip(vals, rounded)]
+        return self._rows(Q)
+
+
+class PolyLeaf(FuncExpr):
+    """A leaf that is one polynomial on each piece of [0, 1].  It defines only
+    ``piecewise``; every route reads the leaf off its pieces."""
+
+    children: Tuple[FuncExpr, ...] = ()
+    keeps_nonneg = False  # its pieces decide
+
+    def piecewise(self) -> PiecewisePoly:
+        raise NotImplementedError
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        v = float(_piece_value(as_piecewise_poly(self), x))
+        return v, _ulp(v)
+
+
+class SineLeaf(FuncExpr):
+    """A trigonometric leaf: no exact branch, sup |f| <= 1, and the
+    certified bounds function ``bounds(xv, xe)`` -> (value, err) of f at any
+    x with |x - xv| <= xe."""
+
+    children: Tuple[FuncExpr, ...] = ()
+    exact = False
+
+    def sup_abs(self) -> Fraction:
+        return _ONE
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        xf = float(x)
+        return self.bounds(xf, _ulp(xf))
+
+    def _table(self, *args) -> Table:
+        raise UnsupportedExactError(f"{type(self).__name__} has no exact branch")
+
+    _walk = _table
+
+    def _rows(self, Q: int) -> Rows:
+        rows = [self.bounds(x, _ulp(x)) for x in (j / Q for j in range(Q))]
+        return rows + rows[:1]
 
 
 @dataclass(frozen=True)
-class Distance(FuncExpr):
+class Distance(PolyLeaf):
     """Distance to the nearest integer: the 1-periodic tent with peak 1/2."""
 
+    def piecewise(self) -> PiecewisePoly:
+        return ((_ZERO, _HALF, (_ZERO, _ONE)), (_HALF, _ONE, (_ONE, Fraction(-1))))
+
 
 @dataclass(frozen=True)
-class DistancePower(FuncExpr):
+class DistancePower(PolyLeaf):
     """d(x)^p for an integer power p >= 1."""
 
     power: int
@@ -91,9 +196,13 @@ class DistancePower(FuncExpr):
         if not isinstance(self.power, int) or self.power < 1:
             raise FuncSpecError(f"distance power must be an integer >= 1, got {self.power!r}")
 
+    def piecewise(self) -> PiecewisePoly:
+        mono = tuple([_ZERO] * self.power + [_ONE])  # t^p
+        return ((_ZERO, _HALF, mono), (_HALF, _ONE, poly_compose_affine(mono, _ONE, Fraction(-1))))
+
 
 @dataclass(frozen=True)
-class PolySplinePeriodic(FuncExpr):
+class PolySplinePeriodic(PolyLeaf):
     """Piecewise polynomial on [0, 1], extended periodically.
 
     ``knots`` runs 0 = t_0 < ... < t_m = 1 and ``pieces[i]`` holds the
@@ -126,19 +235,12 @@ class PolySplinePeriodic(FuncExpr):
             if left != right:
                 raise FuncSpecError(f"spline discontinuous at knot {knots[i]}: {left} != {right}")
 
-
-@dataclass(frozen=True)
-class AbsSin(FuncExpr):
-    """|sin(pi x)|; no exact branch."""
+    def piecewise(self) -> PiecewisePoly:
+        return tuple(zip(self.knots, self.knots[1:], self.pieces))
 
 
 @dataclass(frozen=True)
-class Sin2Pi(FuncExpr):
-    """sin(2 pi x); no exact branch."""
-
-
-@dataclass(frozen=True)
-class ThetaSplice(FuncExpr):
+class ThetaSplice(PolyLeaf):
     """x^2 on [0, 1/r], continued by the unique quintic that is C^2 across
     both junctions of the periodic extension and stays positive on (0, 1).
 
@@ -154,6 +256,25 @@ class ThetaSplice(FuncExpr):
         _check_radix(self.r)
         theta_upper_poly(self.r)  # construct and validate eagerly
 
+    def piecewise(self) -> PiecewisePoly:
+        a = Fraction(1, self.r)
+        return ((_ZERO, a, (_ZERO, _ZERO, _ONE)), (a, _ONE, theta_upper_poly(self.r)))
+
+
+@dataclass(frozen=True)
+class AbsSin(SineLeaf):
+    """|sin(pi x)|; no exact branch."""
+
+    bounds = staticmethod(sin_pi_abs_bounds)
+
+
+@dataclass(frozen=True)
+class Sin2Pi(SineLeaf):
+    """sin(2 pi x); no exact branch."""
+
+    bounds = staticmethod(sin_2pi_bounds)
+    keeps_nonneg = False
+
 
 @dataclass(frozen=True)
 class Scale(FuncExpr):
@@ -165,6 +286,43 @@ class Scale(FuncExpr):
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
         _check_child(self.child)
+
+    @property
+    def children(self) -> Tuple[FuncExpr, ...]:
+        return (self.child,)
+
+    @property
+    def keeps_nonneg(self) -> bool:
+        return self.a >= 0
+
+    def piecewise(self) -> Optional[PiecewisePoly]:
+        sub = as_piecewise_poly(self.child)
+        if sub is None:
+            return None
+        return tuple((lo, hi, poly_scale(cs, self.a)) for lo, hi, cs in sub)
+
+    def sup_abs(self) -> Fraction:
+        return abs(self.a) * sup_abs_bound(self.child)
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        return scale_bounds(*self.child.approx(x, series_terms), float(self.a))
+
+    def _table(self, Q: int) -> Table:
+        vals, den = self.child.table(Q)
+        return [self.a.numerator * v for v in vals], den * self.a.denominator
+
+    def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
+        child = self.child.walk(Q, js, cap)
+
+        def scale() -> Points:
+            vals, den = child()
+            return {j: self.a.numerator * vals[j] for j in js}, den * self.a.denominator
+
+        return scale
+
+    def _rows(self, Q: int) -> Rows:
+        af = float(self.a)
+        return [scale_bounds(v, e, af) for v, e in self.child.rows(Q)]
 
 
 @dataclass(frozen=True)
@@ -181,6 +339,45 @@ class Sum(FuncExpr):
         for c in children:
             _check_child(c)
 
+    def piecewise(self) -> Optional[PiecewisePoly]:
+        subs = [as_piecewise_poly(c) for c in self.children]
+        if any(s is None for s in subs):
+            return None
+        cuts = sorted({b for s in subs for piece in s for b in (piece[0], piece[1])})
+        out = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            acc: Coeffs = (_ZERO,)
+            for s in subs:
+                piece = next(p for p in s if p[0] <= lo and hi <= p[1])
+                acc = poly_add(acc, piece[2])
+            out.append((lo, hi, acc))
+        return tuple(out)
+
+    def sup_abs(self) -> Fraction:
+        return sum((sup_abs_bound(c) for c in self.children), _ZERO)
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        return sum_bounds(c.approx(x, series_terms) for c in self.children)
+
+    def _table(self, Q: int) -> Table:
+        tables = [c.table(Q) for c in self.children]
+        den = lcm(*(d for _, d in tables))
+        scaled = [[den // d * v for v in vals] for vals, d in tables]
+        return [sum(col) for col in zip(*scaled)], den
+
+    def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
+        children = [c.walk(Q, js, cap) for c in self.children]
+
+        def add() -> Points:
+            tables = [c() for c in children]
+            den = lcm(*(d for _, d in tables))
+            return {j: sum(den // d * vals[j] for vals, d in tables) for j in js}, den
+
+        return add
+
+    def _rows(self, Q: int) -> Rows:
+        return [sum_bounds(col) for col in zip(*(c.rows(Q) for c in self.children))]
+
 
 @dataclass(frozen=True)
 class Dilate(FuncExpr):
@@ -194,12 +391,57 @@ class Dilate(FuncExpr):
             raise FuncSpecError(f"dilation factor must be an integer >= 1, got {self.m!r}")
         _check_child(self.child)
 
+    @property
+    def children(self) -> Tuple[FuncExpr, ...]:
+        return (self.child,)
+
+    def piecewise(self) -> Optional[PiecewisePoly]:
+        sub = as_piecewise_poly(self.child)
+        if sub is None:
+            return None
+        out = []
+        for k in range(self.m):
+            for lo, hi, cs in sub:
+                out.append(
+                    (
+                        Fraction(k + lo, self.m),
+                        Fraction(k + hi, self.m),
+                        poly_compose_affine(cs, Fraction(-k), Fraction(self.m)),
+                    )
+                )
+        return tuple(out)
+
+    def sup_abs(self) -> Fraction:
+        return sup_abs_bound(self.child)
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        return self.child.approx(reduce_mod1(self.m * x), series_terms)
+
+    def _table(self, Q: int) -> Table:
+        vals, den = self.child.table(Q)
+        return [vals[self.m * j % Q] for j in range(Q + 1)], den
+
+    def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
+        image = {j: self.m * j % Q for j in js}
+        child = self.child.walk(Q, list(dict.fromkeys(image.values())), cap)
+
+        def dilate() -> Points:
+            vals, den = child()
+            return {j: vals[i] for j, i in image.items()}, den
+
+        return dilate
+
+    def _rows(self, Q: int) -> Rows:
+        rows = self.child.rows(Q)
+        return [rows[self.m * j % Q] for j in range(Q + 1)]
+
 
 @dataclass(frozen=True)
 class USeries(FuncExpr):
     """The series transform sum_j r^{-j} psi(r^j x) of a generator psi.
 
-    The radix-r Takagi function is ``USeries(r, Distance())``.
+    The radix-r Takagi function is ``USeries(r, Distance())``.  Every table
+    rule follows V[j] = P[j] + V[s*j mod Q] / s on the grid Q, s = r.
     """
 
     r: int
@@ -209,8 +451,120 @@ class USeries(FuncExpr):
         _check_radix(self.r)
         _check_child(self.psi)
 
+    @property
+    def children(self) -> Tuple[FuncExpr, ...]:
+        return (self.psi,)
 
-_POLY_LEAVES = (Distance, DistancePower, PolySplinePeriodic, ThetaSplice)
+    @property
+    def series_radix(self) -> int:
+        return self.r
+
+    def sup_abs(self) -> Fraction:
+        """The geometric-series envelope sup|psi| * r/(r-1)."""
+        return sup_abs_bound(self.psi) * Fraction(self.r, self.r - 1)
+
+    def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
+        psi, r = self.psi, self.r
+        terms = series_terms if series_terms is not None else default_series_terms(psi, r)
+        if terms < 1:
+            raise ValueError("term count must be >= 1")
+        v, e = 0.0, 0.0
+        w = 1.0        # float of r^-j; exact for powers of two
+        w_rel = 0.0    # accumulated relative error of w
+        cur = x
+        for j in range(terms):
+            if cur == 0:  # every later term is psi(integer) = 0: the sum is exact
+                return v, e
+            pv, pe = psi.approx(cur, None)
+            tv = pv * w
+            w_hi = _mul_up(w, 1.0 + w_rel)  # upper bound on the true r^-j
+            e = _add_up(
+                e,
+                _mul_up(pe, w_hi),
+                _mul_up(abs(pv), _mul_up(w, w_rel)),
+                _ulp(tv),
+            )
+            v += tv
+            e = _add_up(e, _ulp(v))
+            cur = reduce_mod1(cur * r)
+            w /= r
+            w_rel = _add_up(w_rel, _EPS)
+        tail = float(series_tail_bound(psi, r, terms))
+        return v, _add_up(e, tail, _ulp(tail))
+
+    def _table(self, Q: int) -> Table:
+        pv, pden = self.psi.table(Q)
+        s = self.r
+        cycles, K, tail = series_layout(s, Q)
+        vals = [0] * (Q + 1)
+        mult = close_cycles(cycles, pv, s, K, vals)
+        for j in tail:  # depth t reads depth t - 1, a multiple of s in D
+            vals[j] = pv[j] * mult + vals[s * j % Q] // s
+        return vals, pden * mult
+
+    def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
+        s = self.r
+        closure: Dict[int, int] = {0: -1}  # entry -> its place in ``order``; V[0] = 0
+        order: List[int] = []
+        cycles: List[List[int]] = []
+        tails: List[List[int]] = []  # each walk's entries before a cycle it closed
+        for x in js:
+            start, j = len(order), x
+            while j not in closure:
+                if cap is not None and len(order) - start >= cap:
+                    raise OrbitLimitError(f"series orbit of {Fraction(x, Q)} exceeded {cap} steps (radix {s})")
+                closure[j] = len(order)
+                order.append(j)
+                j = s * j % Q
+            stop = len(order)
+            if closure[j] >= start:  # the walk closed a new cycle at j
+                stop = closure[j]
+                cycles.append(order[stop:])
+            tails.append(order[start:stop])
+        psi = self.psi.walk(Q, order, cap)
+        K = preperiod(s, Q)[1]
+
+        def series() -> Points:
+            pv, pden = psi()
+            vals = {0: 0}
+            mult = close_cycles(cycles, pv, s, K, vals)
+            for tail in tails:
+                for j in reversed(tail):  # depth d reads depth d - 1, a multiple of s in D
+                    vals[j] = pv[j] * mult + vals[s * j % Q] // s
+            return vals, pden * mult
+
+        return series
+
+    def _rows(self, Q: int) -> Rows:
+        """A cycle c_0 -> ... -> c_(L-1) -> c_0 is closed at its head by the
+        certified quotient S / (1 - s^-L) of its Horner sum S, then walked
+        backward, V[c_m] = P[c_m] + V[c_(m+1)] / s, so that every step
+        divides the error carried along by s."""
+        pv, s = self.psi.rows(Q), self.r
+        cycles, _, tail = series_layout(s, Q)
+        vals = [(0.0, 0.0)] * (Q + 1)
+
+        def step(j: int, w: Tuple[float, float]) -> Tuple[float, float]:
+            """P[j] + w / s, certified; the quotient is exact when s is a power
+            of two and it is normal."""
+            pj, wv = pv[j], w[0] / s
+            we = _up(w[1] / s)
+            if s & (s - 1) or (w[0] and abs(wv) < _MIN_NORMAL):
+                we = _add_up(we, _ulp(wv))
+            v = pj[0] + wv
+            return v, _add_up(pj[1], we, _ulp(v))
+
+        for c in cycles:
+            L, acc = len(c), pv[c[-1]]
+            for j in reversed(c[:-1]):
+                acc = step(j, acc)
+            head = Approx(*acc) / Approx.from_fraction(Fraction(s**L - 1, s**L))
+            vals[c[0]] = (head.value, head.err)
+            for m in range(L - 1, 0, -1):
+                vals[c[m]] = step(c[m], vals[c[(m + 1) % L]])
+        for j in tail:
+            vals[j] = step(j, vals[s * j % Q])
+        return vals
 
 
 def _check_radix(r) -> None:
@@ -254,19 +608,12 @@ def theta_upper_poly(r: int) -> Coeffs:
 
 def supports_exact(f: FuncExpr) -> bool:
     """Whether every path of the tree has an exact rational branch."""
-    if isinstance(f, _POLY_LEAVES):
-        return True
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        return False
-    if isinstance(f, Scale):
-        return supports_exact(f.child)
-    if isinstance(f, Dilate):
-        return supports_exact(f.child)
-    if isinstance(f, Sum):
-        return all(supports_exact(c) for c in f.children)
-    if isinstance(f, USeries):
-        return supports_exact(f.psi)
-    raise TypeError(f"unknown expression {f!r}")
+    return f.exact and all(supports_exact(c) for c in f.children)
+
+
+def _radix_product(f: FuncExpr) -> int:
+    """The product of the radixes of f's series nodes (1 when there are none)."""
+    return f.series_radix * prod(_radix_product(c) for c in f.children)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +634,10 @@ def eval_exact(f: FuncExpr, x: Union[Fraction, int], max_orbit: Optional[int] = 
 def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[int] = None) -> List[Fraction]:
     """[f(x) for x in xs] as exact rationals.
 
-    A polynomial leaf is evaluated at each point directly.  Otherwise the
-    reduced points are grouped by the part of their denominator that is
-    coprime to f's series radixes, which multiplying by a radix never
-    changes, so points on one orbit share a group.  Each group is read off
+    A tree with polynomial pieces is evaluated at each point directly.
+    Otherwise the reduced points are grouped by the part of their
+    denominator that is coprime to f's series radixes, which multiplying by
+    a radix never changes, so points on one orbit share a group.  Each group is read off
     one sparse integer table on the lcm Q of its denominators, dropped after
     its points are read.  ``max_orbit`` caps the entries that each point
     adds to its group's table of each series node, in list order; the cap is
@@ -298,10 +645,9 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
     computed, and exceeding it raises :class:`OrbitLimitError`.
     """
     xs = [reduce_mod1(Fraction(x)) for x in xs]
-    if isinstance(f, _POLY_LEAVES):  # a leaf needs no table
-        return [_eval_leaf_exact(f, x) for x in xs]
-    from ..grid import point_values  # the grid engine builds on this module
-
+    pw = as_piecewise_poly(f)
+    if pw is not None:  # no table needed
+        return [_piece_value(pw, x) for x in xs]
     radixes = _radix_product(f)
     groups: Dict[int, List[int]] = {}  # coprime part -> positions in xs
     for i, x in enumerate(xs):
@@ -319,30 +665,9 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
     return out
 
 
-def _radix_product(f: FuncExpr) -> int:
-    """The product of the radixes of f's series nodes (1 when there are none)."""
-    if isinstance(f, USeries):
-        return f.r * _radix_product(f.psi)
-    if isinstance(f, (Scale, Dilate)):
-        return _radix_product(f.child)
-    if isinstance(f, Sum):
-        return prod(_radix_product(c) for c in f.children)
-    return 1
-
-
-def _eval_leaf_exact(f: FuncExpr, x: Fraction) -> Fraction:
-    """Exact value of a piecewise-polynomial leaf at a reduced x."""
-    if isinstance(f, Distance):
-        return min(x, 1 - x)
-    if isinstance(f, DistancePower):
-        return min(x, 1 - x) ** f.power
-    if isinstance(f, PolySplinePeriodic):  # the last piece that starts at or before x
-        return poly_eval(f.pieces[bisect_right(f.knots, x, 1, len(f.pieces)) - 1], x)
-    if isinstance(f, ThetaSplice):
-        if x * f.r <= 1:
-            return x * x
-        return poly_eval(theta_upper_poly(f.r), x)
-    raise TypeError(f"not a polynomial leaf: {f!r}")
+def _piece_value(pw: PiecewisePoly, x: Fraction) -> Fraction:
+    """The value at x in [0, 1] of the last piece that starts at or before x."""
+    return poly_eval(pw[bisect_right(pw, x, 1, len(pw), key=lambda piece: piece[0]) - 1][2], x)
 
 
 # ---------------------------------------------------------------------------
@@ -351,58 +676,9 @@ def _eval_leaf_exact(f: FuncExpr, x: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=_BOUND_CACHE_SIZE)
-def as_piecewise_poly(f: FuncExpr) -> Optional[Tuple[Tuple[Fraction, Fraction, Coeffs], ...]]:
+def as_piecewise_poly(f: FuncExpr) -> Optional[PiecewisePoly]:
     """Piecewise-polynomial form on [0, 1] when the tree admits one, else None."""
-    if isinstance(f, Distance):
-        return ((_ZERO, _HALF, (_ZERO, _ONE)), (_HALF, _ONE, (_ONE, Fraction(-1))))
-    if isinstance(f, DistancePower):
-        p = f.power
-        mono = tuple([_ZERO] * p + [_ONE])  # t^p
-        return (
-            (_ZERO, _HALF, mono),
-            (_HALF, _ONE, poly_compose_affine(mono, _ONE, Fraction(-1))),
-        )
-    if isinstance(f, PolySplinePeriodic):
-        return tuple(
-            (f.knots[i], f.knots[i + 1], f.pieces[i]) for i in range(len(f.pieces))
-        )
-    if isinstance(f, ThetaSplice):
-        a = Fraction(1, f.r)
-        return ((_ZERO, a, (_ZERO, _ZERO, _ONE)), (a, _ONE, theta_upper_poly(f.r)))
-    if isinstance(f, Scale):
-        sub = as_piecewise_poly(f.child)
-        if sub is None:
-            return None
-        return tuple((lo, hi, poly_scale(cs, f.a)) for lo, hi, cs in sub)
-    if isinstance(f, Dilate):
-        sub = as_piecewise_poly(f.child)
-        if sub is None:
-            return None
-        out = []
-        for k in range(f.m):
-            for lo, hi, cs in sub:
-                out.append(
-                    (
-                        Fraction(k + lo, f.m),
-                        Fraction(k + hi, f.m),
-                        poly_compose_affine(cs, Fraction(-k), Fraction(f.m)),
-                    )
-                )
-        return tuple(out)
-    if isinstance(f, Sum):
-        subs = [as_piecewise_poly(c) for c in f.children]
-        if any(s is None for s in subs):
-            return None
-        cuts = sorted({b for s in subs for piece in s for b in (piece[0], piece[1])})
-        out = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            acc: Coeffs = (_ZERO,)
-            for s in subs:
-                piece = next(p for p in s if p[0] <= lo and hi <= p[1])
-                acc = poly_add(acc, piece[2])
-            out.append((lo, hi, acc))
-        return tuple(out)
-    return None  # USeries, AbsSin, Sin2Pi
+    return f.piecewise()
 
 
 @lru_cache(maxsize=_BOUND_CACHE_SIZE)
@@ -410,23 +686,14 @@ def sup_abs_bound(f: FuncExpr) -> Fraction:
     """Certified upper bound on sup over [0, 1] of |f|.
 
     Exact maximization for low-degree piecewise polynomials; Bernstein hull
-    bounds for higher degrees; the geometric-series envelope
-    sup|psi| * r/(r-1) for series nodes; 1 for the trigonometric leaves.
+    bounds for higher degrees; otherwise the node's rule (for a series node
+    the geometric-series envelope sup|psi| * r/(r-1); 1 for the
+    trigonometric leaves).
     """
     pw = as_piecewise_poly(f)
     if pw is not None:
         return max(poly_sup_abs(cs, lo, hi) for lo, hi, cs in pw)
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        return _ONE
-    if isinstance(f, USeries):
-        return sup_abs_bound(f.psi) * Fraction(f.r, f.r - 1)
-    if isinstance(f, Scale):
-        return abs(f.a) * sup_abs_bound(f.child)
-    if isinstance(f, Sum):
-        return sum((sup_abs_bound(c) for c in f.children), _ZERO)
-    if isinstance(f, Dilate):
-        return sup_abs_bound(f.child)
-    raise TypeError(f"unknown expression {f!r}")
+    return f.sup_abs()
 
 
 def series_tail_bound(psi: FuncExpr, r: int, terms: int) -> Fraction:
@@ -459,56 +726,4 @@ def eval_approx(
     there and carries no truncation tail.  ``series_terms`` overrides the
     term count of the outermost series node.
     """
-    xq = Fraction(x)
-    return Approx(*_eval_ap(f, reduce_mod1(xq), series_terms))
-
-
-_EPS = 2.3e-16  # outward bound on one relative rounding
-
-
-def _eval_ap(f: FuncExpr, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
-    """(value, error bound) with exact rational arguments throughout."""
-    if isinstance(f, _POLY_LEAVES):
-        v = float(_eval_leaf_exact(f, x))
-        return v, _ulp(v)
-    if isinstance(f, AbsSin):
-        xf = float(x)
-        return sin_pi_abs_bounds(xf, _ulp(xf))
-    if isinstance(f, Sin2Pi):
-        xf = float(x)
-        return sin_2pi_bounds(xf, _ulp(xf))
-    if isinstance(f, Scale):
-        return scale_bounds(*_eval_ap(f.child, x, series_terms), float(f.a))
-    if isinstance(f, Sum):
-        return sum_bounds(_eval_ap(c, x, series_terms) for c in f.children)
-    if isinstance(f, Dilate):
-        return _eval_ap(f.child, reduce_mod1(f.m * x), series_terms)
-    if isinstance(f, USeries):
-        psi, r = f.psi, f.r
-        terms = series_terms if series_terms is not None else default_series_terms(psi, r)
-        if terms < 1:
-            raise ValueError("term count must be >= 1")
-        v, e = 0.0, 0.0
-        w = 1.0        # float of r^-j; exact for powers of two
-        w_rel = 0.0    # accumulated relative error of w
-        cur = x
-        for j in range(terms):
-            if cur == 0:  # every later term is psi(integer) = 0: the sum is exact
-                return v, e
-            pv, pe = _eval_ap(psi, cur, None)
-            tv = pv * w
-            w_hi = _mul_up(w, 1.0 + w_rel)  # upper bound on the true r^-j
-            e = _add_up(
-                e,
-                _mul_up(pe, w_hi),
-                _mul_up(abs(pv), _mul_up(w, w_rel)),
-                _ulp(tv),
-            )
-            v += tv
-            e = _add_up(e, _ulp(v))
-            cur = reduce_mod1(cur * r)
-            w /= r
-            w_rel = _add_up(w_rel, _EPS)
-        tail = float(series_tail_bound(psi, r, terms))
-        return v, _add_up(e, tail, _ulp(tail))
-    raise TypeError(f"unknown expression {f!r}")
+    return Approx(*f.approx(reduce_mod1(Fraction(x)), series_terms))

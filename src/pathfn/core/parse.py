@@ -23,8 +23,9 @@ Kinds:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Dict, Tuple, Union
 
 from ..errors import FuncSpecError
 from .scalars import RationalFormatError, format_rational, parse_rational
@@ -59,90 +60,28 @@ def build_func(doc, path: str = "$") -> FuncExpr:
     kind = doc.get("kind")
     if not isinstance(kind, str):
         raise FuncSpecError(f"{path}: missing or non-string 'kind'")
+    if kind not in _KINDS:
+        raise FuncSpecError(f"{path}: unknown kind {kind!r}")
+    make, spec = _KINDS[kind]
     try:
-        if kind == "distance":
-            _allow_keys(doc, set(), path)
-            return Distance()
-        if kind == "distance_power":
-            _allow_keys(doc, {"p"}, path)
-            return DistancePower(_require_int(doc, "p", path))
-        if kind == "takagi":
-            _allow_keys(doc, {"r"}, path)
-            return USeries(_require_int(doc, "r", path), Distance())
-        if kind == "theta_splice":
-            _allow_keys(doc, {"r"}, path)
-            return ThetaSplice(_require_int(doc, "r", path))
-        if kind == "abs_sin":
-            _allow_keys(doc, set(), path)
-            return AbsSin()
-        if kind == "sin2pi":
-            _allow_keys(doc, set(), path)
-            return Sin2Pi()
-        if kind == "poly_spline":
-            _allow_keys(doc, {"knots", "pieces"}, path)
-            knots = tuple(
-                _rational(v, f"{path}.knots[{i}]") for i, v in enumerate(_require_list(doc, "knots", path))
-            )
-            pieces = tuple(
-                tuple(_rational(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(_as_list(p, f"{path}.pieces[{i}]")))
-                for i, p in enumerate(_require_list(doc, "pieces", path))
-            )
-            return PolySplinePeriodic(knots, pieces)
-        if kind == "scale":
-            _allow_keys(doc, {"a", "child"}, path)
-            a = _rational(_require(doc, "a", path), f"{path}.a")
-            return Scale(a, build_func(_require(doc, "child", path), f"{path}.child"))
-        if kind == "sum":
-            _allow_keys(doc, {"terms"}, path)
-            terms = _require_list(doc, "terms", path)
-            return Sum(tuple(build_func(t, f"{path}.terms[{i}]") for i, t in enumerate(terms)))
-        if kind == "dilate":
-            _allow_keys(doc, {"m", "child"}, path)
-            return Dilate(
-                _require_int(doc, "m", path),
-                build_func(_require(doc, "child", path), f"{path}.child"),
-            )
-        if kind == "useries":
-            _allow_keys(doc, {"r", "psi"}, path)
-            return USeries(
-                _require_int(doc, "r", path),
-                build_func(_require(doc, "psi", path), f"{path}.psi"),
-            )
+        _allow_keys(doc, {key for key, _ in spec}, path)
+        return make(*(decode(_require(doc, key, path), f"{path}.{key}") for key, (decode, _) in spec))
     except FuncSpecError as exc:
         if str(exc).startswith("$"):
             raise
         raise FuncSpecError(f"{path}: {exc}") from exc
-    raise FuncSpecError(f"{path}: unknown kind {kind!r}")
 
 
 def to_spec_dict(f: FuncExpr) -> dict:
     """Inverse of :func:`build_func` up to expression equality; the
     ``takagi`` alias comes back in its ``useries`` form."""
-    if isinstance(f, Distance):
-        return {"kind": "distance"}
-    if isinstance(f, DistancePower):
-        return {"kind": "distance_power", "p": f.power}
-    if isinstance(f, ThetaSplice):
-        return {"kind": "theta_splice", "r": f.r}
-    if isinstance(f, AbsSin):
-        return {"kind": "abs_sin"}
-    if isinstance(f, Sin2Pi):
-        return {"kind": "sin2pi"}
-    if isinstance(f, PolySplinePeriodic):
-        return {
-            "kind": "poly_spline",
-            "knots": [format_rational(t) for t in f.knots],
-            "pieces": [[format_rational(c) for c in p] for p in f.pieces],
-        }
-    if isinstance(f, Scale):
-        return {"kind": "scale", "a": format_rational(f.a), "child": to_spec_dict(f.child)}
-    if isinstance(f, Sum):
-        return {"kind": "sum", "terms": [to_spec_dict(c) for c in f.children]}
-    if isinstance(f, Dilate):
-        return {"kind": "dilate", "m": f.m, "child": to_spec_dict(f.child)}
-    if isinstance(f, USeries):
-        return {"kind": "useries", "r": f.r, "psi": to_spec_dict(f.psi)}
-    raise TypeError(f"unknown expression {f!r}")
+    if type(f) not in _KIND_OF:
+        raise TypeError(f"unknown expression {f!r}")
+    kind = _KIND_OF[type(f)]
+    doc = {"kind": kind}
+    for (key, (_, encode)), field in zip(_KINDS[kind][1], fields(f)):
+        doc[key] = encode(getattr(f, field.name))
+    return doc
 
 
 def _require(doc: dict, key: str, path: str):
@@ -151,16 +90,10 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _require_int(doc: dict, key: str, path: str) -> int:
-    v = _require(doc, key, path)
+def _int(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise FuncSpecError(f"{path}.{key}: expected an integer, got {v!r}")
+        raise FuncSpecError(f"{path}: expected an integer, got {v!r}")
     return v
-
-
-def _require_list(doc: dict, key: str, path: str) -> list:
-    v = _require(doc, key, path)
-    return _as_list(v, f"{path}.{key}")
 
 
 def _as_list(v, path: str) -> list:
@@ -180,3 +113,36 @@ def _allow_keys(doc: dict, allowed: set, path: str) -> None:
     extra = set(doc) - allowed - {"kind"}
     if extra:
         raise FuncSpecError(f"{path}: unexpected fields {sorted(extra)}")
+
+
+# A field codec: (decode(value, path), encode(value)).
+Codec = Tuple[Callable, Callable]
+
+
+def _list_of(codec: Codec) -> Codec:
+    decode, encode = codec
+    return (
+        lambda v, path: tuple(decode(item, f"{path}[{i}]") for i, item in enumerate(_as_list(v, path))),
+        lambda vs: [encode(item) for item in vs],
+    )
+
+
+_INT: Codec = (_int, lambda v: v)
+_RATIONAL: Codec = (_rational, format_rational)
+_FUNC: Codec = (build_func, to_spec_dict)
+
+# kind -> (constructor, its (key, codec) fields in constructor order)
+_KINDS: Dict[str, Tuple[Callable[..., FuncExpr], Tuple[Tuple[str, Codec], ...]]] = {
+    "distance": (Distance, ()),
+    "distance_power": (DistancePower, (("p", _INT),)),
+    "takagi": (lambda r: USeries(r, Distance()), (("r", _INT),)),
+    "theta_splice": (ThetaSplice, (("r", _INT),)),
+    "abs_sin": (AbsSin, ()),
+    "sin2pi": (Sin2Pi, ()),
+    "poly_spline": (PolySplinePeriodic, (("knots", _list_of(_RATIONAL)), ("pieces", _list_of(_list_of(_RATIONAL))))),
+    "scale": (Scale, (("a", _RATIONAL), ("child", _FUNC))),
+    "sum": (Sum, (("terms", _list_of(_FUNC)),)),
+    "dilate": (Dilate, (("m", _INT), ("child", _FUNC))),
+    "useries": (USeries, (("r", _INT), ("psi", _FUNC))),
+}
+_KIND_OF = {make: kind for kind, (make, _) in _KINDS.items() if kind != "takagi"}

@@ -25,24 +25,11 @@ tests use as the scans' oracle.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import (
-    AbsSin,
-    Dilate,
-    FuncExpr,
-    Scale,
-    Sin2Pi,
-    Sum,
-    USeries,
-    eval_approx,
-    eval_exact,
-    eval_exact_points,
-    supports_exact,
-)
+from .core.funcs import FuncExpr, eval_approx, eval_exact, eval_exact_points
 from .core.points import (
     Triplet,
     is_radix_rational,
@@ -50,26 +37,13 @@ from .core.points import (
     triplet_count,
     validate_radix,
 )
-from .core.scalars import (
-    Approx,
-    Scalar,
-    _add_up,
-    _ulp,
-    _up,
-    scalar_to_json,
-    scale_bounds,
-    sin_2pi_bounds,
-    sin_pi_abs_bounds,
-    sum_bounds,
-)
+from .core.scalars import Approx, Scalar, scalar_to_json
 from .errors import OrbitLimitError, ResourceLimitError
-from .grid import grid_values, scan_grid, series_layout, stencil_rows, stencil_slices
+from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 
 DEFAULT_TRIPLET_CAP = 10**7
 
 _AUTO_ORBIT_CAP = 4096
-
-_MIN_NORMAL = sys.float_info.min
 
 
 def _eval(f: FuncExpr, x: Fraction, mode: str) -> Scalar:
@@ -174,74 +148,11 @@ def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str =
 
 def approx_table(f: FuncExpr, Q: int) -> List[Approx]:
     """Certified f(j/Q) for j = 0..Q, the float counterpart of
-    :func:`pathfn.grid.grid_values`, built by the same node rules: one pass
-    per node of f over the whole grid."""
+    :func:`pathfn.grid.grid_values`, built by the same node rules
+    (``FuncExpr.rows``): one pass per node of f over the whole grid."""
     if Q < 1:
         raise ValueError(f"grid size must be >= 1, got {Q}")
-    return [Approx(v, e) for v, e in _approx_rows(f, Q)]
-
-
-def _approx_rows(f: FuncExpr, Q: int) -> List[Tuple[float, float]]:
-    """(value, err) of f(j/Q) for j = 0..Q, node by node.
-
-    A subtree with an exact branch is its integer table, each entry rounded
-    once (int / int is correctly rounded).  A sine leaf is evaluated once per
-    grid point; Scale, Sum and Dilate act entry by entry, as in
-    :func:`eval_approx`.  A series of radix s follows V[j] = P[j] + V[s*j mod Q]/s
-    in the order of :func:`pathfn.grid.series_layout`.
-    """
-    if supports_exact(f):
-        vals, den = grid_values(f, Q)
-        rounded = [i / den for i in vals]
-        return [(v, _ulp(v) if i else 0.0) for i, v in zip(vals, rounded)]
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        bounds = sin_pi_abs_bounds if isinstance(f, AbsSin) else sin_2pi_bounds
-        rows = [bounds(x, _ulp(x)) for x in (j / Q for j in range(Q))]
-        return rows + rows[:1]
-    if isinstance(f, Scale):
-        af = float(f.a)
-        return [scale_bounds(v, e, af) for v, e in _approx_rows(f.child, Q)]
-    if isinstance(f, Sum):
-        return [sum_bounds(col) for col in zip(*(_approx_rows(c, Q) for c in f.children))]
-    if isinstance(f, Dilate):
-        rows = _approx_rows(f.child, Q)
-        return [rows[f.m * j % Q] for j in range(Q + 1)]
-    if isinstance(f, USeries):
-        return _approx_series(_approx_rows(f.psi, Q), f.r, Q)
-    raise TypeError(f"unknown expression {f!r}")
-
-
-def _approx_series(pv: List[Tuple[float, float]], s: int, Q: int) -> List[Tuple[float, float]]:
-    """The table of the radix-s series over the generator table ``pv``.
-
-    A cycle c_0 -> ... -> c_(L-1) -> c_0 is closed at its head by the
-    certified quotient S / (1 - s^-L) of its Horner sum S, then walked
-    backward, V[c_m] = P[c_m] + V[c_(m+1)] / s, so that every step divides
-    the error carried along by s."""
-    cycles, _, tail = series_layout(s, Q)
-    vals = [(0.0, 0.0)] * (Q + 1)
-
-    def step(j: int, w: Tuple[float, float]) -> Tuple[float, float]:
-        """P[j] + w / s, certified; the quotient is exact when s is a power
-        of two and it is normal."""
-        pj, wv = pv[j], w[0] / s
-        we = _up(w[1] / s)
-        if s & (s - 1) or (w[0] and abs(wv) < _MIN_NORMAL):
-            we = _add_up(we, _ulp(wv))
-        v = pj[0] + wv
-        return v, _add_up(pj[1], we, _ulp(v))
-
-    for c in cycles:
-        L, acc = len(c), pv[c[-1]]
-        for j in reversed(c[:-1]):
-            acc = step(j, acc)
-        head = Approx(*acc) / Approx.from_fraction(Fraction(s**L - 1, s**L))
-        vals[c[0]] = (head.value, head.err)
-        for m in range(L - 1, 0, -1):
-            vals[c[m]] = step(c[m], vals[c[(m + 1) % L]])
-    for j in tail:
-        vals[j] = step(j, vals[s * j % Q])
-    return vals
+    return [Approx(v, e) for v, e in f.rows(Q)]
 
 
 def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid: int, offset_of_n):

@@ -36,26 +36,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import (
-    AbsSin,
-    Dilate,
-    Distance,
-    DistancePower,
-    FuncExpr,
-    Scale,
-    Sum,
-    ThetaSplice,
-    USeries,
-    as_piecewise_poly,
-    eval_exact,
-    eval_exact_points,
-    sup_abs_bound,
-    supports_exact,
-)
+from .core.funcs import FuncExpr, as_piecewise_poly, eval_exact, eval_exact_points, sup_abs_bound, supports_exact
 from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_rational
-from .differences import approx_table, central_second_diff, backward_diff, forward_diff, fundamental_bound_check
+from .differences import (
+    MembershipQuery,
+    approx_table,
+    backward_diff,
+    central_second_diff,
+    forward_diff,
+    fundamental_bound_check,
+    membership_scan,
+)
 from .errors import AmbiguousEnvelopeError, FlowConditionError
 from .grid import grid_values
 
@@ -296,11 +289,11 @@ def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
 def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     """Lower envelope of the r^n + 1 grid-vertex parabolas on [0, 1].
 
-    Preconditions: t >= 1/(2 c r^n) for the effective depth, and the initial
-    function must pass the depth-0 lower-bound check at c (evidence that the
-    collapse onto the grid is legitimate).  Runs in time linear in r^n; exact
-    mode throughout (float mode raises if any envelope comparison is
-    ambiguous within certified bounds).
+    Preconditions: t >= 1/(2 c r^n) for the effective depth, and evidence
+    that the initial function is steep at c down to that depth (see
+    :func:`_require_steepness_evidence`), on which the collapse onto the grid
+    rests.  Runs in time linear in r^n; exact mode throughout (float mode
+    raises if any envelope comparison is ambiguous within certified bounds).
     """
     n = q.depth()
     threshold = Fraction(1, 2 * q.c * q.r**n)
@@ -308,15 +301,18 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
         raise FlowConditionError(
             f"t={q.t} below the admissible threshold 1/(2*c*r^n)={threshold} at depth n={n}"
         )
-    _require_steepness_evidence(q.f, q.c, q.r)
+    _require_steepness_evidence(q.f, q.c, q.r, n)
     if q.mode == "exact":
         return _envelope_exact(*grid_values(q.f, q.r**n), q.t)
     return _envelope_float(approx_table(q.f, q.r**n), q.t)
 
 
-def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int) -> None:
-    """Refuse unless c y (1 - y) <= f(y) certainly holds on the depth-3 y set:
-    exactly whenever f has an exact branch, whatever the flow's mode."""
+def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int, n: int) -> None:
+    """Refuse unless f is certainly steep at c down to depth n: c y (1 - y)
+    <= f(y) on the depth-3 y set, and the membership scan of the steep bound
+    Delta <= -2 c r^m over every depth m <= n and y in {k/r : 0 < k < r}
+    gives 'no-violation'.  Both run exactly whenever f has an exact branch,
+    whatever the flow's mode, and in certified floats otherwise."""
     probe_mode = "exact" if supports_exact(f) else "float"
     report = fundamental_bound_check(f, c, radix_y_set(r, 3), mode=probe_mode)
     if report.failures:
@@ -328,6 +324,13 @@ def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int) -> None:
         y = report.inconclusive[0]
         raise FlowConditionError(
             f"no steepness evidence at c={c}: f({y}) is not certainly >= {c * y * (1 - y)}"
+        )
+    scan = membership_scan(MembershipQuery(f, c, r, n, radix_y_set(r, 1), probe_mode))
+    if scan.verdict != "no-violation":
+        w = scan.worst_triplet
+        raise FlowConditionError(
+            f"no steepness evidence at c={c}: the steep bound is {scan.verdict} at depth <= {n}, "
+            f"worst at (n, k, y) = ({w.n}, {w.k}, {w.y})"
         )
 
 
@@ -438,23 +441,12 @@ def _envelope_float(fz: List[Approx], t: Fraction) -> PiecewiseQuadratic:
 
 
 def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
-    """Best-effort certificate that f >= 0 on [0, 1]."""
-    if isinstance(f, (Distance, DistancePower, AbsSin, ThetaSplice)):
+    """Best-effort certificate that f >= 0 on [0, 1]: f keeps nonnegative
+    children nonnegative and they are certified, or its pieces are."""
+    if f.keeps_nonneg and all(_certified_nonneg_on_unit(c) for c in f.children):
         return True
-    if isinstance(f, Scale):
-        return f.a >= 0 and _certified_nonneg_on_unit(f.child)
-    if isinstance(f, Dilate):
-        return _certified_nonneg_on_unit(f.child)
-    if isinstance(f, Sum):
-        if all(_certified_nonneg_on_unit(c) for c in f.children):
-            return True
-    if isinstance(f, USeries):
-        if _certified_nonneg_on_unit(f.psi):
-            return True
     pw = as_piecewise_poly(f)
-    if pw is not None:
-        return all(certify_nonneg(cs, lo, hi) is True for lo, hi, cs in pw)
-    return False
+    return pw is not None and all(certify_nonneg(cs, lo, hi) is True for lo, hi, cs in pw)
 
 
 def _z_windows(f: FuncExpr, t: Fraction, xs: Sequence[Fraction], den: int) -> List[range]:

@@ -1,13 +1,17 @@
-"""Exact tables f(j/Q) = I[j] / D in integers over one denominator D.
+"""Exact tables f(j/Q) = I[j] / D in integers over one denominator D, and
+the grid machinery that every table rule shares.
 
-One rule per node: integer Horner on j for piecewise polynomials; term by
-term for Scale and Sum; index m*j mod Q for Dilate(m); and for a series of
+The rules themselves live on the node classes (``pathfn.core.funcs``), each
+kind its own: integer Horner on j for anything with polynomial pieces; term
+by term for Scale and Sum; index m*j mod Q for Dilate(m); and for a series of
 radix s, V[j] = P[j] + V[s*j mod Q] / s, each cycle of j -> s*j mod Q closed
 with S / (1 - s^-L).  :func:`grid_values` fills the whole grid j = 0..Q;
 :func:`point_values` fills only the closure of the requested j under the
 node maps, which is how exact evaluation reads any rational point.
 ``differences.approx_table`` follows the same rules in certified floats.
-For the stencil (n, k, y = a/B) on Q = B r^n_max,
+This module knows no node kind: it holds the piecewise-polynomial tables, the
+orbit layout of j -> s*j mod Q with its cycle closing, and the stencil
+slicer.  For the stencil (n, k, y = a/B) on Q = B r^n_max,
 Delta = 2 r^(2n) B g / (a (B - a) D) with the integer
 g = a (I_R - I_M) - (B - a) (I_M - I_L).
 """
@@ -17,19 +21,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterator, List, MutableSequence, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterator, List, MutableSequence, Optional, Sequence, Tuple, TypeVar
 
-from .core.funcs import (
-    AbsSin,
-    Dilate,
-    FuncExpr,
-    Scale,
-    Sin2Pi,
-    Sum,
-    USeries,
-    as_piecewise_poly,
-)
-from .errors import OrbitLimitError, UnsupportedExactError
+if TYPE_CHECKING:
+    from .core.funcs import FuncExpr
 
 Table = Tuple[List[int], int]
 Points = Tuple[Dict[int, int], int]
@@ -40,25 +35,7 @@ def grid_values(f: FuncExpr, Q: int) -> Table:
     """(I, D) with f(j/Q) = I[j] / D exactly for j = 0..Q."""
     if Q < 1:
         raise ValueError(f"grid size must be >= 1, got {Q}")
-    pw = as_piecewise_poly(f)
-    if pw is not None:
-        return _poly_table(pw, Q)
-    if isinstance(f, Scale):
-        vals, den = grid_values(f.child, Q)
-        return [f.a.numerator * v for v in vals], den * f.a.denominator
-    if isinstance(f, Sum):
-        tables = [grid_values(c, Q) for c in f.children]
-        den = lcm(*(d for _, d in tables))
-        scaled = [[den // d * v for v in vals] for vals, d in tables]
-        return [sum(col) for col in zip(*scaled)], den
-    if isinstance(f, Dilate):
-        vals, den = grid_values(f.child, Q)
-        return [vals[f.m * j % Q] for j in range(Q + 1)], den
-    if isinstance(f, USeries):
-        return _series_table(grid_values(f.psi, Q), f.r, Q)
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        raise UnsupportedExactError(f"{type(f).__name__} has no exact branch")
-    raise TypeError(f"unknown expression {f!r}")
+    return f.table(Q)
 
 
 def point_values(f: FuncExpr, Q: int, js: Sequence[int], max_orbit: Optional[int] = None) -> Points:
@@ -71,46 +48,7 @@ def point_values(f: FuncExpr, Q: int, js: Sequence[int], max_orbit: Optional[int
     closure, in request order; a series node requests its whole closure of
     its generator.  Exceeding the cap raises :class:`OrbitLimitError`.
     """
-    return _walk(f, Q, js, max_orbit)()
-
-
-def _walk(f: FuncExpr, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
-    """Walk the index closure of ``js`` under f's node maps, charging
-    ``cap``, and return the function that computes the values on it."""
-    pw = as_piecewise_poly(f)
-    if pw is not None:
-        return lambda: _poly_points(pw, Q, js)
-    if isinstance(f, Scale):
-        child = _walk(f.child, Q, js, cap)
-
-        def scale() -> Points:
-            vals, den = child()
-            return {j: f.a.numerator * vals[j] for j in js}, den * f.a.denominator
-
-        return scale
-    if isinstance(f, Sum):
-        children = [_walk(c, Q, js, cap) for c in f.children]
-
-        def add() -> Points:
-            tables = [c() for c in children]
-            den = lcm(*(d for _, d in tables))
-            return {j: sum(den // d * vals[j] for vals, d in tables) for j in js}, den
-
-        return add
-    if isinstance(f, Dilate):
-        image = {j: f.m * j % Q for j in js}
-        child = _walk(f.child, Q, list(dict.fromkeys(image.values())), cap)
-
-        def dilate() -> Points:
-            vals, den = child()
-            return {j: vals[i] for j, i in image.items()}, den
-
-        return dilate
-    if isinstance(f, USeries):
-        return _series_walk(f, Q, js, cap)
-    if isinstance(f, (AbsSin, Sin2Pi)):
-        raise UnsupportedExactError(f"{type(f).__name__} has no exact branch")
-    raise TypeError(f"unknown expression {f!r}")
+    return f.walk(Q, js, max_orbit)()
 
 
 def _poly_rows(pw, Q: int) -> Tuple[int, List[Tuple[int, int, List[int]]]]:
@@ -127,7 +65,8 @@ def _poly_rows(pw, Q: int) -> Tuple[int, List[Tuple[int, int, List[int]]]]:
     return den * Q**deg, rows
 
 
-def _poly_table(pw, Q: int) -> Table:
+def poly_table(pw, Q: int) -> Table:
+    """(I, D) of a piecewise polynomial on [0, 1] for j = 0..Q."""
     den, rows = _poly_rows(pw, Q)
     vals = [0] * (Q + 1)
     for start, stop, bs in rows:
@@ -139,7 +78,8 @@ def _poly_table(pw, Q: int) -> Table:
     return vals, den
 
 
-def _poly_points(pw, Q: int, js: Sequence[int]) -> Points:
+def poly_points(pw, Q: int, js: Sequence[int]) -> Points:
+    """({j: I_j}, D) of a piecewise polynomial on [0, 1] for each j of ``js``."""
     den, rows = _poly_rows(pw, Q)
     starts = [start for start, _, _ in rows]
     vals = {}
@@ -151,7 +91,7 @@ def _poly_points(pw, Q: int, js: Sequence[int]) -> Points:
     return vals, den
 
 
-def _preperiod(s: int, Q: int) -> Tuple[int, int]:
+def preperiod(s: int, Q: int) -> Tuple[int, int]:
     """(q1, K): x -> s x mod 1 permutes the multiples of q1 on the grid Q
     (its cycles), and any other j reaches them after at most K steps, the
     least K with q1 | s^K."""
@@ -164,7 +104,7 @@ def _preperiod(s: int, Q: int) -> Tuple[int, int]:
     return q1, K
 
 
-def _close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequence[int]) -> int:
+def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequence[int]) -> int:
     """Write mult * V[j] for every j on the ``cycles`` of j -> s*j mod Q into
     ``vals`` and return mult = lcm(s^L - 1) s^K: it clears each cycle sum
     S / (1 - s^-L), and leaves K divisions by s for the pre-periodic entries."""
@@ -181,10 +121,10 @@ def _close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequ
 def series_layout(s: int, Q: int) -> Tuple[List[List[int]], int, Iterator[int]]:
     """(cycles, K, tail) of x -> s x mod 1 on the grid Q: the cycles other
     than {0}, each listed from its least entry along j -> s*j mod Q; the
-    pre-period K (see :func:`_preperiod`); and an iterator over every other j
+    pre-period K (see :func:`preperiod`); and an iterator over every other j
     in [1, Q) by depth, the number of steps it takes to reach a cycle, so
     that s*j mod Q comes before j."""
-    q1, K = _preperiod(s, Q)
+    q1, K = preperiod(s, Q)
     cycles, seen = [], set()
     for j in range(q1, Q, q1):
         if j not in seen:
@@ -201,50 +141,6 @@ def _tail(s: int, Q: int, q1: int, K: int) -> Iterator[int]:
         step = q1 // gcd(q1, s**t)
         yield from (j for j in range(step, Q, step) if j % prev)
         prev = step
-
-
-def _series_table(psi: Table, s: int, Q: int) -> Table:
-    pv, pden = psi
-    cycles, K, tail = series_layout(s, Q)
-    vals = [0] * (Q + 1)
-    mult = _close_cycles(cycles, pv, s, K, vals)
-    for j in tail:  # depth t reads depth t - 1, a multiple of s in D
-        vals[j] = pv[j] * mult + vals[s * j % Q] // s
-    return vals, pden * mult
-
-
-def _series_walk(f: USeries, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
-    s = f.r
-    closure: Dict[int, int] = {0: -1}  # entry -> its place in ``order``; V[0] = 0
-    order: List[int] = []
-    cycles: List[List[int]] = []
-    tails: List[List[int]] = []  # each walk's entries before a cycle it closed
-    for x in js:
-        start, j = len(order), x
-        while j not in closure:
-            if cap is not None and len(order) - start >= cap:
-                raise OrbitLimitError(f"series orbit of {Fraction(x, Q)} exceeded {cap} steps (radix {s})")
-            closure[j] = len(order)
-            order.append(j)
-            j = s * j % Q
-        stop = len(order)
-        if closure[j] >= start:  # the walk closed a new cycle at j
-            stop = closure[j]
-            cycles.append(order[stop:])
-        tails.append(order[start:stop])
-    psi = _walk(f.psi, Q, order, cap)
-    K = _preperiod(s, Q)[1]
-
-    def series() -> Points:
-        pv, pden = psi()
-        vals = {0: 0}
-        mult = _close_cycles(cycles, pv, s, K, vals)
-        for tail in tails:
-            for j in reversed(tail):  # depth d reads depth d - 1, a multiple of s in D
-                vals[j] = pv[j] * mult + vals[s * j % Q] // s
-        return vals, pden * mult
-
-    return series
 
 
 def scan_grid(r: int, n_max: int, ys: Sequence[Fraction]) -> int:

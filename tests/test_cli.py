@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import pathfn.cli as cli
-import pathfn.grid
+import pathfn.core.funcs
 import pathfn.series
 from conftest import (
     SPEC_DISTANCE,
@@ -79,8 +79,8 @@ def test_eval_points_orbit_cap_refuses_before_value_work(capsys, spec_file, monk
     def refuse(*args, **kwargs):
         raise AssertionError("value work before the orbit cap check")
 
-    for name in ("_poly_points", "_close_cycles"):
-        monkeypatch.setattr(pathfn.grid, name, refuse)
+    for name in ("poly_points", "close_cycles"):  # the grid machinery, where the node rules call it
+        monkeypatch.setattr(pathfn.core.funcs, name, refuse)
     code, out, err = run(
         capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003", "--cap", "100"]
     )
@@ -287,6 +287,17 @@ def test_flow_hypothesis_violation_exit_2(capsys, spec_file):
     assert code == 2 and "threshold" in err
 
 
+def test_flow_not_steep_at_its_depth_exit_2(capsys, spec_file):
+    # d passes the depth-0 bound at c = 1 but not the steep bound at depth 5,
+    # where brute force finds 31 mismatches with the grid envelope
+    base = ["flow", "--func", spec_file(SPEC_DISTANCE), "--c", "1", "--t", "1/64"]
+    for extra in ([], ["--crosscheck", "8"]):
+        code, out, err = run(capsys, base + extra)
+        assert code == 2 and out == "" and "no steepness evidence at c=1" in err
+    code, out, err = run(capsys, base + ["--cap", "64"])  # the depth-5 scan's table has 2^6 + 1 points
+    assert code == 2 and out == "" and "65 points exceeds cap 64" in err
+
+
 def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
     _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
     base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--cap", "100"]
@@ -386,14 +397,14 @@ def test_flow_crosscheck_builds_one_table(capsys, spec_file, monkeypatch, mode):
 
 
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):
-    csv_path = str(tmp_path / "curve.csv")
+    csv_path = tmp_path / "curve.csv"
     code, out, _ = run(
         capsys,
         ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4",
-         "--samples", "9", "--csv", csv_path],
+         "--samples", "9", "--csv", str(csv_path)],
     )
     assert code == 0
-    lines = open(csv_path).read().splitlines()
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x,value" and len(lines) == 10
     assert lines[1] == "0,0" and lines[-1] == "1,0"
     # H(1/2) = 1/2 at the kink

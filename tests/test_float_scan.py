@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import pathfn.core.funcs as funcs
 import pathfn.differences as differences
 from pathfn.core.funcs import (
     AbsSin,
@@ -62,9 +63,10 @@ def random_float_tree(rng, depth):
 
 def counting_sine_bounds(monkeypatch):
     calls = []
-    for name in ("sin_pi_abs_bounds", "sin_2pi_bounds"):
-        real = getattr(differences, name)
-        monkeypatch.setattr(differences, name, lambda xv, xe, _real=real: calls.append(xv) or _real(xv, xe))
+    for leaf in (AbsSin, Sin2Pi):
+        real = leaf.bounds
+        counting = staticmethod(lambda xv, xe, _real=real: calls.append(xv) or _real(xv, xe))
+        monkeypatch.setattr(leaf, "bounds", counting)
     return calls
 
 
@@ -178,7 +180,7 @@ def test_approx_table_node_rules_contain_the_exact_table(monkeypatch, seed, r, Q
     # and series node of an exact tree runs its float rule
     f = random_tree(random.Random(seed), 3)
     vals, den = grid_values(f, Q)
-    monkeypatch.setattr(differences, "supports_exact", lambda g: not isinstance(g, (Scale, Sum, Dilate, USeries)))
+    monkeypatch.setattr(funcs, "supports_exact", lambda g: not isinstance(g, (Scale, Sum, Dilate, USeries)))
     table = approx_table(f, Q)
     assert table[Q] == table[0]
     for j, (a, v) in enumerate(zip(table, vals)):

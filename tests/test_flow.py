@@ -17,6 +17,7 @@ from pathfn.core.funcs import (
     eval_exact,
     eval_exact_points,
     psi_zero,
+    sin_cancellation,
 )
 from pathfn.core.points import Triplet
 from pathfn.core.scalars import Approx
@@ -186,6 +187,19 @@ def test_flow_grid_rejects_without_steepness_evidence():
         flow_grid(FlowQuery(f=Distance(), c=F(3), r=2, t=F(1)))
 
 
+def test_flow_grid_rejects_data_not_steep_at_its_depth():
+    # both pass the depth-0 bound but fail the steep bound at the flow's depth
+    # (d at (5, 0, 1/2), usin at (6, 0, 1/2)), where the envelope of the grid
+    # parabolas is no longer the flow: brute force disagrees with it
+    d_query = FlowQuery(f=Distance(), c=F(1), r=2, t=F(1, 64))
+    assert d_query.depth() == 5
+    with pytest.raises(FlowConditionError, match=r"violated at depth <= 5, worst at \(n, k, y\) = \(5, 0, 1/2\)"):
+        flow_grid(d_query)
+    usin = USeries(2, sin_cancellation(2))
+    with pytest.raises(FlowConditionError, match=r"violated at depth <= 6"):
+        flow_grid(FlowQuery(f=usin, c=F(1, 2), r=2, t=F(1, 64), mode="float"))
+
+
 def test_flow_grid_envelope_equals_direct_minimum():
     for t in (F(1, 8), F(1, 3), F(2)):
         q = FlowQuery(f=TAU2, c=F(2), r=2, t=t)
@@ -288,10 +302,13 @@ def pieces_of(pq):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("t", [F(1, 3), F(5, 7), F(1000)])
 def test_integer_envelope_equals_fraction_stack_algorithm(r, t):
-    # f = K (tau_r + a small random tree) with c = K at or near the critical
-    # time 1/(2 c r^n), so that many vertices survive; a draw without
-    # steepness evidence is skipped, and enough must remain
+    # f = K (tau_r + a small random tree) with K near 1/(2 t r^n), the
+    # critical scale at depth n, so that many vertices survive; the envelope
+    # algorithm runs on f's table directly, so flow_grid's steepness
+    # precondition does not thin out the draws
     from test_grid import random_tree
+
+    from pathfn.flow import _envelope_exact
 
     rng = random.Random(1000 * r + t.numerator)
     compared = 0
@@ -299,13 +316,10 @@ def test_integer_envelope_equals_fraction_stack_algorithm(r, t):
         for _ in range(3 if n < 8 else 1):
             K = F(1, 2 * r**n) / t * rng.choice([1, F(3, 2)])
             f = Scale(K, Sum((USeries(r, Distance()), Scale(F(1, 40), random_tree(rng, 3)))))
-            try:
-                pq = flow_grid(FlowQuery(f=f, c=K, r=r, t=t, n=n))
-            except FlowConditionError:
-                continue
             R = r**n
-            zs = [F(k, R) for k in range(R + 1)]
             vals, den = grid_values(f, R)
+            pq = _envelope_exact(vals, den, t)
+            zs = [F(k, R) for k in range(R + 1)]
             assert pieces_of(pq) == envelope_reference(zs, [F(v, den) for v in vals], t), (f, n)
             assert pq.err == 0
             compared += 1
