@@ -20,7 +20,6 @@ from .core import (
     DistancePower,
     FuncExpr,
     PolySplinePeriodic,
-    RadixPoint,
     Scale,
     Scalar,
     Sin2Pi,
@@ -42,7 +41,6 @@ from .core import (
     to_spec_dict,
 )
 from .differences import (
-    BoundReport,
     MembershipQuery,
     ProbeRow,
     ScanReport,
@@ -50,7 +48,6 @@ from .differences import (
     central_second_diff,
     divergence_probe,
     forward_diff,
-    fundamental_bound_check,
     membership_scan,
     semiconcavity_scan,
 )

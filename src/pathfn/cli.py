@@ -38,7 +38,14 @@ from .differences import (
     membership_scan,
 )
 from .errors import PathfnError
-from .flow import FlowQuery, PiecewiseQuadratic, flow_bruteforce_count, flow_bruteforce_points, flow_grid
+from .flow import (
+    FlowQuery,
+    PiecewiseQuadratic,
+    _steepness_queries,
+    flow_bruteforce_count,
+    flow_bruteforce_points,
+    flow_grid,
+)
 from .grid import grid_values, scan_grid
 from .series import (
     ScanParams,
@@ -273,8 +280,8 @@ def cmd_flow(args, out: io.StringIO) -> int:
     xs = [] if d is None else [Fraction(j, r ** min(d, 6)) for j in range(r ** min(d, 6) + 1)]
     brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, d, r)
     check_scan_cap(args.cap, brute_evals, r ** q.depth(), unit="brute-force evaluations")  # grid: r^n + 1 vertices
-    ys = radix_y_set(r, 1)  # flow_grid's steepness scan at depth n
-    check_scan_cap(args.cap, triplet_count(r, q.depth(), len(ys)), scan_grid(r, q.depth(), ys))
+    for sq in _steepness_queries(q):  # the scans flow_grid runs first
+        check_scan_cap(args.cap, triplet_count(r, sq.n_max, len(sq.y_set)), scan_grid(r, sq.n_max, sq.y_set))
     pq = flow_grid(q)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"

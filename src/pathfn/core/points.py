@@ -46,57 +46,6 @@ def radix_depth(x: Fraction, r: int) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class RadixPoint:
-    """A point (k + y)/r^n in [0, 1] with a known grid decomposition.
-
-    Equality and hashing are by numeric value, so two decompositions of the
-    same point compare equal.
-    """
-
-    r: int
-    n: int
-    k: int
-    y: Fraction
-
-    def __post_init__(self) -> None:
-        validate_radix(self.r)
-        if self.n < 0:
-            raise ValueError("depth n must be >= 0")
-        if not (0 <= self.k <= self.r**self.n - 1):
-            raise ValueError(f"k={self.k} outside [0, r^n - 1]")
-        y = Fraction(self.y)
-        object.__setattr__(self, "y", y)
-        if not (0 <= y <= 1):
-            raise ValueError(f"y={y} outside [0, 1]")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.k + self.y, self.r**self.n)
-
-    @classmethod
-    def from_fraction(cls, x: Fraction, r: int, n: int | None = None) -> "RadixPoint":
-        x = Fraction(x)
-        if not (0 <= x <= 1):
-            raise ValueError(f"value {x} outside [0, 1]")
-        if n is None:
-            n = radix_depth(x, r) if is_radix_rational(x, r) else 0
-        scaled = x * r**n
-        k = min(scaled.numerator // scaled.denominator, r**n - 1)
-        return cls(r=r, n=n, k=k, y=scaled - k)
-
-    def is_radix_rational(self) -> bool:
-        return is_radix_rational(self.value, self.r)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RadixPoint):
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-
 @dataclass(frozen=True, order=True)
 class Triplet:
     """Stencil indices (n, k, y); y strictly inside (0, 1).
@@ -171,7 +120,6 @@ def radix_x_samples(r: int, depth: int) -> Tuple[Fraction, ...]:
 
 
 __all__ = [
-    "RadixPoint",
     "Triplet",
     "validate_radix",
     "is_radix_rational",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 Coeffs = Tuple[Fraction, ...]
 
@@ -112,66 +112,62 @@ def poly_sup_abs(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, depth: 
     if hi <= lo:
         return abs(poly_eval(cs, lo))
     if len(cs) <= 3:
-        cands = [poly_eval(cs, lo), poly_eval(cs, hi)]
-        if len(cs) == 3 and cs[2] != 0:
-            xc = -cs[1] / (2 * cs[2])
-            if lo < xc < hi:
-                cands.append(poly_eval(cs, xc))
-        return max(abs(v) for v in cands)
+        return max(abs(poly_eval(cs, x)) for x in _quadratic_candidates(cs, lo, hi))
     on01 = poly_compose_affine(cs, lo, hi - lo)
     b = bernstein_coeffs(on01)
     return max(max(abs(c) for c in leaf) for leaf in _bernstein_leaves(b, depth))
 
 
-def poly_min_exact_quadratic(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    cs = poly_normalize(coeffs)
-    assert len(cs) <= 3
-    cands = [poly_eval(cs, lo), poly_eval(cs, hi)]
+def _quadratic_candidates(cs: Coeffs, lo: Fraction, hi: Fraction) -> Tuple[Fraction, ...]:
+    """Where a polynomial of degree <= 2 takes its extremes on [lo, hi]: the
+    ends and the vertex when it lies inside."""
     if len(cs) == 3 and cs[2] != 0:
         xc = -cs[1] / (2 * cs[2])
         if lo < xc < hi:
-            cands.append(poly_eval(cs, xc))
-    return min(cands)
+            return (lo, hi, xc)
+    return (lo, hi)
 
 
 def certify_nonneg(
     coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, depth: int = 8
-) -> Optional[bool]:
+) -> Union[bool, Fraction, None]:
     """Decide p >= 0 on [lo, hi] when possible.
 
-    Returns True (certified nonnegative), False (a witness value is negative),
-    or None when subdivision up to ``depth`` is inconclusive (possible at an
-    interior tangency to zero).
+    Returns True (certified nonnegative), an exact point x in [lo, hi] with
+    p(x) < 0, or None when subdivision up to ``depth`` is inconclusive
+    (possible at an interior tangency to zero).  A witness may be 0, so test
+    the result with ``is True`` / ``is None``.
     """
     cs = poly_normalize(coeffs)
     if hi <= lo:
-        return poly_eval(cs, lo) >= 0
+        return True if poly_eval(cs, lo) >= 0 else lo
     if len(cs) <= 3:
-        return poly_min_exact_quadratic(cs, lo, hi) >= 0
-    if poly_eval(cs, lo) < 0 or poly_eval(cs, hi) < 0:
-        return False
+        x = min(_quadratic_candidates(cs, lo, hi), key=lambda v: poly_eval(cs, v))
+        return True if poly_eval(cs, x) >= 0 else x
     on01 = poly_compose_affine(cs, lo, hi - lo)
 
-    def rec(b: Tuple[Fraction, ...], d: int) -> Optional[bool]:
+    def rec(b: Tuple[Fraction, ...], level: int, j: int) -> Union[bool, Fraction, None]:
+        # b holds the Bernstein coefficients on the sub-interval
+        # [j / 2^level, (j + 1) / 2^level] of [0, 1]
         if all(c >= 0 for c in b):
             return True
-        # Bernstein end coefficients are the polynomial's values
-        if b[0] < 0 or b[-1] < 0:
-            return False
-        if d == 0:
+        # Bernstein end coefficients are the polynomial's values at the ends
+        if b[0] < 0:
+            return lo + (hi - lo) * Fraction(j, 2**level)
+        if b[-1] < 0:
+            return lo + (hi - lo) * Fraction(j + 1, 2**level)
+        if level == depth:
             return None
-        bl, br = _decasteljau_split(b)
-        left = rec(bl, d - 1)
-        if left is False:
-            return False
-        right = rec(br, d - 1)
-        if right is False:
-            return False
-        if left is True and right is True:
-            return True
-        return None
+        out: Optional[bool] = True
+        for half, jj in zip(_decasteljau_split(b), (2 * j, 2 * j + 1)):
+            v = rec(half, level + 1, jj)
+            if v is None:
+                out = None
+            elif v is not True:
+                return v
+        return out
 
-    return rec(bernstein_coeffs(on01), depth)
+    return rec(bernstein_coeffs(on01), 0, 0)
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Tuple[Fraction, ...]:

@@ -268,77 +268,6 @@ def semiconcavity_scan(
 
 
 @dataclass(frozen=True)
-class BoundFailure:
-    y: Fraction
-    fy: Scalar
-    bound: Fraction
-
-    def as_json(self) -> dict:
-        return {"y": str(self.y), "f": scalar_to_json(self.fy), "bound": str(self.bound)}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """``holds`` when every y is certainly at or above its bound.  Float mode
-    lists a y whose interval straddles its bound under ``inconclusive``."""
-
-    holds: bool
-    checked: int
-    failures: Tuple[BoundFailure, ...]
-    equality_points: Tuple[Fraction, ...]
-    inconclusive: Tuple[Fraction, ...] = ()
-
-    def as_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "checked": self.checked,
-            "failures": [f.as_json() for f in self.failures],
-            "equality_points": [str(y) for y in self.equality_points],
-            "inconclusive": [str(y) for y in self.inconclusive],
-        }
-
-
-def fundamental_bound_check(
-    f: FuncExpr, c: Fraction, y_set: Sequence[Fraction], mode: str = "exact"
-) -> BoundReport:
-    """Pointwise check of the depth-0 consequence c y (1-y) <= f(y).
-
-    Cross-checked internally against the n = 0 stencil margin
-    Delta_{0,0}(y) + 2c, which must agree in sign.
-    """
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    failures: List[BoundFailure] = []
-    equalities: List[Fraction] = []
-    inconclusive: List[Fraction] = []
-    count = 0
-    for y in sorted(set(map(Fraction, y_set))):
-        if not (0 < y < 1):
-            raise ValueError(f"y={y} outside (0, 1)")
-        bound = c * y * (1 - y)
-        fy = _eval(f, y, mode)
-        count += 1
-        if mode == "exact":
-            fails = fy < bound
-            margin = central_second_diff(f, Triplet(0, 0, y), 2, "exact") + 2 * c
-            if (margin > 0) != fails:
-                raise AssertionError("depth-0 margin disagrees with direct bound check")
-            if fails:
-                failures.append(BoundFailure(y, fy, bound))
-            elif fy == bound:
-                equalities.append(y)
-        else:
-            assert isinstance(fy, Approx)
-            if Fraction(fy.hi()) < bound:  # exact comparison: certified failure
-                failures.append(BoundFailure(y, fy, bound))
-            elif Fraction(fy.lo()) < bound:  # the interval straddles the bound
-                inconclusive.append(y)
-    holds = not failures and not inconclusive
-    return BoundReport(holds, count, tuple(failures), tuple(equalities), tuple(inconclusive))
-
-
-@dataclass(frozen=True)
 class ProbeRow:
     n: int
     k: int

@@ -46,10 +46,9 @@ from .differences import (
     backward_diff,
     central_second_diff,
     forward_diff,
-    fundamental_bound_check,
     membership_scan,
 )
-from .errors import AmbiguousEnvelopeError, FlowConditionError
+from .errors import AmbiguousEnvelopeError, FlowConditionError, UnsupportedExactError
 from .grid import grid_values
 
 
@@ -290,10 +289,11 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     """Lower envelope of the r^n + 1 grid-vertex parabolas on [0, 1].
 
     Preconditions: t >= 1/(2 c r^n) for the effective depth, and evidence
-    that the initial function is steep at c down to that depth (see
-    :func:`_require_steepness_evidence`), on which the collapse onto the grid
-    rests.  Runs in time linear in r^n; exact mode throughout (float mode
-    raises if any envelope comparison is ambiguous within certified bounds).
+    that the initial function is steep at c down to that depth (a
+    'no-violation' verdict from both :func:`_steepness_queries` scans), on
+    which the collapse onto the grid rests.  Runs in time linear in r^n;
+    exact mode throughout (float mode raises if any envelope comparison is
+    ambiguous within certified bounds).
     """
     n = q.depth()
     threshold = Fraction(1, 2 * q.c * q.r**n)
@@ -301,37 +301,32 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
         raise FlowConditionError(
             f"t={q.t} below the admissible threshold 1/(2*c*r^n)={threshold} at depth n={n}"
         )
-    _require_steepness_evidence(q.f, q.c, q.r, n)
+    if q.mode == "exact" and not supports_exact(q.f):
+        raise UnsupportedExactError("function has no exact branch; use --mode float")
+    for sq in _steepness_queries(q):
+        scan = membership_scan(sq)
+        if scan.verdict != "no-violation":  # a float 'inconclusive' is no evidence
+            w = scan.worst_triplet
+            raise FlowConditionError(
+                f"no steepness evidence at c={q.c}: the steep bound is {scan.verdict} at depth <= {sq.n_max}, "
+                f"worst at (n, k, y) = ({w.n}, {w.k}, {w.y})"
+            )
     if q.mode == "exact":
         return _envelope_exact(*grid_values(q.f, q.r**n), q.t)
     return _envelope_float(approx_table(q.f, q.r**n), q.t)
 
 
-def _require_steepness_evidence(f: FuncExpr, c: Fraction, r: int, n: int) -> None:
-    """Refuse unless f is certainly steep at c down to depth n: c y (1 - y)
-    <= f(y) on the depth-3 y set, and the membership scan of the steep bound
-    Delta <= -2 c r^m over every depth m <= n and y in {k/r : 0 < k < r}
-    gives 'no-violation'.  Both run exactly whenever f has an exact branch,
+def _steepness_queries(q: FlowQuery) -> Tuple[MembershipQuery, MembershipQuery]:
+    """The two scans of the steep bound at c that back a flow at depth n: depth
+    0 on the depth-3 y set (for f vanishing at the integers, the pointwise
+    bound c y (1 - y) <= f(y)), and every depth m <= n with y in
+    {k/r : 0 < k < r}.  Both run exactly whenever f has an exact branch,
     whatever the flow's mode, and in certified floats otherwise."""
-    probe_mode = "exact" if supports_exact(f) else "float"
-    report = fundamental_bound_check(f, c, radix_y_set(r, 3), mode=probe_mode)
-    if report.failures:
-        first = report.failures[0]
-        raise FlowConditionError(
-            f"no steepness evidence at c={c}: f({first.y}) = {first.fy} < {first.bound}"
-        )
-    if report.inconclusive:
-        y = report.inconclusive[0]
-        raise FlowConditionError(
-            f"no steepness evidence at c={c}: f({y}) is not certainly >= {c * y * (1 - y)}"
-        )
-    scan = membership_scan(MembershipQuery(f, c, r, n, radix_y_set(r, 1), probe_mode))
-    if scan.verdict != "no-violation":
-        w = scan.worst_triplet
-        raise FlowConditionError(
-            f"no steepness evidence at c={c}: the steep bound is {scan.verdict} at depth <= {n}, "
-            f"worst at (n, k, y) = ({w.n}, {w.k}, {w.y})"
-        )
+    mode = "exact" if supports_exact(q.f) else "float"
+    return (
+        MembershipQuery(q.f, q.c, q.r, 0, radix_y_set(q.r, 3), mode),
+        MembershipQuery(q.f, q.c, q.r, q.depth(), radix_y_set(q.r, 1), mode),
+    )
 
 
 # A point of the envelope's x-axis as an integer pair (num, den), den > 0.

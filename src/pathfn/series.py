@@ -32,7 +32,6 @@ from .core.funcs import (
     supports_exact,
 )
 from .core.points import (
-    RadixPoint,
     Triplet,
     is_radix_rational,
     radix_depth,
@@ -41,7 +40,7 @@ from .core.points import (
     triplet_count,
     validate_radix,
 )
-from .core.polys import certify_nonneg, poly_eval
+from .core.polys import certify_nonneg
 from .core.scalars import reduce_mod1
 from .differences import (
     DEFAULT_TRIPLET_CAP,
@@ -54,7 +53,7 @@ from .errors import UnsupportedExactError
 from .grid import grid_values, scan_grid, stencil_rows
 
 
-def u_eval_exact(s: USeries, p: Union[RadixPoint, Fraction, int]) -> Fraction:
+def u_eval_exact(s: USeries, p: Union[Fraction, int]) -> Fraction:
     """Exact transform value at a radix-rational point j/r^N.
 
     Terms with index >= N vanish (the argument becomes an integer and every
@@ -63,8 +62,7 @@ def u_eval_exact(s: USeries, p: Union[RadixPoint, Fraction, int]) -> Fraction:
     """
     if not supports_exact(s.psi):
         raise UnsupportedExactError("generator has no exact branch")
-    x = p.value if isinstance(p, RadixPoint) else Fraction(p)
-    x = reduce_mod1(x)
+    x = reduce_mod1(Fraction(p))
     if not is_radix_rational(x, s.r):
         raise ValueError(f"{x} is not of the form j/{s.r}^N")
     depth = radix_depth(x, s.r)
@@ -261,22 +259,11 @@ def _lower_bound_check(
         return "sampled", None
     for lo, hi, coeffs in pw:
         verdict = certify_nonneg(coeffs, lo, hi)
-        if verdict is False:
-            return "exact", _negative_witness(coeffs, lo, hi)
         if verdict is None:
             return "sampled", None
+        if verdict is not True:  # an exact point where psi - m*d < 0
+            return "exact", verdict
     return "exact", None
-
-
-def _negative_witness(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
-    """A concrete point with a negative value inside [lo, hi]."""
-    for denom_pow in range(1, 16):
-        steps = 2**denom_pow
-        for j in range(steps + 1):
-            x = lo + (hi - lo) * Fraction(j, steps)
-            if poly_eval(coeffs, x) < 0:
-                return x
-    raise AssertionError("certified-negative piece yielded no witness")
 
 
 def concave_generator_constant(s: USeries) -> Fraction:

@@ -26,7 +26,6 @@ from pathfn.differences import (
     MembershipQuery,
     central_second_diff,
     divergence_probe,
-    fundamental_bound_check,
     membership_scan,
 )
 from pathfn.flow import (
@@ -178,8 +177,8 @@ def test_c06_lower_bound_chain():
             ok = ok and c * x * (1 - x) <= v
             points += 1
         interior = radix_y_set(r, 8) if r == 2 else tuple(F(j, den) for j in range(1, den))
-        rep = fundamental_bound_check(tau, c, interior[:: 16 if r == 3 else 1])
-        ok = ok and rep.holds
+        rep = membership_scan(MembershipQuery(f=tau, c=c, r=r, n_max=0, y_set=interior[:: 16 if r == 3 else 1]))
+        ok = ok and rep.verdict == "no-violation"  # depth 0: c y (1 - y) <= tau(y)
     gate(6, "quadratic lower bound r/(r-1) x(1-x) <= series of d, both radixes",
          ok, f"{points} grid points, exact")
 

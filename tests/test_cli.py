@@ -8,6 +8,8 @@ import pytest
 import pathfn.cli as cli
 import pathfn.core.funcs
 import pathfn.series
+from pathfn.core.funcs import eval_exact
+from pathfn.core.parse import parse_func_spec
 from conftest import (
     SPEC_DISTANCE,
     SPEC_PSI0,
@@ -309,6 +311,26 @@ def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
     assert code == 2 and out == "" and "16705 brute-force evaluations exceeds cap 100" in err
 
 
+def test_flow_cap_counts_the_depth0_steepness_table(capsys, spec_file, monkeypatch):
+    # at r = 30, t = 1 the flow has depth 0, but its depth-0 steepness scan reads
+    # a table of 30^3 + 1 points: 26999 triplets, refused before any evaluation
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    argv = ["flow", "--func", spec_file({"kind": "takagi", "r": 30}), "--c", "1", "--t", "1", "--cap", "100"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "scan of 26999 triplets exceeds cap 100" in err
+
+
+def test_flow_exact_without_exact_branch_refuses_before_scans(capsys, spec_file, monkeypatch):
+    import pathfn.flow
+
+    monkeypatch.setattr(pathfn.flow, "membership_scan", lambda *a, **k: pytest.fail("steepness scan ran"))
+    usin = {"kind": "useries", "r": 2, "psi": {"kind": "sum", "terms": [
+        {"kind": "abs_sin"}, {"kind": "scale", "a": "-1/2", "child": {"kind": "dilate", "m": 2, "child": {"kind": "abs_sin"}}}]}}
+    argv = ["flow", "--func", spec_file(usin), "--c", "1/8", "--t", "1", "--mode", "exact"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "has no exact branch" in err
+
+
 def test_flow_negative_depths_exit_2(capsys, spec_file, monkeypatch):
     _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
     base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4"]
@@ -528,6 +550,22 @@ def test_bounds_theta_fails(capsys, spec_file):
     assert doc["verdict"] == "fail"
     witness = Fraction(doc["detail"]["lower_bound_witness"])
     assert 0 < witness < F(1, 100)
+
+
+def test_bounds_narrow_dip_has_exact_witness(capsys, spec_file):
+    # psi - d = x (x - e) on [0, 1/2], e = 1/(3 * 2^17): negative only on (0, e),
+    # narrower than any dyadic sample of the piece reaches
+    e = F(1, 3 * 2**17)
+    c1 = 1 - e
+    psi = {"kind": "poly_spline", "knots": ["0", "1/2", "1"],
+           "pieces": [["0", str(c1), "1"], [str(c1 + 1), str(-c1 - 2), "1"]]}
+    code, out, _ = run(capsys, ["bounds", "--psi", spec_file(psi), "--m", "1", "--alpha", "2", "--r", "2"])
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert detail["lower_bound_mode"] == "exact"
+    x = Fraction(detail["lower_bound_witness"])
+    assert 0 < x < e
+    assert eval_exact(parse_func_spec(json.dumps(psi)), x) - x < 0  # d(x) = x here
 
 
 # ------------------------------------------------------------ shared shape

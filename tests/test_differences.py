@@ -24,7 +24,6 @@ from pathfn.differences import (
     central_second_diff,
     divergence_probe,
     forward_diff,
-    fundamental_bound_check,
     membership_scan,
     semiconcavity_scan,
 )
@@ -216,38 +215,45 @@ def test_membership_float_modes():
 
 
 # -------------------------------------------------------- fundamental bound
+# For f vanishing at the integers, Delta_{0,0}(y) = -2 f(y) / (y (1 - y)), so
+# the depth-0 membership scan checks the pointwise bound c y (1 - y) <= f(y).
+
+
+def depth0_scan(f, c, ys, mode="exact"):
+    return membership_scan(MembershipQuery(f=f, c=c, r=2, n_max=0, y_set=ys, mode=mode))
 
 
 def test_fundamental_bound_takagi():
-    rep = fundamental_bound_check(TAU2, F(2), radix_y_set(2, 4))
-    assert rep.holds
-    assert F(1, 2) in rep.equality_points  # 2 * (1/4) = 1/2 = value
+    rep = depth0_scan(TAU2, F(2), radix_y_set(2, 4))
+    assert rep.verdict == "no-violation"
+    # equality at y = 1/2: 2 * (1/4) = 1/2 = value
+    assert rep.worst_margin == 0 and rep.worst_triplet == Triplet(0, 0, F(1, 2))
     # strict at y = 1/4: 2 * 3/16 = 3/8 < 1/2
     assert eval_exact(TAU2, F(1, 4)) - F(2) * F(1, 4) * F(3, 4) == F(1, 8)
 
 
 def test_fundamental_bound_weierstrass_style_fails_float():
     ueta = USeries(2, Sin2Pi())
-    rep = fundamental_bound_check(ueta, F(1, 10), [F(1, 2)], mode="float")
-    assert not rep.holds
-    assert rep.failures[0].y == F(1, 2)
+    rep = depth0_scan(ueta, F(1, 10), [F(1, 2)], mode="float")
+    assert rep.verdict == "violated"
+    assert rep.worst_triplet == Triplet(0, 0, F(1, 2))
 
 
 def test_fundamental_bound_float_straddle_is_not_evidence():
     # c = 2 + 2^-60 puts the bound c/4 within d(1/2)'s rounding: exact mode
     # finds the failure, float mode cannot certify either side
     c = 2 + F(1, 2**60)
-    assert not fundamental_bound_check(Distance(), c, [F(1, 2)]).holds
-    rep = fundamental_bound_check(Distance(), c, [F(1, 2)], mode="float")
-    assert not rep.holds and rep.failures == () and rep.inconclusive == (F(1, 2),)
-    assert rep.as_json()["inconclusive"] == ["1/2"]
+    assert depth0_scan(Distance(), c, [F(1, 2)]).verdict == "violated"
+    rep = depth0_scan(Distance(), c, [F(1, 2)], mode="float")
+    assert rep.verdict == "inconclusive" and rep.inconclusive_count == 1
+    assert rep.worst_triplet == Triplet(0, 0, F(1, 2))
 
 
 def test_membership_implies_positivity_slice():
     ys = radix_y_set(2, 3)
     q = MembershipQuery(f=TAU2, c=F(2), r=2, n_max=2, y_set=ys)
     assert membership_scan(q).verdict == "no-violation"
-    assert fundamental_bound_check(TAU2, F(2), ys).holds
+    assert depth0_scan(TAU2, F(2), ys).verdict == "no-violation"
 
 
 # ----------------------------------------------------------- semiconcavity

@@ -235,8 +235,8 @@ def test_flow_grid_float_needs_certain_steepness_evidence():
     for mode in ("exact", "float"):
         with pytest.raises(FlowConditionError, match="steepness"):
             flow_grid(FlowQuery(f=TAU2, c=2 + F(1, 2**60), r=2, t=F(1, 4), mode=mode))
-    # without an exact branch, a straddling y is no evidence either
-    with pytest.raises(FlowConditionError, match="not certainly"):
+    # without an exact branch, a straddling depth-0 margin is no evidence either
+    with pytest.raises(FlowConditionError, match=r"inconclusive at depth <= 0, worst at \(n, k, y\) = \(0, 0, 1/2\)"):
         flow_grid(FlowQuery(f=USeries(2, AbsSin()), c=F(4), r=2, t=F(1, 4), mode="float"))
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfn.core.points import (
-    RadixPoint,
     Triplet,
     enumerate_triplets,
     is_radix_rational,
@@ -46,35 +45,6 @@ def test_radix_depth():
     assert radix_depth(Fraction(7, 12), 6) == 2
     with pytest.raises(ValueError):
         radix_depth(Fraction(1, 3), 2)
-
-
-def test_radix_point_value_equality_across_decompositions():
-    a = RadixPoint(r=2, n=0, k=0, y=Fraction(1, 2))
-    b = RadixPoint(r=2, n=1, k=1, y=Fraction(0))
-    assert a.value == b.value == Fraction(1, 2)
-    assert a == b
-    assert hash(a) == hash(b)
-    c = RadixPoint(r=2, n=2, k=1, y=Fraction(1, 4))
-    assert c.value == Fraction(5, 16)
-    assert c != a
-
-
-def test_radix_point_from_fraction():
-    p = RadixPoint.from_fraction(Fraction(5, 16), 2)
-    assert (p.n, p.k, p.y) == (4, 5, Fraction(0))
-    q = RadixPoint.from_fraction(Fraction(1, 3), 2, n=2)
-    assert (q.n, q.k) == (2, 1) and q.value == Fraction(1, 3)
-    edge = RadixPoint.from_fraction(Fraction(1), 2, n=0)
-    assert edge.k == 0 and edge.y == 1
-
-
-def test_radix_point_invariants():
-    with pytest.raises(ValueError):
-        RadixPoint(r=2, n=1, k=2, y=Fraction(0))  # k out of range
-    with pytest.raises(ValueError):
-        RadixPoint(r=2, n=0, k=0, y=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        RadixPoint.from_fraction(Fraction(9, 8), 2)
 
 
 def test_triplet_validation_and_points():

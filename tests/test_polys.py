@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from pathfn.core.polys import (
     bernstein_coeffs,
     certify_nonneg,
+    poly_add,
     poly_compose_affine,
     poly_derivative,
     poly_eval,
-    poly_min_exact_quadratic,
     poly_normalize,
     poly_sup_abs,
     solve_linear_system,
@@ -61,27 +61,34 @@ def test_sup_abs_exact_for_quadratics():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(coeff, min_size=1, max_size=6))
-def test_certify_nonneg_sound(cs):
+@given(st.lists(coeff, min_size=1, max_size=6), st.integers(-8, 8), st.integers(1, 8))
+def test_certify_nonneg_sound(cs, a, b):
     p = tuple(cs)
-    verdict = certify_nonneg(p, F(0), F(1))
+    lo, hi = F(a, 8), F(a + b, 8)
+    verdict = certify_nonneg(p, lo, hi)
+    samples = [poly_eval(p, lo + (hi - lo) * F(j, 128)) for j in range(129)]
     if verdict is True:
-        assert all(poly_eval(p, F(j, 128)) >= 0 for j in range(129))
-    elif verdict is False:
-        if len(poly_normalize(p)) <= 3:
-            assert poly_min_exact_quadratic(p, F(0), F(1)) < 0
-        else:
-            # higher-degree refutations come from values at dyadic points
-            assert min(poly_eval(p, F(j, 512)) for j in range(513)) < 0
+        assert min(samples) >= 0
+    elif verdict is not None:
+        # a refutation is an exact point of [lo, hi] where p < 0
+        assert isinstance(verdict, Fraction) and lo <= verdict <= hi
+        assert poly_eval(p, verdict) < 0
+        if len(poly_normalize(p)) <= 3:  # the exact minimiser
+            assert poly_eval(p, verdict) <= min(samples)
     # None (inconclusive) is always permitted
 
 
 def test_certify_nonneg_known_cases():
     assert certify_nonneg((F(0), F(0), F(1)), F(0), F(1)) is True  # x^2
-    assert certify_nonneg((F(-1), F(1)), F(0), F(1)) is False  # x - 1 < 0 inside
+    assert certify_nonneg((F(-1), F(1)), F(0), F(1)) == 0  # x - 1 < 0 inside; least at 0
+    assert certify_nonneg((F(-1), F(0), F(1)), F(-2), F(2)) == 0  # x^2 - 1: the vertex
     # quintic with a boundary zero: (1-x)^5
     q = poly_compose_affine((F(0),) * 5 + (F(1),), F(1), F(-1))
     assert certify_nonneg(q, F(0), F(1)) is True
+    # (x - 1/2)^4 - 10^-4 dips below 0 only on (2/5, 3/5): a Bernstein cell end
+    dip = poly_add(poly_compose_affine((F(0),) * 4 + (F(1),), F(-1, 2), F(1)), (F(-1, 10**4),))
+    x = certify_nonneg(dip, F(0), F(1))
+    assert F(2, 5) < x < F(3, 5) and poly_eval(dip, x) < 0
 
 
 def test_solve_linear_system():

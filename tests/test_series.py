@@ -59,11 +59,9 @@ def test_u_eval_exact_matches_takagi_builtin():
 
 
 def test_u_eval_exact_accepts_radix_points():
-    from pathfn.core.points import RadixPoint
-
     s = USeries(2, Distance())
-    p = RadixPoint(r=2, n=2, k=1, y=F(0))  # value 1/4
-    assert u_eval_exact(s, p) == u_eval_exact(s, F(1, 4)) == F(1, 2)
+    assert u_eval_exact(s, F(1, 4)) == u_eval_exact(s, F(5, 4)) == F(1, 2)
+    assert u_eval_exact(s, 1) == 0
 
 
 def test_u_eval_exact_rejects_non_grid_points():
