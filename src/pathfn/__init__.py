@@ -44,12 +44,11 @@ from .differences import (
     MembershipQuery,
     ProbeRow,
     ScanReport,
-    backward_diff,
     central_second_diff,
     divergence_probe,
-    forward_diff,
     membership_scan,
     semiconcavity_scan,
+    stencil_slopes,
 )
 from .errors import (
     AmbiguousEnvelopeError,

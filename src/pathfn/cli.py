@@ -118,11 +118,19 @@ def _emit(out: io.StringIO, report: Optional[dict]) -> None:
         out.write("\n")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
+def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
+    if mode:
+        p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP,
-                   help="cap on triplets, grid-table points, flow and probe evaluations, and the entries "
-                        "each exact point adds to a series table")
+                   help="cap on triplets, grid-table points, y values, bounds samples, flow and probe "
+                        "evaluations, and the entries each exact point adds to a series table")
+
+
+def _check_radix_scan_cap(cap: int, r: int, n_max: int, y_depth: int) -> None:
+    """The scan's own cap check for depths <= n_max and y in radix_y_set(r,
+    y_depth), made before the r^y_depth - 1 values of y are built."""
+    if y_depth >= 1:  # radix_y_set refuses smaller depths
+        check_scan_cap(cap, triplet_count(r, n_max, r**y_depth - 1), r ** (n_max + y_depth))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--nmax", required=True, type=int)
     p.add_argument("--ydepth", required=True, type=int)
-    _common_flags(p)
+    _common_flags(p, mode=False)
 
     p = sub.add_parser("flow", help="grid flow envelope, optionally cross-checked")
     p.add_argument("--func", required=True, metavar="FILE")
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--ydepth", type=int, default=3)
     p.add_argument("--xdepth", type=int, default=8)
-    _common_flags(p)
+    _common_flags(p, mode=False)
 
     return top
 
@@ -222,6 +230,7 @@ def cmd_membership(args, out: io.StringIO) -> int:
     c = _rat(args.c, "--c")
     if c <= 0:
         raise _UsageError("--c must be positive")
+    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     q = MembershipQuery(
         f=f, c=c, r=args.r, n_max=args.nmax, y_set=radix_y_set(args.r, args.ydepth), mode=args.mode
     )
@@ -253,6 +262,7 @@ def cmd_identity(args, out: io.StringIO) -> int:
     if not supports_exact(psi):
         raise PathfnError("identity verification requires an exact-capable generator")
     s = USeries(args.r, psi)
+    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     report = identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
     verdict = "pass" if report.offender is None else "fail"
     doc = _report(
@@ -355,14 +365,16 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     psi, digest = _load_func(args.psi)
     m = _rat(args.m, "--m")
     alpha = _rat(args.alpha, "--alpha")
+    if not supports_exact(psi):
+        raise PathfnError("bounds requires an exact-capable generator")
     s = USeries(args.r, psi)
+    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    check_scan_cap(args.cap, args.r**args.xdepth + 1, unit="sample points")
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
-    ys = params.y_set(args.r)
-    check_scan_cap(args.cap, triplet_count(args.r, args.nmax, len(ys)), scan_grid(args.r, args.nmax, ys))
     report = check_sufficient_conditions(s, m, alpha, params)
     detail = report.as_json()
     ok = report.passed
-    if ok and supports_exact(psi):
+    if ok:
         chain = lower_chain_check(s, m, radix_x_samples(args.r, min(args.xdepth, 6)))
         detail["lower_chain"] = chain.as_json()
         ok = chain.holds
@@ -380,7 +392,7 @@ def cmd_bounds(args, out: io.StringIO) -> int:
         },
         verdict,
         detail,
-        args.mode,
+        "exact",
         t0,
     )
     _emit(out, doc)

@@ -115,6 +115,8 @@ def radix_y_set(r: int, depth: int) -> Tuple[Fraction, ...]:
 def radix_x_samples(r: int, depth: int) -> Tuple[Fraction, ...]:
     """Grid points {j/r^depth : 0 <= j <= r^depth} including endpoints."""
     validate_radix(r)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     den = r**depth
     return tuple(Fraction(j, den) for j in range(0, den + 1))
 

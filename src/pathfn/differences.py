@@ -17,10 +17,10 @@ Both scan modes walk stencils by one routine, ``grid.stencil_slices``.
 Exact scans slice one grid table of f and compare stencils in integers;
 nothing in them passes through float.  Float scans slice one table of
 certified values over the whole grid (:func:`approx_table`), built by the
-exact table's node rules in one pass per node of f.  The single-stencil
-functions here evaluate f point by point (``eval_exact``, which reads each
-point off its own sparse table, or ``eval_approx``), a separate route that the
-tests use as the scans' oracle.
+exact table's node rules in one pass per node of f.  The per-point stencil
+routes (``central_second_diff``, the probe, and the oracles in ``flow`` and
+``series``) take their slopes from :func:`stencil_slopes`, which evaluates f
+point by point, a separate route that the tests use as the scans' oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import FuncExpr, eval_approx, eval_exact, eval_exact_points
+from .core.funcs import FuncExpr, eval_approx, eval_exact_points
 from .core.points import (
     Triplet,
     is_radix_rational,
@@ -46,40 +46,43 @@ DEFAULT_TRIPLET_CAP = 10**7
 _AUTO_ORBIT_CAP = 4096
 
 
-def _eval(f: FuncExpr, x: Fraction, mode: str) -> Scalar:
+def check_mode(mode: str) -> None:
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+
+
+def _slopes(fl: Scalar, fm: Scalar, fr: Scalar, h_left: Scalar, h_right: Scalar) -> Tuple[Scalar, Scalar]:
+    """(dminus, dplus) of a stencil from its values left, mid, right and its
+    steps h_left = y/r^n, h_right = (1-y)/r^n."""
+    return (fm - fl) / h_left, (fr - fm) / h_right
+
+
+def stencil_slopes(
+    f: FuncExpr, stencils: Sequence[Triplet], r: int, mode: str = "exact", max_orbit: Optional[int] = None
+) -> List[Tuple[Scalar, Scalar]]:
+    """[(dminus, dplus)] per stencil, each of its three points evaluated once.
+
+    Exact mode reads every point in one :func:`eval_exact_points` batch
+    (points on one orbit share a table; ``max_orbit`` is passed on and
+    exceeding it raises :class:`OrbitLimitError`).  Float mode evaluates
+    each point by ``eval_approx`` and divides by the certified step."""
+    check_mode(mode)
+    points = [p for t in stencils for p in t.points(r)]
     if mode == "exact":
-        return eval_exact(f, x)
-    if mode == "float":
-        return eval_approx(f, x)
-    raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-
-
-def forward_diff(f: FuncExpr, t: Triplet, r: int, mode: str = "exact") -> Scalar:
-    """Slope from the interior point (k+y)/r^n to the right cell edge."""
-    left, mid, right = t.points(r)
-    num = _eval(f, right, mode) - _eval(f, mid, mode)
-    return num / _step(Fraction(1) - t.y, t.n, r, mode)
-
-
-def backward_diff(f: FuncExpr, t: Triplet, r: int, mode: str = "exact") -> Scalar:
-    """Slope from the left cell edge to the interior point (k+y)/r^n."""
-    left, mid, right = t.points(r)
-    num = _eval(f, mid, mode) - _eval(f, left, mode)
-    return num / _step(t.y, t.n, r, mode)
-
-
-def _step(width: Fraction, n: int, r: int, mode: str) -> Scalar:
-    h = width / r**n
-    return h if mode == "exact" else Approx.from_fraction(h)
+        vals, step = eval_exact_points(f, points, max_orbit=max_orbit), Fraction
+    else:
+        vals, step = [eval_approx(f, p) for p in points], Approx.from_fraction
+    return [
+        _slopes(fl, fm, fr, step(t.y / r**t.n), step((1 - t.y) / r**t.n))
+        for t, fl, fm, fr in zip(stencils, vals[0::3], vals[1::3], vals[2::3])
+    ]
 
 
 def central_second_diff(f: FuncExpr, t: Triplet, r: int, mode: str = "exact") -> Scalar:
     """Delta = 2 r^n (dplus - dminus); at (0, 0, y) this equals -2 f(y) / (y (1-y))."""
+    ((dminus, dplus),) = stencil_slopes(f, [t], r, mode)
     scale = 2 * r**t.n
-    diff = forward_diff(f, t, r, mode) - backward_diff(f, t, r, mode)
-    if mode == "exact":
-        return scale * diff
-    return diff * Approx(float(scale), 0.0)
+    return scale * (dplus - dminus) if mode == "exact" else (dplus - dminus) * Approx(float(scale), 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class MembershipQuery:
         if self.c <= 0:
             raise ValueError("c must be positive")
         validate_radix(self.r)
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
+        check_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -166,10 +168,10 @@ def _scan_margins(f: FuncExpr, r: int, n_max: int, ys: Sequence[Fraction], grid:
     for n, y, _, left, mid, right in stencil_slices(vals, r, n_max, ys):
         scale = Approx(float(2 * r**n), 0.0)
         offset = Approx.from_fraction(offset_of_n(n))
-        h_right, h_left = _step(1 - y, n, r, "float"), _step(y, n, r, "float")
+        h_left, h_right = Approx.from_fraction(y / r**n), Approx.from_fraction((1 - y) / r**n)
         for k, (lv, mv, rv) in enumerate(zip(left, mid, right)):
-            diff = (rv - mv) / h_right - (mv - lv) / h_left
-            yield diff * scale + offset, Triplet(n, k, y)
+            dminus, dplus = _slopes(lv, mv, rv, h_left, h_right)
+            yield (dplus - dminus) * scale + offset, Triplet(n, k, y)
 
 
 def _float_verdict(margins: Iterable[Tuple[Approx, Triplet]]) -> Tuple[str, Approx, Triplet, int]:
@@ -215,6 +217,7 @@ def _run_scan(
     mode: str,
     cap: int,
 ) -> ScanReport:
+    check_mode(mode)
     ys = sorted(set(map(Fraction, y_set)))
     for y in ys:
         if not (0 < y < 1):
@@ -276,16 +279,6 @@ class ProbeRow:
     dminus: Scalar
     gap: Scalar
 
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "y": str(self.y),
-            "dplus": scalar_to_json(self.dplus),
-            "dminus": scalar_to_json(self.dminus),
-            "gap": scalar_to_json(self.gap),
-        }
-
 
 def divergence_probe(
     f: FuncExpr,
@@ -313,48 +306,19 @@ def divergence_probe(
     y = Fraction(y)
     if not (0 < y < 1):
         raise ValueError("y must lie strictly inside (0, 1)")
+    if mode not in ("auto", "exact", "float"):
+        raise ValueError(f"mode must be 'auto', 'exact' or 'float', got {mode!r}")
     on_grid = is_radix_rational(xq, r)
-    if mode == "auto":
-        try:
-            return _probe_rows(f, xq, n_depth, y, r, on_grid, "exact", _AUTO_ORBIT_CAP)
-        except OrbitLimitError:
-            return _probe_rows(f, xq, n_depth, y, r, on_grid, "float", None)
-    if mode in ("exact", "float"):
-        return _probe_rows(f, xq, n_depth, y, r, on_grid, mode, None)
-    raise ValueError(f"mode must be 'auto', 'exact' or 'float', got {mode!r}")
-
-
-def _probe_rows(
-    f: FuncExpr,
-    xq: Fraction,
-    n_depth: int,
-    y: Fraction,
-    r: int,
-    on_grid: bool,
-    mode: str,
-    orbit_cap: Optional[int],
-) -> List[ProbeRow]:
     stencils: List[Triplet] = []
     for n in range(n_depth + 1):
         scaled = xq * r**n
         k = scaled.numerator // scaled.denominator
-        yn = y if on_grid else scaled - k
-        if yn == 0:  # radix point at depth below its own: scaled is integral
-            yn = y
-        stencils.append(Triplet(n, k, yn))
-    points = [p for t in stencils for p in t.points(r)]  # one batch: points on one orbit share a table
-    if mode == "exact":
-        vals: List[Scalar] = eval_exact_points(f, points, max_orbit=orbit_cap)
+        stencils.append(Triplet(n, k, y if on_grid else scaled - k))
+    if mode == "auto":
+        try:
+            slopes = stencil_slopes(f, stencils, r, "exact", _AUTO_ORBIT_CAP)
+        except OrbitLimitError:
+            slopes = stencil_slopes(f, stencils, r, "float")
     else:
-        vals = [eval_approx(f, p) for p in points]
-    rows: List[ProbeRow] = []
-    for t, fl, fm, fr in zip(stencils, vals[0::3], vals[1::3], vals[2::3]):
-        if mode == "exact":
-            dminus: Scalar = (fm - fl) * r**t.n / t.y
-            dplus: Scalar = (fr - fm) * r**t.n / (1 - t.y)
-        else:
-            rn = Approx(float(r**t.n), 0.0)
-            dminus = (fm - fl) * rn / Approx.from_fraction(t.y)
-            dplus = (fr - fm) * rn / Approx.from_fraction(1 - t.y)
-        rows.append(ProbeRow(t.n, t.k, t.y, dplus, dminus, dplus - dminus))
-    return rows
+        slopes = stencil_slopes(f, stencils, r, mode)
+    return [ProbeRow(t.n, t.k, t.y, dplus, dminus, dplus - dminus) for t, (dminus, dplus) in zip(stencils, slopes)]

@@ -43,10 +43,10 @@ from .core.scalars import Approx, Scalar, format_rational
 from .differences import (
     MembershipQuery,
     approx_table,
-    backward_diff,
     central_second_diff,
-    forward_diff,
+    check_mode,
     membership_scan,
+    stencil_slopes,
 )
 from .errors import AmbiguousEnvelopeError, FlowConditionError, UnsupportedExactError
 from .grid import grid_values
@@ -80,8 +80,7 @@ def crossing_points(
         raise ValueError("t must be positive")
     validate_radix(r)
     left, mid, right = t_idx.points(r)
-    dminus = backward_diff(f, t_idx, r, "exact")
-    dplus = forward_diff(f, t_idx, r, "exact")
+    ((dminus, dplus),) = stencil_slopes(f, [t_idx], r)
     scale = Fraction(1, r**t_idx.n)
     x1 = left + t_idx.y * scale / 2 + t * dminus
     x2 = left + (1 + t_idx.y) * scale / 2 + t * dplus
@@ -107,15 +106,6 @@ class DominanceReport:
     agree: bool
     delta: Fraction
     witness_x: Optional[Fraction]
-
-    def as_json(self) -> dict:
-        return {
-            "criterion_holds": self.criterion_holds,
-            "sampled_holds": self.sampled_holds,
-            "agree": self.agree,
-            "delta": str(self.delta),
-            "witness_x": None if self.witness_x is None else str(self.witness_x),
-        }
 
 
 def dominance_check(
@@ -182,6 +172,7 @@ class FlowQuery:
             raise ValueError("t must be positive")
         if self.n is not None and self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        check_mode(self.mode)
 
     def depth(self) -> int:
         if self.n is not None:
@@ -468,8 +459,7 @@ def _bruteforce_args(t: Fraction, radix_depth: int, r: int, mode: str) -> Fracti
     validate_radix(r)
     if radix_depth < 0:
         raise ValueError(f"radix_depth must be >= 0, got {radix_depth}")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    check_mode(mode)
     return t
 
 
@@ -570,13 +560,6 @@ class SubdiffWitness:
     @property
     def width(self) -> Fraction:
         return self.slope_hi - self.slope_lo
-
-    def as_json(self) -> dict:
-        return {
-            "z": format_rational(self.z),
-            "slope_lo": format_rational(self.slope_lo),
-            "slope_hi": format_rational(self.slope_hi),
-        }
 
 
 def subdiff_witnesses(q: FlowQuery) -> List[SubdiffWitness]:

@@ -48,6 +48,7 @@ from .differences import (
     central_second_diff,
     check_scan_cap,
     semiconcavity_scan,
+    stencil_slopes,
 )
 from .errors import UnsupportedExactError
 from .grid import grid_values, scan_grid, stencil_rows
@@ -90,10 +91,9 @@ def u_delta_identity_residual(s: USeries, t: Triplet) -> Fraction:
     if not is_radix_rational(t.y, s.r):
         raise ValueError(f"y={t.y} is not radix-rational for r={s.r}")
     lhs = central_second_diff(s, t, s.r, "exact")
-    rhs = Fraction(0)
-    for j in range(t.n):
-        inner = Triplet(t.n - j, t.k % s.r ** (t.n - j), t.y)
-        rhs += s.r**j * central_second_diff(s.psi, inner, s.r, "exact")
+    inner = [Triplet(t.n - j, t.k % s.r ** (t.n - j), t.y) for j in range(t.n)]
+    # r^j Delta_{n-j}(psi) = 2 r^n (dplus - dminus) on the stencil (n - j, ., y)
+    rhs = 2 * s.r**t.n * sum((dplus - dminus for dminus, dplus in stencil_slopes(s.psi, inner, s.r)), Fraction(0))
     rhs -= Fraction(2 * s.r**t.n) / (t.y * (1 - t.y)) * u_eval_exact(s, t.y)
     return lhs - rhs
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -537,6 +538,91 @@ def test_series_commands_radix_error_exit_2(capsys, spec_file):
         extra = ["--nmax", "2", "--ydepth", "1"] if command == "identity" else ["--m", "1", "--alpha", "0"]
         code, out, err = run(capsys, [command, "--psi", spec_file(SPEC_DISTANCE), "--r", "1"] + extra)
         assert code == 2 and out == "" and "r must be an integer >= 2" in err
+
+
+def _refuse_huge_point_sets(monkeypatch):
+    """Make building a y set or a sample set of more than 10^6 points fail at once."""
+
+    def guard(real):
+        def wrapped(r, depth):
+            if r**depth > 10**6:
+                raise AssertionError(f"built {r}^{depth} points before the cap check")
+            return real(r, depth)
+
+        return wrapped
+
+    for module in (cli, pathfn.series):
+        for name in ("radix_y_set", "radix_x_samples"):
+            monkeypatch.setattr(module, name, guard(getattr(module, name)))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["membership", "--func", SPEC_TAKAGI2, "--c", "2", "--nmax", "1", "--ydepth", "40", "--cap", "100"],
+         f"scan of {3 * (2**40 - 1)} triplets exceeds cap 100"),
+        (["identity", "--psi", SPEC_DISTANCE, "--nmax", "1", "--ydepth", "40", "--cap", "100"],
+         f"scan of {3 * (2**40 - 1)} triplets exceeds cap 100"),
+        (["bounds", "--psi", SPEC_DISTANCE, "--m", "1", "--alpha", "0", "--ydepth", "40", "--cap", "100"],
+         f"scan of {31 * (2**40 - 1)} triplets exceeds cap 100"),
+        (["bounds", "--psi", SPEC_DISTANCE, "--m", "1", "--alpha", "0", "--xdepth", "40", "--cap", "1000"],
+         f"scan of {2**40 + 1} sample points exceeds cap 1000"),
+    ],
+    ids=["membership", "identity", "bounds-ydepth", "bounds-xdepth"],
+)
+def test_point_sets_are_capped_before_they_are_built(capsys, spec_file, monkeypatch, argv, message):
+    _refuse_huge_point_sets(monkeypatch)
+    argv = [argv[0], argv[1], spec_file(argv[2]), "--r", "2"] + argv[3:]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_bounds_negative_xdepth_exit_2(capsys, spec_file):
+    argv = ["bounds", "--psi", spec_file(SPEC_DISTANCE), "--m", "1", "--alpha", "0", "--r", "2", "--xdepth", "-1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "depth must be >= 0" in err
+
+
+def test_identity_and_bounds_take_no_mode_flag(capsys, spec_file):
+    argvs = {
+        "identity": ["identity", "--psi", spec_file(SPEC_DISTANCE), "--r", "2", "--nmax", "2", "--ydepth", "1"],
+        "bounds": ["bounds", "--psi", spec_file(SPEC_DISTANCE), "--m", "1", "--alpha", "0", "--r", "2"],
+    }
+    for argv in argvs.values():
+        for mode in ("exact", "float"):
+            code, out, err = run(capsys, argv + ["--mode", mode])
+            assert code == 2 and out == "" and "unrecognized arguments: --mode" in err
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["mode"] == "exact"
+
+
+def test_bounds_refuses_a_generator_without_exact_branch_before_work(capsys, spec_file, monkeypatch):
+    _refuse_work(monkeypatch, "check_sufficient_conditions", "lower_chain_check")
+    code, out, err = run(
+        capsys, ["bounds", "--psi", spec_file({"kind": "abs_sin"}), "--m", "1", "--alpha", "0", "--r", "2"]
+    )
+    assert code == 2 and out == "" and "exact-capable generator" in err
+
+
+def test_every_mode_flag_runs_float(capsys, spec_file):
+    """Each subcommand that accepts --mode honours --mode float: its report says
+    so, or its CSV carries the error_bound column."""
+    takagi2, takagi3 = spec_file(SPEC_TAKAGI2), spec_file(SPEC_TAKAGI3, "takagi3.json")
+    float_runs = {
+        "eval": ["--func", takagi2, "--points", "1/3"],
+        "membership": ["--func", takagi2, "--c", "1", "--r", "2", "--nmax", "2", "--ydepth", "2"],
+        "flow": ["--func", takagi3, *TAU3_FLOW],
+        "probe": ["--func", takagi2, "--x", "1/3", "--N", "4"],
+    }
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with_mode = {name for name, p in subparsers.choices.items() if any("--mode" in a.option_strings for a in p._actions)}
+    assert with_mode == set(float_runs)
+    for command, argv in float_runs.items():
+        _, out, _ = run(capsys, [command, *argv, "--mode", "float"])
+        if out.startswith("{"):
+            assert json.loads(out)["mode"] == "float", command
+        else:
+            assert out.splitlines()[0].endswith(",error_bound"), command
 
 
 def test_bounds_theta_fails(capsys, spec_file):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathfn.differences
 from pathfn.core.funcs import (
     AbsSin,
     Distance,
@@ -14,18 +15,18 @@ from pathfn.core.funcs import (
     ThetaSplice,
     USeries,
     eval_exact,
+    eval_exact_points,
     psi_zero,
 )
 from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set
 from pathfn.core.scalars import Approx
 from pathfn.differences import (
     MembershipQuery,
-    backward_diff,
     central_second_diff,
     divergence_probe,
-    forward_diff,
     membership_scan,
     semiconcavity_scan,
+    stencil_slopes,
 )
 from pathfn.errors import ResourceLimitError
 
@@ -48,29 +49,50 @@ def literal_delta(f, t: Triplet, r: int) -> Fraction:
 
 def test_slopes_takagi_unit_cell():
     t = Triplet(0, 0, F(1, 2))
-    assert backward_diff(TAU2, t, 2) == 1
-    assert forward_diff(TAU2, t, 2) == -1
+    assert stencil_slopes(TAU2, [t], 2) == [(1, -1)]  # (dminus, dplus)
     assert central_second_diff(TAU2, t, 2) == -4
 
 
 def test_slopes_takagi_depth_one():
     t = Triplet(1, 0, F(1, 2))
-    assert backward_diff(TAU2, t, 2) == 2
-    assert forward_diff(TAU2, t, 2) == 0
+    assert stencil_slopes(TAU2, [t], 2) == [(2, 0)]
     assert central_second_diff(TAU2, t, 2) == -8
 
 
 def test_slopes_distance_tent():
     t = Triplet(0, 0, F(1, 2))
-    assert backward_diff(Distance(), t, 2) == 1
-    assert forward_diff(Distance(), t, 2) == -1
+    assert stencil_slopes(Distance(), [t], 2) == [(1, -1)]
 
 
 def test_slopes_linear_cell():
     # d is linear with slope 1 on [0, 1/2]
     t = Triplet(1, 0, F(3, 8))
-    assert forward_diff(Distance(), t, 2) == backward_diff(Distance(), t, 2) == 1
+    assert stencil_slopes(Distance(), [t], 2) == [(1, 1)]
     assert central_second_diff(Distance(), t, 2) == 0
+
+
+def test_stencil_slopes_batch_matches_single_stencils():
+    stencils = list(enumerate_triplets(3, 2, radix_y_set(3, 1)))
+    batch = stencil_slopes(TAU2, stencils, 3)
+    assert batch == [stencil_slopes(TAU2, [t], 3)[0] for t in stencils]
+    for t, (lo, hi) in zip(stencils, stencil_slopes(TAU2, stencils, 3, "float")):
+        exact_minus, exact_plus = stencil_slopes(TAU2, [t], 3)[0]
+        assert lo.lo() <= exact_minus <= lo.hi() and hi.lo() <= exact_plus <= hi.hi()
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'float'"):
+        stencil_slopes(TAU2, stencils, 3, "Exact")
+
+
+def test_central_second_diff_evaluates_each_point_once(monkeypatch):
+    calls = []
+
+    def counting(f, xs, max_orbit=None):
+        calls.append(list(xs))
+        return eval_exact_points(f, xs, max_orbit)
+
+    monkeypatch.setattr(pathfn.differences, "eval_exact_points", counting)
+    t = Triplet(2, 1, F(1, 3))
+    assert central_second_diff(TAU2, t, 2) == literal_delta(TAU2, t, 2)
+    assert calls == [list(t.points(2))]
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -264,6 +286,13 @@ def test_semiconcavity_distance_concave():
     assert rep.verdict == "no-violation"
 
 
+def test_scans_refuse_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'float', got 'exakt'"):
+        semiconcavity_scan(Distance(), F(0), 2, 2, radix_y_set(2, 2), mode="exakt")
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'float', got 'Exact'"):
+        MembershipQuery(TAU2, F(2), 2, 2, radix_y_set(2, 2), mode="Exact")
+
+
 def test_semiconcavity_psi_zero():
     # a*d + b*d^2 is 2b-semiconcave; alpha = 2 passes, alpha = 0 fails on the
     # strictly convex branch x + x^2
@@ -325,6 +354,18 @@ def test_probe_does_not_depend_on_earlier_evaluations():
     eval_exact(TAU2, x)
     assert divergence_probe(TAU2, x, 3) == before
     assert all(isinstance(row.gap, Approx) for row in before)
+
+
+@pytest.mark.parametrize("f,x", [(USeries(3, Distance()), F(1, 4)), (Distance(), F(1, 5)), (USeries(3, ThetaSplice(3)), F(1, 2))])
+def test_float_probe_rows_contain_the_exact_gap_at_radix_3(f, x):
+    # 3^n > 2^53 from n = 34 on: the float steps y / 3^n are then not exact floats
+    exact = divergence_probe(f, x, 40, r=3, mode="exact")
+    floats = divergence_probe(f, x, 40, r=3, mode="float")
+    assert [(e.n, e.k, e.y) for e in exact] == [(a.n, a.k, a.y) for a in floats]
+    for e, a in zip(exact, floats):
+        assert a.gap.lo() <= e.gap <= a.gap.hi(), e.n
+        assert e.n > 10 or a.gap.err < 1e-6  # not vacuous where the steps are wide
+        assert a.dplus.lo() <= e.dplus <= a.dplus.hi() and a.dminus.lo() <= e.dminus <= a.dminus.hi(), e.n
 
 
 def test_probe_validates_inputs():

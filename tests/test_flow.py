@@ -240,6 +240,11 @@ def test_flow_grid_float_needs_certain_steepness_evidence():
         flow_grid(FlowQuery(f=USeries(2, AbsSin()), c=F(4), r=2, t=F(1, 4), mode="float"))
 
 
+def test_flow_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'float', got 'Exact'"):
+        flow_grid(FlowQuery(TAU2, 2, 2, F(1, 4), mode="Exact"))
+
+
 def test_piecewise_quadratic_json_roundtrip():
     pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8)))
     doc = pq.as_json()

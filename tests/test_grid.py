@@ -179,12 +179,14 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
     ys = radix_y_set(r, 2)
     s = USeries(r, psi)
 
-    def corrupt(real):
-        def wrapped(f, x, *args, **kw):
-            v = real(f, x, *args, **kw)
-            return v + F(1, 3) if f == psi and F(x) % 1 == x0 else v
+    def bump(f, x, v):
+        return v + F(1, 3) if f == psi and F(x) % 1 == x0 else v
 
-        return wrapped
+    def corrupt(real):
+        return lambda f, x, *args, **kw: bump(f, x, real(f, x, *args, **kw))
+
+    def corrupt_points(real):
+        return lambda f, xs, *args, **kw: [bump(f, x, v) for x, v in zip(xs, real(f, xs, *args, **kw))]
 
     def corrupt_table(f, Q):
         vals, den = grid_values(f, Q)
@@ -194,7 +196,7 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
         vals[int(x0 * Q)] += den
         return vals, 3 * den
 
-    monkeypatch.setattr(pathfn.differences, "eval_exact", corrupt(pathfn.differences.eval_exact))
+    monkeypatch.setattr(pathfn.differences, "eval_exact_points", corrupt_points(pathfn.differences.eval_exact_points))
     monkeypatch.setattr(pathfn.series, "eval_exact", corrupt(pathfn.series.eval_exact))
     expected = None
     for checked, t in enumerate(enumerate_triplets(r, n_max, ys), 1):
