@@ -28,11 +28,12 @@ from . import __version__
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set, triplet_count
-from .core.scalars import Approx, RationalFormatError, Scalar, format_rational, parse_rational
+from .core.scalars import Approx, RationalFormatError, Scalar, format_rational, parse_rational, to_json
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
     approx_table,
+    cap_depth,
     check_scan_cap,
     divergence_probe,
     membership_scan,
@@ -61,16 +62,12 @@ EXIT_ERROR = 2
 SCHEMA = "pathfn/1"
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_func(path: str) -> tuple[FuncExpr, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return parse_func_spec(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
@@ -78,7 +75,7 @@ def _rat(text: str, what: str) -> Fraction:
     try:
         return parse_rational(text)
     except RationalFormatError as exc:
-        raise _UsageError(f"bad {what}: {exc}") from exc
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _point_literal(tok: str) -> Fraction:
@@ -91,7 +88,7 @@ def _point_literal(tok: str) -> Fraction:
     try:
         return Fraction(decimal.Decimal(tok))
     except (decimal.InvalidOperation, ValueError) as exc:
-        raise _UsageError(f"bad point {tok!r}") from exc
+        raise ValueError(f"bad point {tok!r}") from exc
 
 
 def _root_radix(f: FuncExpr, fallback: int = 2) -> int:
@@ -130,7 +127,8 @@ def _check_radix_scan_cap(cap: int, r: int, n_max: int, y_depth: int) -> None:
     """The scan's own cap check for depths <= n_max and y in radix_y_set(r,
     y_depth), made before the r^y_depth - 1 values of y are built."""
     if y_depth >= 1:  # radix_y_set refuses smaller depths
-        check_scan_cap(cap, triplet_count(r, n_max, r**y_depth - 1), r ** (n_max + y_depth))
+        n, y = cap_depth(n_max, cap), cap_depth(y_depth, cap)
+        check_scan_cap(cap, triplet_count(r, n, r**y - 1), r ** cap_depth(n_max + y_depth, cap))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,11 +196,10 @@ def cmd_eval(args, out: io.StringIO) -> int:
     f, _ = _load_func(args.func)
     if args.grid is not None:
         if args.grid < 0:
-            raise _UsageError("--grid must be >= 0")
+            raise ValueError("--grid must be >= 0")
         base = _root_radix(f)
-        den = base**args.grid
-        check_scan_cap(args.cap, 0, den)
-        xs = [Fraction(j, den) for j in range(den + 1)]
+        check_scan_cap(args.cap, 0, base ** cap_depth(args.grid, args.cap))
+        xs = radix_x_samples(base, args.grid)
     else:
         xs = [_point_literal(tok.strip()) for tok in args.points.split(",")]
     rows: List[str] = []
@@ -229,7 +226,7 @@ def cmd_membership(args, out: io.StringIO) -> int:
     f, digest = _load_func(args.func)
     c = _rat(args.c, "--c")
     if c <= 0:
-        raise _UsageError("--c must be positive")
+        raise ValueError("--c must be positive")
     _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     q = MembershipQuery(
         f=f, c=c, r=args.r, n_max=args.nmax, y_set=radix_y_set(args.r, args.ydepth), mode=args.mode
@@ -246,7 +243,7 @@ def cmd_membership(args, out: io.StringIO) -> int:
             "ydepth": args.ydepth,
         },
         verdict,
-        report.as_json(),
+        to_json(report),
         args.mode,
         t0,
     )
@@ -269,7 +266,7 @@ def cmd_identity(args, out: io.StringIO) -> int:
         "identity",
         {"psi_sha256": digest, "r": args.r, "nmax": args.nmax, "ydepth": args.ydepth},
         verdict,
-        report.as_json(),
+        to_json(report),
         "exact",
         t0,
     )
@@ -286,10 +283,12 @@ def cmd_flow(args, out: io.StringIO) -> int:
     q = FlowQuery(f=f, c=c, r=r, t=t, n=args.n, mode=args.mode)
     d = args.crosscheck
     if d is not None and d < 0:
-        raise _UsageError("--crosscheck must be >= 0")
-    xs = [] if d is None else [Fraction(j, r ** min(d, 6)) for j in range(r ** min(d, 6) + 1)]
-    brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, d, r)
-    check_scan_cap(args.cap, brute_evals, r ** q.depth(), unit="brute-force evaluations")  # grid: r^n + 1 vertices
+        raise ValueError("--crosscheck must be >= 0")
+    xs = () if d is None else radix_x_samples(r, min(d, 6))
+    # each x compares at least r^d values, so a clamped depth still counts past the cap
+    brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
+    grid = r ** cap_depth(q.depth(), args.cap)  # r^n + 1 vertices
+    check_scan_cap(args.cap, brute_evals, grid, unit="brute-force evaluations")
     for sq in _steepness_queries(q):  # the scans flow_grid runs first
         check_scan_cap(args.cap, triplet_count(r, sq.n_max, len(sq.y_set)), scan_grid(r, sq.n_max, sq.y_set))
     pq = flow_grid(q)
@@ -369,14 +368,14 @@ def cmd_bounds(args, out: io.StringIO) -> int:
         raise PathfnError("bounds requires an exact-capable generator")
     s = USeries(args.r, psi)
     _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
-    check_scan_cap(args.cap, args.r**args.xdepth + 1, unit="sample points")
+    check_scan_cap(args.cap, args.r ** cap_depth(args.xdepth, args.cap) + 1, unit="sample points")
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
     report = check_sufficient_conditions(s, m, alpha, params)
-    detail = report.as_json()
+    detail = to_json(report)
     ok = report.passed
     if ok:
         chain = lower_chain_check(s, m, radix_x_samples(args.r, min(args.xdepth, 6)))
-        detail["lower_chain"] = chain.as_json()
+        detail["lower_chain"] = to_json(chain)
         ok = chain.holds
     verdict = "pass" if ok else "fail"
     doc = _report(
@@ -419,13 +418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = io.StringIO()
     try:
         code = _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        sys.stderr.write(f"pathfn: {exc}\n")
-        return EXIT_ERROR
-    except PathfnError as exc:
-        sys.stderr.write(f"pathfn: {exc}\n")
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (PathfnError, ValueError) as exc:
         sys.stderr.write(f"pathfn: {exc}\n")
         return EXIT_ERROR
     sys.stdout.write(out.getvalue())

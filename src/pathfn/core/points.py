@@ -74,9 +74,6 @@ class Triplet:
         scale = Fraction(1, r**self.n)
         return (self.k * scale, (self.k + self.y) * scale, (self.k + 1) * scale)
 
-    def as_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "y": str(self.y)}
-
 
 def triplet_count(r: int, n_max: int, num_y: int) -> int:
     validate_radix(r)

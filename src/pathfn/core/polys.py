@@ -32,12 +32,6 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_derivative(coeffs: Sequence[Fraction]) -> Coeffs:
-    if len(coeffs) <= 1:
-        return (_ZERO,)
-    return tuple(Fraction(k) * coeffs[k] for k in range(1, len(coeffs)))
-
-
 def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
     n = max(len(a), len(b))
     return poly_normalize(

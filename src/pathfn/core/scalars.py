@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
@@ -170,9 +170,6 @@ class Approx:
         o = Approx.coerce(other)
         return not (self.hi() < o.lo() or o.hi() < self.lo())
 
-    def as_json(self) -> dict:
-        return {"value": self.value, "error_bound": self.err}
-
     def __str__(self) -> str:
         return f"{self.value!r} ± {self.err:.3e}"
 
@@ -183,11 +180,26 @@ ApproxLike = Union[Approx, Fraction, int, float]
 Scalar = Union[Fraction, Approx]
 
 
-def scalar_to_json(s: Scalar):
-    """JSON form: rationals as 'p/q' strings, floats as value/error objects."""
-    if isinstance(s, Fraction):
-        return format_rational(s)
-    return s.as_json()
+def to_json(obj):
+    """JSON form of a report: rationals as 'p/q' strings, an Approx as
+    ``{value, error_bound}``, a dataclass as the dict of its fields (leaving
+    out a field whose value and default are both None), lists, tuples and
+    dicts item by item, anything else as it is."""
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, Approx):
+        return {"value": obj.value, "error_bound": obj.err}
+    if is_dataclass(obj):
+        return {
+            f.name: to_json(v)
+            for f in fields(obj)
+            if (v := getattr(obj, f.name)) is not None or f.default is not None
+        }
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    return obj
 
 
 # (value, err) forms of the node rules that float evaluation shares between

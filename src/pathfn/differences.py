@@ -37,7 +37,7 @@ from .core.points import (
     triplet_count,
     validate_radix,
 )
-from .core.scalars import Approx, Scalar, scalar_to_json
+from .core.scalars import Approx, Scalar
 from .errors import OrbitLimitError, ResourceLimitError
 from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 
@@ -126,26 +126,33 @@ class ScanReport:
     mode: str
     inconclusive_count: Optional[int] = None
 
-    def as_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "worst_margin": scalar_to_json(self.worst_margin),
-            "worst_triplet": self.worst_triplet.as_json(),
-            "scanned": self.scanned,
-            "mode": self.mode,
-        }
-        if self.mode == "float":
-            out["inconclusive_count"] = self.inconclusive_count
-        return out
+
+# Refusals print counts of at most this many bits exactly: 2^14000 has 4215
+# digits, below Python's default limit of 4300 for int-to-string conversion.
+_PRINTED_BITS = 14000
+
+
+def cap_depth(depth: int, cap: int) -> int:
+    """``depth``, clamped so that r^depth can be built at once for a cap check.
+
+    A clamped depth d still gives r^d >= 2^d > cap, and counts of more than
+    ``_PRINTED_BITS`` bits, so a count built from it is refused just as the
+    true one, as "at least 2^K"."""
+    return min(depth, max(cap.bit_length(), _PRINTED_BITS) + 1)
+
+
+def _count_text(count: int) -> str:
+    bits = count.bit_length()
+    return str(count) if bits <= _PRINTED_BITS else f"at least 2^{bits - 1}"
 
 
 def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str = "triplets") -> None:
     """Refuse a scan of more than ``cap`` ``unit`` (triplets by default), or
     one whose grid table {j/grid} would hold more than ``cap`` points."""
     if count > cap:
-        raise ResourceLimitError(f"scan of {count} {unit} exceeds cap {cap}")
+        raise ResourceLimitError(f"scan of {_count_text(count)} {unit} exceeds cap {cap}")
     if grid is not None and grid + 1 > cap:
-        raise ResourceLimitError(f"grid table of {grid + 1} points exceeds cap {cap}")
+        raise ResourceLimitError(f"grid table of {_count_text(grid + 1)} points exceeds cap {cap}")
 
 
 def approx_table(f: FuncExpr, Q: int) -> List[Approx]:

@@ -467,7 +467,7 @@ def flow_bruteforce_count(f: FuncExpr, t: Fraction, xs: Sequence[Union[Fraction,
     """The number of objective values :func:`flow_bruteforce_points` compares
     for these arguments, counted without evaluating f."""
     t = _bruteforce_args(t, radix_depth, r, "exact")
-    return sum(len(js) for js in _z_windows(f, t, [Fraction(x) for x in xs], r**radix_depth))
+    return sum(js.stop - js.start for js in _z_windows(f, t, [Fraction(x) for x in xs], r**radix_depth))
 
 
 def flow_bruteforce_points(

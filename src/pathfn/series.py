@@ -106,13 +106,6 @@ class IdentityReport:
     offender: Optional[Triplet]
     residual: Fraction  # 0 unless an offender was found
 
-    def as_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "offender": None if self.offender is None else self.offender.as_json(),
-            "residual": str(self.residual),
-        }
-
 
 def identity_residual_scan(
     s: USeries, n_max: int, y_set: Sequence[Fraction], cap: int = DEFAULT_TRIPLET_CAP
@@ -195,17 +188,6 @@ class SufficientReport:
     lower_bound_mode: str
     lower_bound_witness: Optional[Fraction]
     semiconcavity: ScanReport
-
-    def as_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "c": None if self.c is None else str(self.c),
-            "lower_bound_mode": self.lower_bound_mode,
-            "lower_bound_witness": None
-            if self.lower_bound_witness is None
-            else str(self.lower_bound_witness),
-            "semiconcavity": self.semiconcavity.as_json(),
-        }
 
 
 def check_sufficient_conditions(
@@ -293,13 +275,6 @@ class ChainReport:
     holds: bool
     checked: int
     first_failure: Optional[Fraction]
-
-    def as_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "checked": self.checked,
-            "first_failure": None if self.first_failure is None else str(self.first_failure),
-        }
 
 
 def lower_chain_check(

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -575,6 +576,41 @@ def test_point_sets_are_capped_before_they_are_built(capsys, spec_file, monkeypa
     argv = [argv[0], argv[1], spec_file(argv[2]), "--r", "2"] + argv[3:]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and message in err
+
+
+SPEC_TAKAGI3 = {"kind": "takagi", "r": 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["membership", "--func", SPEC_TAKAGI3, "--c", "1", "--r", "3", "--nmax", "1", "--ydepth", "300000", "--cap", "100"],
+        ["membership", "--func", SPEC_TAKAGI3, "--c", "1", "--r", "3", "--nmax", "1", "--ydepth", "30000000",
+         "--cap", "100"],
+        ["identity", "--psi", SPEC_DISTANCE, "--r", "3", "--nmax", "1", "--ydepth", "300000", "--cap", "100"],
+        ["membership", "--func", SPEC_TAKAGI3, "--c", "1", "--r", "3", "--nmax", "300000", "--ydepth", "1",
+         "--cap", "100"],
+        ["eval", "--func", SPEC_TAKAGI2, "--grid", "20000", "--cap", "100"],
+        ["flow", "--func", SPEC_TAKAGI2, "--c", "2", "--t", "1/4", "--n", "20000", "--cap", "100"],
+        ["bounds", "--psi", SPEC_DISTANCE, "--m", "1", "--alpha", "0", "--r", "2", "--xdepth", "20000",
+         "--cap", "1000"],
+        ["flow", "--func", SPEC_TAKAGI2, "--c", "2", "--t", "1/4", "--crosscheck", "63", "--cap", "100"],
+    ],
+    ids=["membership-ydepth", "membership-ydepth-30M", "identity-ydepth", "membership-nmax", "eval-grid",
+         "flow-n", "bounds-xdepth", "flow-crosscheck"],
+)
+def test_huge_sizes_are_refused_quickly(capsys, spec_file, monkeypatch, argv):
+    # counts past Python's int-to-string limit used to end in its conversion
+    # error, a crosscheck at depth 63 in an OverflowError, and depth 30000000
+    # spent about 20 s building 3^30000000 before the refusal
+    _refuse_huge_point_sets(monkeypatch)
+    _refuse_work(monkeypatch, "membership_scan", "identity_residual_scan", "grid_values", "flow_grid",
+                 "check_sufficient_conditions")
+    argv = [argv[0], argv[1], spec_file(argv[2])] + argv[3:]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "exceeds cap" in err
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_bounds_negative_xdepth_exit_2(capsys, spec_file):

@@ -30,7 +30,7 @@ from pathfn.core.funcs import (
     theta_upper_poly,
 )
 from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set, triplet_count
-from pathfn.core.scalars import Approx
+from pathfn.core.scalars import Approx, to_json
 from pathfn.differences import (
     MembershipQuery,
     approx_table,
@@ -215,7 +215,7 @@ def test_float_verdict_finds_certified_margin_below_old_tolerance():
     rep = membership_scan(MembershipQuery(**q, mode="float"))
     assert rep.verdict == "violated" and rep.worst_margin.lo() > 0
     assert rep.inconclusive_count == 0
-    assert rep.as_json()["inconclusive_count"] == 0 and "tol" not in rep.as_json()
+    assert to_json(rep)["inconclusive_count"] == 0 and "tol" not in to_json(rep)
 
 
 def test_float_verdict_counts_a_straddling_margin_with_a_lower_centre():

@@ -9,7 +9,6 @@ from pathfn.core.polys import (
     certify_nonneg,
     poly_add,
     poly_compose_affine,
-    poly_derivative,
     poly_eval,
     poly_normalize,
     poly_sup_abs,
@@ -22,8 +21,6 @@ F = Fraction
 def test_poly_eval_and_derivative():
     p = (F(1), F(-2), F(3))  # 1 - 2x + 3x^2
     assert poly_eval(p, F(2)) == 1 - 4 + 12
-    assert poly_derivative(p) == (F(-2), F(6))
-    assert poly_derivative((F(5),)) == (F(0),)
 
 
 def test_compose_affine():

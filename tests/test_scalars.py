@@ -12,7 +12,11 @@ from pathfn.core.scalars import (
     reduce_mod1,
     sin_2pi_bounds,
     sin_pi_abs_bounds,
+    to_json,
 )
+from pathfn.core.points import Triplet
+from pathfn.differences import ScanReport
+from pathfn.series import SufficientReport
 
 
 def test_parse_rational_forms():
@@ -103,3 +107,26 @@ def test_comparisons():
     assert a.definitely_le(b)
     assert not a.overlaps(b)
     assert a.overlaps(Approx(1.05, 0.1))
+
+
+def test_to_json_encoding_rules():
+    assert to_json(Fraction(-3, 4)) == "-3/4"
+    assert to_json(Approx(0.5, 0.25)) == {"value": 0.5, "error_bound": 0.25}
+    assert to_json({"a": (Fraction(1, 2), [Fraction(2)]), "b": True, "c": None}) == {
+        "a": ["1/2", ["2"]], "b": True, "c": None}
+    assert to_json(Triplet(1, 2, Fraction(1, 3))) == {"n": 1, "k": 2, "y": "1/3"}
+
+
+def test_to_json_leaves_out_only_fields_that_default_to_none():
+    scan = ScanReport("no-violation", Fraction(-16, 7), Triplet(0, 0, Fraction(1, 8)), 7, "exact")
+    assert to_json(scan) == {
+        "verdict": "no-violation", "worst_margin": "-16/7", "worst_triplet": {"n": 0, "k": 0, "y": "1/8"},
+        "scanned": 7, "mode": "exact",
+    }
+    floats = ScanReport("inconclusive", Approx(0.0, 1e-15), Triplet(0, 0, Fraction(1, 2)), 7, "float", 0)
+    assert to_json(floats)["inconclusive_count"] == 0
+    failing = SufficientReport(False, None, "sampled", Fraction(1, 256), scan)
+    assert to_json(failing) == {
+        "passed": False, "c": None, "lower_bound_mode": "sampled", "lower_bound_witness": "1/256",
+        "semiconcavity": to_json(scan),
+    }
