@@ -291,7 +291,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
     check_scan_cap(args.cap, brute_evals, grid, unit="brute-force evaluations")
     for sq in _steepness_queries(q):  # the scans flow_grid runs first
         check_scan_cap(args.cap, triplet_count(r, sq.n_max, len(sq.y_set)), scan_grid(r, sq.n_max, sq.y_set))
-    pq = flow_grid(q)
+    pq = flow_grid(q, cap=args.cap)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
     verdict = "pass"
     if d is not None:
@@ -370,7 +370,7 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     check_scan_cap(args.cap, args.r ** cap_depth(args.xdepth, args.cap) + 1, unit="sample points")
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
-    report = check_sufficient_conditions(s, m, alpha, params)
+    report = check_sufficient_conditions(s, m, alpha, params, cap=args.cap)
     detail = to_json(report)
     ok = report.passed
     if ok:

@@ -162,10 +162,6 @@ class Approx:
         return Approx.coerce(other) / self
 
     # certain comparisons
-    def definitely_le(self, other: "ApproxLike") -> bool:
-        o = Approx.coerce(other)
-        return self.hi() <= o.lo()
-
     def overlaps(self, other: "ApproxLike") -> bool:
         o = Approx.coerce(other)
         return not (self.hi() < o.lo() or o.hi() < self.lo())

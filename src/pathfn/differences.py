@@ -155,6 +155,24 @@ def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str =
         raise ResourceLimitError(f"grid table of {_count_text(grid + 1)} points exceeds cap {cap}")
 
 
+def scan_family(r: int, n_max: int, y_set: Sequence[Fraction], cap: int) -> Tuple[List[Fraction], int, int]:
+    """(ys, total, grid) of a scan over the depths n <= n_max and the y of
+    ``y_set``: the sorted distinct y, the number of triplets, and the size of
+    the grid table (:func:`pathfn.grid.scan_grid`).  A family over ``cap`` or
+    without triplets is refused, a huge depth without building its power."""
+    ys = sorted(set(map(Fraction, y_set)))
+    for y in ys:
+        if not (0 < y < 1):
+            raise ValueError(f"y={y} must lie strictly inside (0, 1)")
+    n = cap_depth(n_max, cap)  # a clamped depth is refused below
+    total = triplet_count(r, n, len(ys))
+    if not total:
+        raise ValueError("empty scan: no triplets enumerated")
+    grid = scan_grid(r, n, ys)
+    check_scan_cap(cap, total, grid)
+    return ys, total, grid
+
+
 def approx_table(f: FuncExpr, Q: int) -> List[Approx]:
     """Certified f(j/Q) for j = 0..Q, the float counterpart of
     :func:`pathfn.grid.grid_values`, built by the same node rules
@@ -225,16 +243,8 @@ def _run_scan(
     cap: int,
 ) -> ScanReport:
     check_mode(mode)
-    ys = sorted(set(map(Fraction, y_set)))
-    for y in ys:
-        if not (0 < y < 1):
-            raise ValueError(f"y={y} must lie strictly inside (0, 1)")
-    total = triplet_count(r, n_max, len(ys))
-    if not total:
-        raise ValueError("empty scan: no triplets enumerated")
+    ys, total, grid = scan_family(r, n_max, y_set, cap)
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
-    grid = scan_grid(r, n_max, ys)
-    check_scan_cap(cap, total, grid)
     if mode == "exact":
         margins = _table_margins(f, r, n_max, ys, grid, offset)
         # the largest margin wins; ties go to the lexicographically smallest (n, k, y)

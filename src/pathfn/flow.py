@@ -11,9 +11,10 @@ Two routes compute it:
   t = p/q, the parabolas of vertices i < j cross at num/den with
   num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0, so
   every stack comparison is one cross-multiplication, and ``Fraction``s are
-  built only for the surviving pieces.  Float mode decides every comparison
-  on certified intervals first, then runs the same integer pass on the
-  centre values as dyadic integers over one common denominator.
+  built only for the surviving pieces.  Float mode runs the same pass on the
+  dyadic centres and errors of the vertex values over one common denominator;
+  moving each vertex k within its error e_k moves num by at most
+  2pR^2 (e_i + e_j), and every comparison must hold for all such moves.
 * ``flow_bruteforce_points`` -- the independent oracle: a plain minimum over
   the radix z-grid {j/r^N}, in exact or certified float arithmetic, for many
   x on one table of f.  At x = a/X the exact objective at z_j is
@@ -41,6 +42,7 @@ from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_rational
 from .differences import (
+    DEFAULT_TRIPLET_CAP,
     MembershipQuery,
     approx_table,
     central_second_diff,
@@ -276,7 +278,7 @@ def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
     return PiecewiseQuadratic(Fraction(doc["t"]), pieces)
 
 
-def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
+def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadratic:
     """Lower envelope of the r^n + 1 grid-vertex parabolas on [0, 1].
 
     Preconditions: t >= 1/(2 c r^n) for the effective depth, and evidence
@@ -284,7 +286,7 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     'no-violation' verdict from both :func:`_steepness_queries` scans), on
     which the collapse onto the grid rests.  Runs in time linear in r^n;
     exact mode throughout (float mode raises if any envelope comparison is
-    ambiguous within certified bounds).
+    ambiguous within certified bounds).  ``cap`` bounds the steepness scans.
     """
     n = q.depth()
     threshold = Fraction(1, 2 * q.c * q.r**n)
@@ -295,7 +297,7 @@ def flow_grid(q: FlowQuery) -> PiecewiseQuadratic:
     if q.mode == "exact" and not supports_exact(q.f):
         raise UnsupportedExactError("function has no exact branch; use --mode float")
     for sq in _steepness_queries(q):
-        scan = membership_scan(sq)
+        scan = membership_scan(sq, cap=cap)
         if scan.verdict != "no-violation":  # a float 'inconclusive' is no evidence
             w = scan.worst_triplet
             raise FlowConditionError(
@@ -324,12 +326,19 @@ def _steepness_queries(q: FlowQuery) -> Tuple[MembershipQuery, MembershipQuery]:
 _Cut = Tuple[int, int]
 
 
-def _envelope_exact(vals: List[int], den: int, t: Fraction, err: float = 0.0) -> PiecewiseQuadratic:
+def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[int]] = None) -> PiecewiseQuadratic:
     """Lower envelope on [0, 1] of the parabolas vals[k]/den + (x - k/R)^2/(2t),
     R = len(vals) - 1, by the stack algorithm in integers (see the module
-    docstring for the crossing num/den)."""
-    g = math.gcd(den, *vals)  # reduced data keep the crossings and their gcds small
+    docstring for the crossing num/den).
+
+    With ``errs``, vertex k may sit anywhere within errs[k]/den of
+    vals[k]/den: every stack comparison must come out the same for all such
+    values, else :class:`AmbiguousEnvelopeError`, and ``err`` is the largest
+    of these errors."""
+    g = math.gcd(den, *vals, *(errs or ()))  # reduced data keep the crossings and their gcds small
     vals, den = [v // g for v in vals], den // g
+    errs = None if errs is None else [e // g for e in errs]
+    err = max(errs) / den if errs else 0.0  # exact: each errs[k] / den is a float
     R = len(vals) - 1
     a, b = 2 * t.numerator * R * R, t.denominator * den
     # the crossing of i < j is num / (C (j - i)) with C = 2 b R; C is common to
@@ -343,7 +352,17 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, err: float = 0.0) ->
     cuts: List[_Cut] = []  # cuts[m] is the left boundary of stack[m + 1]'s cell
     for j in range(1, R + 1):
         num, dj = crossing(stack[-1], j)
-        while cuts and num * cuts[-1][1] <= cuts[-1][0] * dj:
+        while cuts:
+            left, di = cuts[-1]  # the top vertex keeps a nonempty cell iff gap > 0
+            gap = num * di - left * dj
+            if errs is not None:
+                h, i = stack[-2], stack[-1]  # each num moves by up to a (errs of its vertices)
+                if abs(gap) <= a * ((errs[i] + errs[j]) * di + (errs[h] + errs[i]) * dj):
+                    raise AmbiguousEnvelopeError(
+                        f"breakpoint between z={Fraction(i, R)} and z={Fraction(j, R)} is ambiguous; use exact mode"
+                    )
+            if gap > 0:
+                break
             stack.pop()
             cuts.pop()
             num, dj = crossing(stack[-1], j)
@@ -384,46 +403,16 @@ def _check_envelope_invariants(kept: List[Tuple[int, _Cut, _Cut]], vals: List[in
 
 
 def _envelope_float(fz: List[Approx], t: Fraction) -> PiecewiseQuadratic:
-    """Float-mode envelope of the vertex values fz[k] at z = k/R.
-
-    Every ordering decision is first made with certified interval comparisons
-    and any ambiguity raises (the combinatorial structure must never depend
-    on rounding).  Once the structure is certain, the emitted object is the
-    exact envelope of the parabolas through the computed values taken as
-    exact dyadic rationals, so all structural invariants hold exactly for
-    that perturbed data; its ``err`` is the largest vertex error.
-    """
-    R = len(fz) - 1
-    ta = Approx.from_fraction(t)
-    stack: List[int] = [0]
-    lefts: List[Optional[Approx]] = [None]
-
-    def intersect(i: int, j: int) -> Approx:
-        dz = Approx.from_fraction(Fraction(j - i, R))
-        mid = Approx.from_fraction(Fraction(i + j, 2 * R))
-        return ta * (fz[j] - fz[i]) / dz + mid
-
-    for j in range(1, R + 1):
-        while True:
-            i = stack[-1]
-            s = intersect(i, j)
-            prev = lefts[-1]
-            if prev is not None:
-                if s.overlaps(prev):
-                    raise AmbiguousEnvelopeError(
-                        f"breakpoint between z={Fraction(i, R)} and z={Fraction(j, R)} is ambiguous; use exact mode"
-                    )
-                if s.definitely_le(prev):
-                    stack.pop()
-                    lefts.pop()
-                    continue
-            break
-        stack.append(j)
-        lefts.append(s)
-    # centres are dyadic, so the largest denominator is a common one
-    ratios = [v.value.as_integer_ratio() for v in fz]
+    """Float-mode envelope of the vertex values fz[k] at z = k/R: the integer
+    pass on the centres, certain for every vertex value within its error (the
+    combinatorial structure must never depend on rounding).  All structural
+    invariants hold exactly for the centres taken as exact dyadic rationals;
+    ``err`` is the largest vertex error."""
+    # centres and errors are dyadic, so the largest denominator is a common one
+    ratios = [x.as_integer_ratio() for v in fz for x in (v.value, v.err)]
     den = max(d for _, d in ratios)
-    return _envelope_exact([n * (den // d) for n, d in ratios], den, t, max(v.err for v in fz))
+    ints = [n * (den // d) for n, d in ratios]
+    return _envelope_exact(ints[0::2], den, t, ints[1::2])
 
 
 def _certified_nonneg_on_unit(f: FuncExpr) -> bool:

@@ -155,7 +155,7 @@ def stencil_slices(
     sorted ``ys``, where ``vals`` is indexed by j = 0..Q on Q = B r^n_max, B a
     multiple of every y denominator, and left[k], mid[k], right[k] are the
     entries at the stencil (n, k, y).  ``vals`` may be any sliceable
-    sequence: a table, or ``range(Q + 1)`` for the indices themselves."""
+    sequence: an integer table or a list of certified values."""
     B = (len(vals) - 1) // r**n_max
     for n in range(n_max + 1):
         step = r ** (n_max - n)

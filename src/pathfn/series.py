@@ -37,7 +37,6 @@ from .core.points import (
     radix_depth,
     radix_x_samples,
     radix_y_set,
-    triplet_count,
     validate_radix,
 )
 from .core.polys import certify_nonneg
@@ -45,13 +44,15 @@ from .core.scalars import reduce_mod1
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     ScanReport,
+    cap_depth,
     central_second_diff,
     check_scan_cap,
+    scan_family,
     semiconcavity_scan,
     stencil_slopes,
 )
 from .errors import UnsupportedExactError
-from .grid import grid_values, scan_grid, stencil_rows
+from .grid import grid_values, stencil_rows
 
 
 def u_eval_exact(s: USeries, p: Union[Fraction, int]) -> Fraction:
@@ -123,16 +124,11 @@ def identity_residual_scan(
     if not supports_exact(s.psi):
         raise UnsupportedExactError("generator has no exact branch")
     r = s.r
-    ys = sorted(set(map(Fraction, y_set)))
+    ys, total, Q = scan_family(r, n_max, y_set, cap)
     for y in ys:
-        if not (0 < y < 1):
-            raise ValueError(f"y={y} must lie strictly inside (0, 1)")
         if not is_radix_rational(y, r):
             raise ValueError(f"y={y} is not radix-rational for r={r}")
-    Q = scan_grid(r, n_max, ys)
     B = Q // r**n_max
-    total = triplet_count(r, n_max, len(ys))
-    check_scan_cap(cap, total, Q)
     u_vals, u_den = grid_values(s, Q)  # left side
     p_vals, p_den = grid_values(s.psi, Q)  # right side
     u_at_y = {y: u_eval_exact(s, y) for y in ys}
@@ -195,12 +191,15 @@ def check_sufficient_conditions(
     m: Fraction,
     alpha: Fraction,
     scan: ScanParams = ScanParams(),
+    cap: int = DEFAULT_TRIPLET_CAP,
 ) -> SufficientReport:
     """Check (i) m*d <= psi on [0,1] and (ii) Delta(psi) <= alpha, requiring
     2 m r > alpha; a pass yields c = (2 m r - alpha)/(2 (r - 1)).
 
     A pass is finite evidence, not a proof over all stencils; the report
-    records whether (i) was certified exactly or only sampled.
+    records whether (i) was certified exactly or only sampled.  ``cap``
+    bounds the r^x_depth + 1 samples of (i), refused before they are built,
+    and the scans of (ii).
     """
     m = Fraction(m)
     alpha = Fraction(alpha)
@@ -210,21 +209,22 @@ def check_sufficient_conditions(
         raise ValueError("alpha must be >= 0")
     if 2 * m * s.r <= alpha:
         raise ValueError(f"need 2*m*r > alpha, got 2*{m}*{s.r} <= {alpha}")
+    check_scan_cap(cap, s.r ** cap_depth(scan.x_depth, cap) + 1, unit="sample points")
 
     mode, witness = _lower_bound_check(s.psi, m, scan.x_samples(s.r))
     if witness is not None:
-        return SufficientReport(False, None, mode, witness, _trivial_semiconcavity(s, alpha, scan))
+        return SufficientReport(False, None, mode, witness, _trivial_semiconcavity(s, alpha, scan, cap))
 
-    semi = semiconcavity_scan(s.psi, alpha, s.r, scan.n_max, scan.y_set(s.r))
+    semi = semiconcavity_scan(s.psi, alpha, s.r, scan.n_max, scan.y_set(s.r), cap=cap)
     if semi.verdict != "no-violation":
         return SufficientReport(False, None, mode, None, semi)
     c = Fraction(2 * m * s.r - alpha, 2 * (s.r - 1))
     return SufficientReport(True, c, mode, None, semi)
 
 
-def _trivial_semiconcavity(s: USeries, alpha: Fraction, scan: ScanParams) -> ScanReport:
+def _trivial_semiconcavity(s: USeries, alpha: Fraction, scan: ScanParams, cap: int) -> ScanReport:
     # condition (i) already failed; still report a depth-0 slice for context
-    return semiconcavity_scan(s.psi, alpha, s.r, 0, scan.y_set(s.r))
+    return semiconcavity_scan(s.psi, alpha, s.r, 0, scan.y_set(s.r), cap=cap)
 
 
 def _lower_bound_check(

@@ -391,8 +391,8 @@ def test_flow_crosscheck_catches_a_shifted_vertex(capsys, spec_file, monkeypatch
     # must still show as a mismatch in float mode
     real = cli.flow_grid
 
-    def shifted(q):
-        pq = real(q)
+    def shifted(q, cap):
+        pq = real(q, cap=cap)
         assert pq.err < 1e-12
         pieces = tuple(dataclasses.replace(p, fz=p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
         return dataclasses.replace(pq, pieces=pieces)
@@ -617,6 +617,65 @@ def test_bounds_negative_xdepth_exit_2(capsys, spec_file):
     argv = ["bounds", "--psi", spec_file(SPEC_DISTANCE), "--m", "1", "--alpha", "0", "--r", "2", "--xdepth", "-1"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and "depth must be >= 0" in err
+
+
+class _ScanReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--psi", SPEC_DISTANCE, "--m", "1", "--alpha", "0", "--r", "2", "--nmax", "20"],
+        ["flow", "--func", SPEC_TAKAGI2, "--c", "2", "--t", "1/16777216", "--n", "23"],
+    ],
+    ids=["bounds", "flow"],
+)
+def test_cap_reaches_the_scans_inside_flow_and_bounds(capsys, spec_file, monkeypatch, argv):
+    # both pass the command's own check at cap 2*10^7 (a 14680057- and a
+    # 16777215-triplet scan) and used to exit 2 from their inner scans under the
+    # library default of 10^7; the spies stop before any scan work
+    import pathfn.flow
+
+    caps = []
+
+    def spy(*args, cap=None):
+        caps.append(cap)
+        raise _ScanReached
+
+    monkeypatch.setattr(pathfn.flow, "membership_scan", spy)
+    monkeypatch.setattr(pathfn.series, "semiconcavity_scan", spy)
+    with pytest.raises(_ScanReached):
+        cli.main([argv[0], argv[1], spec_file(argv[2])] + argv[3:] + ["--cap", "20000000"])
+    assert caps == [20000000]
+
+
+_CAPPED_ENTRY_POINTS = {
+    "membership_scan", "semiconcavity_scan", "identity_residual_scan", "flow_grid", "check_sufficient_conditions"
+}
+
+
+def test_every_capped_entry_point_is_called_with_a_cap():
+    # a call that omits cap runs under the library default, whatever the caller's cap;
+    # subdiff_witnesses has no cap of its own
+    import ast
+    import pathlib
+
+    missing = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name not in _CAPPED_ENTRY_POINTS or any(k.arg == "cap" for k in call.keywords):
+                    continue
+                if (path.name, fn.name, name) != ("flow.py", "subdiff_witnesses", "flow_grid"):
+                    missing.append(f"{path.name}:{call.lineno} {fn.name} -> {name}")
+    assert not missing
 
 
 def test_identity_and_bounds_take_no_mode_flag(capsys, spec_file):

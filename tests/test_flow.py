@@ -276,9 +276,9 @@ def test_sample_rows_walk_equals_eval(f, c, r, t, n):
 # -------------------------------------------------------- integer envelope
 
 
-def envelope_reference(zs, fz, t):
-    """The stack algorithm in plain Fractions: (x_lo, x_hi, z, fz) of each
-    envelope piece of positive width within [0, 1]."""
+def stack_reference(zs, fz, t):
+    """The stack algorithm in plain Fractions: the surviving vertices and the
+    left breakpoint of each (None for the first)."""
     stack, lefts = [0], [None]
     for j in range(1, len(zs)):
         while True:
@@ -291,6 +291,13 @@ def envelope_reference(zs, fz, t):
             break
         stack.append(j)
         lefts.append(s)
+    return stack, lefts
+
+
+def envelope_reference(zs, fz, t):
+    """(x_lo, x_hi, z, fz) of each piece of positive width within [0, 1] of
+    the Fraction stack algorithm's envelope."""
+    stack, lefts = stack_reference(zs, fz, t)
     out = []
     for m, i in enumerate(stack):
         lo = F(0) if m == 0 else max(lefts[m], F(0))
@@ -359,6 +366,61 @@ def test_float_envelope_is_the_exact_envelope_of_its_centres():
         exact = flow_grid(FlowQuery(f=f, c=c, r=2, t=t))
         for x in set(pq.breakpoints()) | set(zs):
             assert abs(pq.eval(x) - exact.eval(x)) <= F(pq.err)
+
+
+def test_float_envelope_stack_holds_for_every_vertex_value_within_its_error():
+    # random dyadic vertex data, two thirds of it grazing: on f = -z^2/(2t) + bz
+    # every pair of parabolas crosses at x = bt, so each comparison is a near
+    # tie, decided by noise of the size of the errors (or by no error at all)
+    from pathfn.flow import _envelope_float
+
+    rng = random.Random(14)
+    accepted = refused = 0
+    for _ in range(600):
+        R, t = rng.randint(1, 8), F(rng.randint(1, 8), 2 ** rng.randint(0, 6))
+        kind, unit, b = rng.randrange(3), 2.0 ** -rng.randint(20, 55), F(rng.randint(-8, 8), 8)
+        zs = [F(k, R) for k in range(R + 1)]
+        fz = [
+            Approx(
+                rng.random() if kind == 0 else float(-z * z / (2 * t) + b * z) + unit * rng.randint(-3, 3),
+                0.0 if kind == 2 else unit * rng.randint(0, 3),
+            )
+            for z in zs
+        ]
+        try:
+            pq = _envelope_float(fz, t)
+        except AmbiguousEnvelopeError:
+            refused += 1
+            continue
+        accepted += 1
+        centres = [F(v.value) for v in fz]
+        assert pieces_of(pq) == envelope_reference(zs, centres, t)
+        assert pq.err == max(v.err for v in fz)
+        stack, _ = stack_reference(zs, centres, t)
+        for _ in range(20):  # corners of the error box, and points inside it
+            moved = [c + F(v.err) * rng.choice((-1, 1, F(rng.randint(-7, 7), 8))) for c, v in zip(centres, fz)]
+            assert stack_reference(zs, moved, t)[0] == stack, (fz, t, moved)
+    assert accepted > 200 and refused > 100
+
+
+def test_float_envelope_certifies_crossings_closer_than_interval_rounding():
+    # -4z^2 + z/2 at z = 0, 1/2, 1 puts both crossings at t = 1/8 on x = 1/16;
+    # lifting f(0) by 2^-50 leaves z = 1/2 a cell of width 2^-52.  The values
+    # carry no error, so that is certain, yet interval crossings overlap: an
+    # envelope computed by interval comparisons refused it as ambiguous
+    from pathfn.flow import _envelope_float
+
+    t = F(1, 8)
+    fz = [Approx(2.0**-50), Approx(-0.75), Approx(-3.5)]
+    ta = Approx.from_fraction(t)
+
+    def crossing(i, j):
+        return ta * (fz[j] - fz[i]) / Approx.from_fraction(F(j - i, 2)) + Approx.from_fraction(F(i + j, 4))
+
+    assert crossing(0, 1).overlaps(crossing(1, 2))
+    pq = _envelope_float(fz, t)
+    assert [(p.z, p.x_hi - p.x_lo) for p in pq.pieces] == [(0, F(1, 16) - F(1, 2**52)), (F(1, 2), F(1, 2**52)), (1, F(15, 16))]
+    assert pq.err == 0
 
 
 # --------------------------------------------------------------- brute force

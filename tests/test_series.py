@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from pathfn.core.funcs import (
 )
 from pathfn.core.points import Triplet, radix_x_samples, radix_y_set
 from pathfn.differences import MembershipQuery, membership_scan
-from pathfn.errors import UnsupportedExactError
+from pathfn.errors import ResourceLimitError, UnsupportedExactError
 from pathfn.series import (
     ScanParams,
     check_sufficient_conditions,
@@ -162,6 +163,28 @@ def test_identity_scan_flags_broken_evaluator(monkeypatch):
     assert rep.offender is not None and rep.residual != 0
 
 
+def test_identity_scan_refuses_an_empty_y_set():
+    # it used to report a vacuous pass, IdentityReport(checked=0, offender=None)
+    with pytest.raises(ValueError, match="empty scan: no triplets enumerated"):
+        identity_residual_scan(USeries(2, Distance()), 3, ())
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda cap: membership_scan(MembershipQuery(USeries(3, Distance()), F(1), 3, 3 * 10**6, (F(1, 3),)), cap=cap),
+        lambda cap: identity_residual_scan(USeries(3, Distance()), 3 * 10**6, (F(1, 3),), cap=cap),
+    ],
+    ids=["membership", "identity"],
+)
+def test_library_scans_refuse_a_huge_depth_before_building_its_power(scan):
+    # 3^3000000 took 1.25 s (membership) and 1.9 s (identity) to build and count
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="triplets exceeds cap 100"):
+        scan(100)
+    assert time.perf_counter() - t0 < 0.5
+
+
 # ------------------------------------------------- sufficient conditions
 
 
@@ -183,6 +206,22 @@ def test_sufficient_conditions_theta_fails_near_zero():
     assert rep.lower_bound_witness is not None and rep.lower_bound_witness < F(1, 100)
     rep2 = check_sufficient_conditions(USeries(2, ThetaSplice(2)), m=F(1, 50), alpha=F(1, 50))
     assert not rep2.passed
+
+
+def test_sufficient_conditions_refuse_their_samples_before_building_them(monkeypatch):
+    import pathfn.series
+
+    def guard(r, depth):
+        raise AssertionError(f"built {r}^{depth} sample points before the cap check")
+
+    monkeypatch.setattr(pathfn.series, "radix_x_samples", guard)
+    s = USeries(2, Distance())
+    with pytest.raises(ResourceLimitError, match=f"scan of {2**18 + 1} sample points exceeds cap 1000"):
+        check_sufficient_conditions(s, F(1), F(0), ScanParams(x_depth=18), cap=1000)
+    # the library default refuses 2^24 + 1 samples, and a huge depth without its power
+    for depth in (24, 10**7):
+        with pytest.raises(ResourceLimitError, match="sample points exceeds cap 10000000"):
+            check_sufficient_conditions(s, F(1), F(0), ScanParams(x_depth=depth))
 
 
 def test_sufficient_conditions_precondition():
