@@ -18,7 +18,6 @@ import argparse
 import decimal
 import hashlib
 import io
-import json
 import sys
 import time
 from fractions import Fraction
@@ -28,12 +27,13 @@ from . import __version__
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set, triplet_count
-from .core.scalars import Approx, RationalFormatError, Scalar, format_rational, parse_rational, to_json
+from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
     approx_table,
     cap_depth,
+    check_radix_scan_cap,
     check_scan_cap,
     divergence_probe,
     membership_scan,
@@ -111,7 +111,7 @@ def _report(command: str, inputs: dict, verdict: str, detail: dict, mode: str, t
 
 def _emit(out: io.StringIO, report: Optional[dict]) -> None:
     if report is not None:
-        out.write(json.dumps(report, sort_keys=True, indent=2))
+        out.write(dump_json(report))
         out.write("\n")
 
 
@@ -120,15 +120,7 @@ def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP,
                    help="cap on triplets, grid-table points, y values, bounds samples, flow and probe "
-                        "evaluations, and the entries each exact point adds to a series table")
-
-
-def _check_radix_scan_cap(cap: int, r: int, n_max: int, y_depth: int) -> None:
-    """The scan's own cap check for depths <= n_max and y in radix_y_set(r,
-    y_depth), made before the r^y_depth - 1 values of y are built."""
-    if y_depth >= 1:  # radix_y_set refuses smaller depths
-        n, y = cap_depth(n_max, cap), cap_depth(y_depth, cap)
-        check_scan_cap(cap, triplet_count(r, n, r**y - 1), r ** cap_depth(n_max + y_depth, cap))
+                        "evaluations, flow sample rows, and the entries each exact point adds to a series table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +219,7 @@ def cmd_membership(args, out: io.StringIO) -> int:
     c = _rat(args.c, "--c")
     if c <= 0:
         raise ValueError("--c must be positive")
-    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     q = MembershipQuery(
         f=f, c=c, r=args.r, n_max=args.nmax, y_set=radix_y_set(args.r, args.ydepth), mode=args.mode
     )
@@ -259,7 +251,7 @@ def cmd_identity(args, out: io.StringIO) -> int:
     if not supports_exact(psi):
         raise PathfnError("identity verification requires an exact-capable generator")
     s = USeries(args.r, psi)
-    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     report = identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
     verdict = "pass" if report.offender is None else "fail"
     doc = _report(
@@ -284,6 +276,11 @@ def cmd_flow(args, out: io.StringIO) -> int:
     d = args.crosscheck
     if d is not None and d < 0:
         raise ValueError("--crosscheck must be >= 0")
+    if args.samples < 0 or args.samples == 1:
+        raise ValueError("--samples must be 0 or >= 2")
+    if args.csv and not args.samples:
+        raise ValueError("--csv needs --samples")
+    check_scan_cap(args.cap, args.samples, unit="sample rows")
     xs = () if d is None else radix_x_samples(r, min(d, 6))
     # each x compares at least r^d values, so a clamped depth still counts past the cap
     brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
@@ -292,7 +289,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
     for sq in _steepness_queries(q):  # the scans flow_grid runs first
         check_scan_cap(args.cap, triplet_count(r, sq.n_max, len(sq.y_set)), scan_grid(r, sq.n_max, sq.y_set))
     pq = flow_grid(q, cap=args.cap)
-    detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.pieces)}
+    detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.ks)}
     verdict = "pass"
     if d is not None:
         brute = flow_bruteforce_points(f, t, xs, radix_depth=d, r=r, mode=args.mode)
@@ -306,10 +303,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
             verdict = "fail"
     csv_text = None
     if args.samples:
-        lines = ["x,value"]
-        for x, v in pq.sample_rows(args.samples):
-            lines.append(f"{format_rational(x)},{format_rational(v)}")
-        csv_text = "\n".join(lines) + "\n"
+        csv_text = "\n".join(["x,value", *pq.sample_lines(args.samples)]) + "\n"
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
@@ -367,7 +361,7 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     if not supports_exact(psi):
         raise PathfnError("bounds requires an exact-capable generator")
     s = USeries(args.r, psi)
-    _check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
     check_scan_cap(args.cap, args.r ** cap_depth(args.xdepth, args.cap) + 1, unit="sample points")
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
     report = check_sufficient_conditions(s, m, alpha, params, cap=args.cap)

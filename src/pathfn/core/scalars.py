@@ -9,11 +9,14 @@ only ever grow and a chain of operations stays certified.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, List, Optional, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -42,6 +45,13 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical string form, ``"p/q"`` or ``"p"`` for integers."""
     return str(q)
+
+
+def format_ratios(nums: Iterable[int], den: int) -> List[str]:
+    """``format_rational(Fraction(n, den))`` for each n of ``nums``, den > 0,
+    without building the Fractions."""
+    gcd = math.gcd
+    return [str(n // den) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
 
 
 def reduce_mod1(x: Fraction) -> Fraction:
@@ -196,6 +206,75 @@ def to_json(obj):
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
     return obj
+
+
+def dump_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte: the one
+    encoder of every report.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set.  Here
+    the containers are laid out in Python, every other value goes to
+    ``json.dumps``, and a list of flat dicts with the same keys and plain
+    string values (an envelope's pieces) is written by one format template
+    per row."""
+    out: List[str] = []
+    _dump(doc, "\n", out)
+    return "".join(out)
+
+
+def _dump(obj, nl: str, out: List[str]) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        rows = _flat_rows(obj, inner)
+        if rows is not None:
+            out.append("[" + inner + rows + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def _flat_rows(items, nl: str) -> Optional[str]:
+    """The indented items of a list of dicts that share their keys and hold
+    only strings needing no JSON escape (printable ASCII without quote or
+    backslash), or None for any other list."""
+    if set(map(type, items)) != {dict}:
+        return None
+    keys = sorted(items[0])
+    if set(map(len, items)) != {len(keys)} or set(map(type, keys)) != {str}:
+        return None
+    get = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
+    try:
+        rows = list(map(get, items))  # a missing key means the key sets differ
+    except KeyError:
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {str}:
+        return None
+    text = "".join(keys) + "".join(map("".join, rows))
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        return None
+    inner = nl + "  "
+    body = ",".join(f'{inner}"{k.replace("%", "%%")}": "%s"' for k in keys)
+    return ("," + nl).join(map(("{" + body + nl + "}").__mod__, rows))
 
 
 # (value, err) forms of the node rules that float evaluation shares between

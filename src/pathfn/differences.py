@@ -155,6 +155,14 @@ def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str =
         raise ResourceLimitError(f"grid table of {_count_text(grid + 1)} points exceeds cap {cap}")
 
 
+def check_radix_scan_cap(cap: int, r: int, n_max: int, y_depth: int) -> None:
+    """The cap check of a scan over depths <= n_max and y in radix_y_set(r,
+    y_depth), made before the r^y_depth - 1 values of y are built."""
+    if y_depth >= 1:  # radix_y_set refuses smaller depths
+        n, y = cap_depth(n_max, cap), cap_depth(y_depth, cap)
+        check_scan_cap(cap, triplet_count(r, n, r**y - 1), r ** cap_depth(n_max + y_depth, cap))
+
+
 def scan_family(r: int, n_max: int, y_set: Sequence[Fraction], cap: int) -> Tuple[List[Fraction], int, int]:
     """(ys, total, grid) of a scan over the depths n <= n_max and the y of
     ``y_set``: the sorted distinct y, the number of triplets, and the size of

@@ -10,9 +10,11 @@ Two routes compute it:
   The algorithm runs in integers on the grid table f(k/R) = I_k/D: with
   t = p/q, the parabolas of vertices i < j cross at num/den with
   num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0, so
-  every stack comparison is one cross-multiplication, and ``Fraction``s are
-  built only for the surviving pieces.  Float mode runs the same pass on the
-  dyadic centres and errors of the vertex values over one common denominator;
+  every stack comparison is one cross-multiplication.  The result stays in
+  integers (:class:`PiecewiseQuadratic`): its JSON form and its samples are
+  read off them, and ``Fraction`` pieces are built only on access.  Float
+  mode runs the same pass on the dyadic centres and errors of the vertex
+  values over one common denominator;
   moving each vertex k within its error e_k moves num by at most
   2pR^2 (e_i + e_j), and every comparison must hold for all such moves.
 * ``flow_bruteforce_points`` -- the independent oracle: a plain minimum over
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .core.funcs import FuncExpr, as_piecewise_poly, eval_exact, eval_exact_points, sup_abs_bound, supports_exact
 from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
-from .core.scalars import Approx, Scalar, format_rational
+from .core.scalars import Approx, Scalar, format_ratios, format_rational
 from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
@@ -195,87 +198,150 @@ class Piece:
     z: Fraction
     fz: Fraction
 
-    def as_json(self) -> dict:
-        return {
-            "x_lo": format_rational(self.x_lo),
-            "x_hi": format_rational(self.x_hi),
-            "z": format_rational(self.z),
-            "fz": format_rational(self.fz),
-        }
+
+# A point of the envelope's x-axis as an integer pair (num, den), den > 0.
+_Cut = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PiecewiseQuadratic:
-    """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces.
+    """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces,
+    held in integers: piece m has its vertex at z = ks[m]/R with value
+    vals[m]/D and spans [cuts[m], cuts[m + 1]], each cut a pair (num, den).
 
     Invariants: pieces tile [0, 1] with positive widths, adjacent pieces agree
-    at shared breakpoints, and vertices sit on the radix grid.  ``err`` bounds
-    how far ``eval`` may sit from the envelope of the exact vertex values: 0
-    in exact mode; in float mode, the largest certified error of the vertex
-    values (the envelope of values each within err of the exact ones is
-    within err of the exact envelope).  It is not part of the JSON form.
+    at shared breakpoints, and vertices sit on the radix grid.  R and D are
+    the least common denominators and the cuts are reduced, so equal
+    envelopes compare equal.  ``err`` bounds how far ``eval`` may sit from
+    the envelope of the exact vertex values: 0 in exact mode; in float mode,
+    the largest certified error of the vertex values (the envelope of values
+    each within err of the exact ones is within err of the exact envelope).
+    It is not part of the JSON form.
     """
 
     t: Fraction
-    pieces: Tuple[Piece, ...]
+    R: int
+    ks: Tuple[int, ...]
+    D: int
+    vals: Tuple[int, ...]
+    cuts: Tuple[_Cut, ...]
     err: float = 0.0
 
-    def breakpoints(self) -> Tuple[Fraction, ...]:
-        return tuple(p.x_lo for p in self.pieces) + (self.pieces[-1].x_hi,)
+    def __post_init__(self) -> None:
+        g = math.gcd(self.R, *self.ks)
+        if g != 1:
+            object.__setattr__(self, "R", self.R // g)
+            object.__setattr__(self, "ks", tuple(k // g for k in self.ks))
+        g = math.gcd(self.D, *self.vals)
+        if g != 1:
+            object.__setattr__(self, "D", self.D // g)
+            object.__setattr__(self, "vals", tuple(v // g for v in self.vals))
+        ns, ds = zip(*self.cuts)
+        gs = list(map(math.gcd, ns, ds))
+        object.__setattr__(self, "cuts", tuple(zip(map(operator.floordiv, ns, gs), map(operator.floordiv, ds, gs))))
 
-    def piece_at(self, x: Fraction) -> Piece:
-        x = Fraction(x)
-        if not (0 <= x <= 1):
-            raise ValueError(f"x={x} outside [0, 1]")
-        idx = max(0, bisect_right(self._cuts, x) - 1)
-        return self.pieces[idx]
+    @classmethod
+    def from_pieces(cls, t: Fraction, pieces: Sequence[Piece], err: float = 0.0) -> "PiecewiseQuadratic":
+        """The envelope of ``pieces``, given in order, over the common
+        denominators of their vertices and of their values."""
+        if not pieces:
+            raise ValueError("an envelope needs at least one piece")
+        for p, nxt in zip(pieces, pieces[1:]):
+            if p.x_hi != nxt.x_lo:
+                raise ValueError(f"pieces do not share the endpoint {p.x_hi}")
+        R = math.lcm(*(p.z.denominator for p in pieces))
+        D = math.lcm(*(p.fz.denominator for p in pieces))
+        xs = [pieces[0].x_lo] + [p.x_hi for p in pieces]
+        return cls(
+            Fraction(t),
+            R,
+            tuple(p.z.numerator * (R // p.z.denominator) for p in pieces),
+            D,
+            tuple(p.fz.numerator * (D // p.fz.denominator) for p in pieces),
+            tuple((x.numerator, x.denominator) for x in xs),
+            err,
+        )
 
     @cached_property
-    def _cuts(self) -> List[Fraction]:
-        return [p.x_lo for p in self.pieces]
+    def pieces(self) -> Tuple[Piece, ...]:
+        """The pieces in ``Fraction``s, built on first access."""
+        xs = self.breakpoints()
+        R, D = self.R, self.D
+        return tuple(
+            Piece(lo, hi, Fraction(k, R), Fraction(v, D)) for lo, hi, k, v in zip(xs, xs[1:], self.ks, self.vals)
+        )
+
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self.cuts)
+
+    def _index(self, x: Fraction) -> int:
+        """The piece that holds x in [0, 1], the right one at a breakpoint."""
+        if not (0 <= x <= 1):
+            raise ValueError(f"x={x} outside [0, 1]")
+        a, X = x.numerator, x.denominator
+        # bisect reads only the sign of cut - x, which rises along the cuts
+        return max(0, bisect_right(self.cuts, 0, 0, len(self.ks), key=lambda c: c[0] * X - a * c[1]) - 1)
+
+    def _values(self, ms: Sequence[int], nums: Sequence[int], X: int) -> Tuple[List[int], int]:
+        """The value of piece ms[i] at x = nums[i]/X for each i, as numerators
+        over one denominator.  With t = p/q, piece m has the value
+        [2pX^2R^2 vals[m] + qD (aR - ks[m] X)^2] / (2pX^2R^2 D) at x = a/X."""
+        R, ks, vals = self.R, self.ks, self.vals
+        c, b = 2 * self.t.numerator * X * X * R * R, self.t.denominator * self.D
+        return [c * vals[m] + b * (a * R - ks[m] * X) ** 2 for m, a in zip(ms, nums)], c * self.D
+
+    def piece_at(self, x: Fraction) -> Piece:
+        return self.pieces[self._index(Fraction(x))]
 
     def eval(self, x: Fraction) -> Fraction:
-        p = self.piece_at(x)
         x = Fraction(x)
-        return p.fz + (x - p.z) ** 2 / (2 * self.t)
+        (num,), den = self._values([self._index(x)], [x.numerator], x.denominator)
+        return Fraction(num, den)
 
     def as_json(self) -> dict:
+        xs = [str(n) if d == 1 else f"{n}/{d}" for n, d in self.cuts]  # reduced; each formatted once
         return {
             "schema": "pathfn/1",
             "t": format_rational(self.t),
-            "pieces": [p.as_json() for p in self.pieces],
+            "pieces": [
+                {"x_lo": lo, "x_hi": hi, "z": z, "fz": fz}
+                for lo, hi, z, fz in zip(xs, xs[1:], format_ratios(self.ks, self.R), format_ratios(self.vals, self.D))
+            ],
         }
 
-    def sample_rows(self, count: int) -> List[Tuple[Fraction, Fraction]]:
-        """Evenly spaced (x, value) samples for CSV output, equal to
-        ``(x, eval(x))``: one forward walk along the pieces."""
+    def _samples(self, count: int) -> Tuple[List[int], int]:
+        """(nums, den): the values nums[i]/den at ``count`` evenly spaced
+        x = i/(count - 1), by one forward walk along the pieces."""
         if count < 2:
             raise ValueError("need at least 2 samples")
-        rows = []
-        k, last = 0, len(self.pieces) - 1
+        K, cuts = count - 1, self.cuts
+        ms = []
+        m, last = 0, len(self.ks) - 1
         for i in range(count):
-            x = Fraction(i, count - 1)
-            while k < last and self.pieces[k + 1].x_lo <= x:
-                k += 1
-            p = self.pieces[k]
-            rows.append((x, p.fz + (x - p.z) ** 2 / (2 * self.t)))
-        return rows
+            while m < last and cuts[m + 1][0] * K <= i * cuts[m + 1][1]:
+                m += 1
+            ms.append(m)
+        return self._values(ms, range(count), K)
+
+    def sample_rows(self, count: int) -> List[Tuple[Fraction, Fraction]]:
+        """Evenly spaced (x, value) samples, equal to ``(x, eval(x))``."""
+        nums, den = self._samples(count)
+        return [(Fraction(i, count - 1), Fraction(v, den)) for i, v in enumerate(nums)]
+
+    def sample_lines(self, count: int) -> List[str]:
+        """The "x,value" CSV lines of :meth:`sample_rows`, rationals as 'p/q'."""
+        nums, den = self._samples(count)
+        return [f"{x},{v}" for x, v in zip(format_ratios(range(count), count - 1), format_ratios(nums, den))]
 
 
 def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
     """Rebuild an envelope from its JSON form (schema pathfn/1)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    pieces = tuple(
-        Piece(
-            Fraction(p["x_lo"]),
-            Fraction(p["x_hi"]),
-            Fraction(p["z"]),
-            Fraction(p["fz"]),
-        )
-        for p in doc["pieces"]
-    )
-    return PiecewiseQuadratic(Fraction(doc["t"]), pieces)
+    pieces = [
+        Piece(Fraction(p["x_lo"]), Fraction(p["x_hi"]), Fraction(p["z"]), Fraction(p["fz"])) for p in doc["pieces"]
+    ]
+    return PiecewiseQuadratic.from_pieces(Fraction(doc["t"]), pieces)
 
 
 def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadratic:
@@ -320,10 +386,6 @@ def _steepness_queries(q: FlowQuery) -> Tuple[MembershipQuery, MembershipQuery]:
         MembershipQuery(q.f, q.c, q.r, 0, radix_y_set(q.r, 3), mode),
         MembershipQuery(q.f, q.c, q.r, q.depth(), radix_y_set(q.r, 1), mode),
     )
-
-
-# A point of the envelope's x-axis as an integer pair (num, den), den > 0.
-_Cut = Tuple[int, int]
 
 
 def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[int]] = None) -> PiecewiseQuadratic:
@@ -379,9 +441,9 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[
         if lo[0] * hi[1] < hi[0] * lo[1]:
             kept.append((i, lo, hi))
     _check_envelope_invariants(kept, vals, den, t)
-    xs = {cut: Fraction(*cut) for _, lo, hi in kept for cut in (lo, hi)}
-    pieces = tuple(Piece(xs[lo], xs[hi], Fraction(i, R), Fraction(vals[i], den)) for i, lo, hi in kept)
-    return PiecewiseQuadratic(t, pieces, err)
+    ks = tuple(i for i, _, _ in kept)
+    cuts = (kept[0][1],) + tuple(hi for _, _, hi in kept)
+    return PiecewiseQuadratic(t, R, ks, den, tuple(vals[i] for i in ks), cuts, err)
 
 
 def _check_envelope_invariants(kept: List[Tuple[int, _Cut, _Cut]], vals: List[int], den: int, t: Fraction) -> None:

@@ -46,6 +46,7 @@ from .differences import (
     ScanReport,
     cap_depth,
     central_second_diff,
+    check_radix_scan_cap,
     check_scan_cap,
     scan_family,
     semiconcavity_scan,
@@ -215,7 +216,7 @@ def check_sufficient_conditions(
     if witness is not None:
         return SufficientReport(False, None, mode, witness, _trivial_semiconcavity(s, alpha, scan, cap))
 
-    semi = semiconcavity_scan(s.psi, alpha, s.r, scan.n_max, scan.y_set(s.r), cap=cap)
+    semi = semiconcavity_scan(s.psi, alpha, s.r, scan.n_max, _capped_y_set(s, scan, scan.n_max, cap), cap=cap)
     if semi.verdict != "no-violation":
         return SufficientReport(False, None, mode, None, semi)
     c = Fraction(2 * m * s.r - alpha, 2 * (s.r - 1))
@@ -224,7 +225,14 @@ def check_sufficient_conditions(
 
 def _trivial_semiconcavity(s: USeries, alpha: Fraction, scan: ScanParams, cap: int) -> ScanReport:
     # condition (i) already failed; still report a depth-0 slice for context
-    return semiconcavity_scan(s.psi, alpha, s.r, 0, scan.y_set(s.r), cap=cap)
+    return semiconcavity_scan(s.psi, alpha, s.r, 0, _capped_y_set(s, scan, 0, cap), cap=cap)
+
+
+def _capped_y_set(s: USeries, scan: ScanParams, n_max: int, cap: int) -> Tuple[Fraction, ...]:
+    """``scan.y_set(s.r)``, refused over ``cap`` for depths <= n_max before
+    it is built."""
+    check_radix_scan_cap(cap, s.r, n_max, scan.y_depth)
+    return scan.y_set(s.r)
 
 
 def _lower_bound_check(

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 import time
@@ -12,6 +13,7 @@ import pathfn.core.funcs
 import pathfn.series
 from pathfn.core.funcs import eval_exact
 from pathfn.core.parse import parse_func_spec
+from pathfn.flow import PiecewiseQuadratic
 from conftest import (
     SPEC_DISTANCE,
     SPEC_PSI0,
@@ -395,7 +397,7 @@ def test_flow_crosscheck_catches_a_shifted_vertex(capsys, spec_file, monkeypatch
         pq = real(q, cap=cap)
         assert pq.err < 1e-12
         pieces = tuple(dataclasses.replace(p, fz=p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
-        return dataclasses.replace(pq, pieces=pieces)
+        return PiecewiseQuadratic.from_pieces(pq.t, pieces, pq.err)
 
     monkeypatch.setattr(cli, "flow_grid", shifted)
     code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI3), *TAU3_FLOW, "--mode", mode])
@@ -439,6 +441,57 @@ def test_flow_csv_outputs(capsys, spec_file, tmp_path):
         ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4", "--samples", "5"],
     )
     assert code2 == 0 and "x,value" in out2
+
+
+def test_flow_samples_count_against_the_cap(capsys, spec_file, monkeypatch):
+    # 200000 sample rows at cap 1000 used to run for 4 s and exit 0
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4", "--samples", "200000", "--cap", "1000"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "scan of 200000 sample rows exceeds cap 1000" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--csv", "curve.csv"], "--csv needs --samples"), (["--samples", "1"], "--samples must be 0 or >= 2"),
+     (["--samples", "-5"], "--samples must be 0 or >= 2")],
+    ids=["csv-without-samples", "one-sample", "negative-samples"],
+)
+def test_flow_bad_sample_flags_exit_2_before_work(capsys, spec_file, monkeypatch, tmp_path, extra, message):
+    # --csv without --samples used to exit 0 and write nothing
+    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4"] + extra)
+    assert code == 2 and out == "" and message in err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--crosscheck", "9"]], ids=["samples", "crosscheck"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flow_report_builds_no_fraction_pieces(capsys, spec_file, monkeypatch, mode, extra):
+    # the report, the samples and the crosscheck's values come from the
+    # envelope's integers; only library callers read Fraction pieces
+    import pathfn.flow
+
+    monkeypatch.setattr(pathfn.flow, "Piece", lambda *a: pytest.fail("built a Fraction piece"))
+    argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/1024", "--samples", "65", "--mode", mode]
+    code, out, _ = run(capsys, argv + extra)
+    detail = json.loads(out.split("\nx,value\n")[0])["detail"]
+    assert code == 0 and detail["pieces"] == 257 and detail.get("crosscheck", {}).get("mismatches") in (None, [])
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [(["--t", "1/65536", "--samples", "4097"], "a5f49682f9f89e6e756c4b31f63bcf20e7572f77853055f3573d5aa029651c91"),
+     (["--t", "1/4096", "--mode", "float"], "a5a2d55fbe3b300d9a971cdfb76dafb96da1a1e06c1b48f712d74bfdcb9ef716")],
+    ids=["exact-samples", "float"],
+)
+def test_flow_stdout_is_pinned(capsys, spec_file, extra, digest):
+    # sha256 of the whole stdout, timing_ms line removed, recorded before the
+    # envelope kept its pieces in integers and reports got their own encoder
+    code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2"] + extra)
+    assert code == 0
+    assert hashlib.sha256(re.sub(r'\n  "timing_ms": [^\n]*', "", out).encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ probe

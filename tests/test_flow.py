@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -25,6 +26,8 @@ from pathfn.differences import approx_table
 from pathfn.errors import AmbiguousEnvelopeError, FlowConditionError
 from pathfn.flow import (
     FlowQuery,
+    Piece,
+    PiecewiseQuadratic,
     crossing_points,
     dominance_check,
     flow_bruteforce,
@@ -351,6 +354,53 @@ def test_integer_envelope_on_arbitrary_tables():
         zs = [F(k, R) for k in range(R + 1)]
         expected = envelope_reference(zs, [F(v, den) for v in vals], t)
         assert pieces_of(_envelope_exact(vals, den, t)) == expected, (vals, den, t)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flow_grid_integer_form_at_random_t_and_n(mode):
+    # the envelope is held in integers; its Fraction pieces, its samples and
+    # its JSON round trip must agree with the Fraction stack algorithm on the
+    # vertex values (the table's, or the centres of the certified table)
+    rng = random.Random(15 if mode == "exact" else 16)
+    cases = [(TAU2, F(2), 2), (USeries(3, Distance()), F(3, 2), 3), (U_PSI0, F(1), 2)]
+    checked = 0
+    for _ in range(16):
+        f, c, r = rng.choice(cases)
+        n = rng.randint(0, 7 if r == 2 else 4)
+        t = F(1, 2 * r**n) / c * F(rng.randint(4, 40), 4)  # admissible at depth n
+        try:
+            pq = flow_grid(FlowQuery(f=f, c=c, r=r, t=t, n=n, mode=mode))
+        except AmbiguousEnvelopeError:
+            continue
+        R = r**n
+        if mode == "exact":
+            vals, den = grid_values(f, R)
+            fz = [F(v, den) for v in vals]
+        else:
+            fz = [F(v.value) for v in approx_table(f, R)]
+        zs = [F(k, R) for k in range(R + 1)]
+        assert pieces_of(pq) == envelope_reference(zs, fz, t), (f, n, t)
+        assert list(pq.breakpoints()) == [p.x_lo for p in pq.pieces] + [F(1)]
+        count = rng.randint(2, 3 * R + 3)
+        xs = [F(i, count - 1) for i in range(count)]
+        rows = pq.sample_rows(count)
+        assert rows == [(x, pq.eval(x)) for x in xs]
+        assert [v for _, v in rows] == [
+            min(p.fz + (x - p.z) ** 2 / (2 * t) for p in pq.pieces if p.x_lo <= x <= p.x_hi) for x in xs
+        ]
+        assert pq.sample_lines(count) == [f"{x},{v}" for x, v in rows]
+        again = piecewise_from_json(json.dumps(pq.as_json()))
+        assert again == dataclasses.replace(pq, err=0.0) and again.pieces == pq.pieces
+        checked += 1
+    assert checked >= 12
+
+
+def test_envelope_from_pieces_needs_a_run_of_shared_endpoints():
+    pieces = [Piece(F(0), F(1, 2), F(0), F(0)), Piece(F(1, 3), F(1), F(1), F(0))]
+    with pytest.raises(ValueError, match="do not share the endpoint 1/2"):
+        PiecewiseQuadratic.from_pieces(F(1, 4), pieces)
+    with pytest.raises(ValueError, match="at least one piece"):
+        piecewise_from_json({"schema": "pathfn/1", "t": "1/4", "pieces": []})
 
 
 def test_float_envelope_is_the_exact_envelope_of_its_centres():

@@ -224,6 +224,21 @@ def test_sufficient_conditions_refuse_their_samples_before_building_them(monkeyp
             check_sufficient_conditions(s, F(1), F(0), ScanParams(x_depth=depth))
 
 
+@pytest.mark.parametrize("m, triplets", [(F(1), 31 * (2**20 - 1)), (F(2), 2**20 - 1)], ids=["scan", "condition-i-fails"])
+def test_sufficient_conditions_refuse_their_y_set_before_building_it(monkeypatch, m, triplets):
+    # both paths scan y in radix_y_set(2, 20): the full scan at depths <= 4, or
+    # the depth-0 slice after m d <= psi fails; building the 2^20 - 1 values
+    # first took 23.6 s at y depth 20
+    import pathfn.series
+
+    def guard(r, depth):
+        raise AssertionError(f"built {r}^{depth} y values before the cap check")
+
+    monkeypatch.setattr(pathfn.series, "radix_y_set", guard)
+    with pytest.raises(ResourceLimitError, match=f"scan of {triplets} triplets exceeds cap 1000"):
+        check_sufficient_conditions(USeries(2, Distance()), m, F(0), ScanParams(y_depth=20, x_depth=2), cap=1000)
+
+
 def test_sufficient_conditions_precondition():
     with pytest.raises(ValueError, match="2\\*m\\*r > alpha"):
         check_sufficient_conditions(USeries(2, Distance()), m=F(1), alpha=F(4))
