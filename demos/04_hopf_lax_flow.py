@@ -49,7 +49,7 @@ print(f"  residual at x = 9/10: {pde_residual(pq, F(9, 10))}")
 
 print("\n=== envelope pieces certify non-differentiability points ===")
 for t in (F(1, 4), F(1, 8)):
-    ws = subdiff_witnesses(FlowQuery(f=tau2, c=F(2), r=2, t=t))
+    ws = subdiff_witnesses(flow_grid(FlowQuery(f=tau2, c=F(2), r=2, t=t)))
     print(f"  t = {t}:")
     for w in ws:
         offsets = [F(s, 64) for s in range(-8, 9) if s]

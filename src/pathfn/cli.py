@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
-from .core.points import radix_x_samples, radix_y_set, triplet_count
+from .core.points import radix_x_samples, radix_y_set
 from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
 from .differences import (
     DEFAULT_TRIPLET_CAP,
@@ -39,15 +39,8 @@ from .differences import (
     membership_scan,
 )
 from .errors import PathfnError
-from .flow import (
-    FlowQuery,
-    PiecewiseQuadratic,
-    _steepness_queries,
-    flow_bruteforce_count,
-    flow_bruteforce_points,
-    flow_grid,
-)
-from .grid import grid_values, scan_grid
+from .flow import FlowQuery, PiecewiseQuadratic, flow_bruteforce_count, flow_bruteforce_points, flow_grid
+from .grid import grid_values
 from .series import (
     ScanParams,
     check_sufficient_conditions,
@@ -282,14 +275,16 @@ def cmd_flow(args, out: io.StringIO) -> int:
         raise ValueError("--csv needs --samples")
     check_scan_cap(args.cap, args.samples, unit="sample rows")
     xs = () if d is None else radix_x_samples(r, min(d, 6))
-    # each x compares at least r^d values, so a clamped depth still counts past the cap
-    brute_evals = 0 if d is None else flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
-    grid = r ** cap_depth(q.depth(), args.cap)  # r^n + 1 vertices
-    check_scan_cap(args.cap, brute_evals, grid, unit="brute-force evaluations")
-    for sq in _steepness_queries(q):  # the scans flow_grid runs first
-        check_scan_cap(args.cap, triplet_count(r, sq.n_max, len(sq.y_set)), scan_grid(r, sq.n_max, sq.y_set))
+    if d is not None:  # refused before flow_grid runs
+        # each x compares at least r^d values, so a clamped depth still counts past the cap
+        brute_evals = flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
+        check_scan_cap(args.cap, brute_evals, unit="brute-force evaluations")
     pq = flow_grid(q, cap=args.cap)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.ks)}
+    suffix = ""  # the samples' error_bound column
+    if args.mode == "float":  # err is dyadic, so "p/q" prints it exactly
+        detail["error_bound"] = format_rational(Fraction(pq.err))
+        suffix = "," + detail["error_bound"]
     verdict = "pass"
     if d is not None:
         brute = flow_bruteforce_points(f, t, xs, radix_depth=d, r=r, mode=args.mode)
@@ -303,7 +298,8 @@ def cmd_flow(args, out: io.StringIO) -> int:
             verdict = "fail"
     csv_text = None
     if args.samples:
-        csv_text = "\n".join(["x,value", *pq.sample_lines(args.samples)]) + "\n"
+        header = "x,value,error_bound" if suffix else "x,value"
+        csv_text = "\n".join([header] + [line + suffix for line in pq.sample_lines(args.samples)]) + "\n"
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
@@ -361,8 +357,6 @@ def cmd_bounds(args, out: io.StringIO) -> int:
     if not supports_exact(psi):
         raise PathfnError("bounds requires an exact-capable generator")
     s = USeries(args.r, psi)
-    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
-    check_scan_cap(args.cap, args.r ** cap_depth(args.xdepth, args.cap) + 1, unit="sample points")
     params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
     report = check_sufficient_conditions(s, m, alpha, params, cap=args.cap)
     detail = to_json(report)

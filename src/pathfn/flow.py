@@ -48,8 +48,11 @@ from .differences import (
     DEFAULT_TRIPLET_CAP,
     MembershipQuery,
     approx_table,
+    cap_depth,
     central_second_diff,
     check_mode,
+    check_radix_scan_cap,
+    check_scan_cap,
     membership_scan,
     stencil_slopes,
 )
@@ -348,13 +351,26 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
     """Lower envelope of the r^n + 1 grid-vertex parabolas on [0, 1].
 
     Preconditions: t >= 1/(2 c r^n) for the effective depth, and evidence
-    that the initial function is steep at c down to that depth (a
-    'no-violation' verdict from both :func:`_steepness_queries` scans), on
-    which the collapse onto the grid rests.  Runs in time linear in r^n;
-    exact mode throughout (float mode raises if any envelope comparison is
-    ambiguous within certified bounds).  ``cap`` bounds the steepness scans.
+    that the initial function is steep at c down to that depth, on which the
+    collapse onto the grid rests: a 'no-violation' verdict from two scans of
+    the steep bound at c, one at depth 0 on the depth-3 y set (for f
+    vanishing at the integers, the pointwise bound c y (1 - y) <= f(y)) and
+    one at every depth m <= n with y in {k/r : 0 < k < r}.  Both scans run
+    exactly whenever f has an exact branch, whatever the flow's mode, and in
+    certified floats otherwise.  Runs in time linear in r^n; exact mode
+    throughout (float mode raises if any envelope comparison is ambiguous
+    within certified bounds).
+
+    ``cap`` bounds the r^n + 1 vertices and the triplets and grid tables of
+    both scans.  A request over it raises :class:`ResourceLimitError` before
+    r^n is built or either scan runs, checked in that order: the vertices,
+    the depth-0 scan, the scan at depths <= n.
     """
     n = q.depth()
+    check_scan_cap(cap, 0, q.r ** cap_depth(n, cap))
+    families = ((0, 3), (n, 1))  # (largest depth, y depth) of the two steepness scans
+    for depth, y_depth in families:
+        check_radix_scan_cap(cap, q.r, depth, y_depth)
     threshold = Fraction(1, 2 * q.c * q.r**n)
     if q.t < threshold:
         raise FlowConditionError(
@@ -362,30 +378,18 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
         )
     if q.mode == "exact" and not supports_exact(q.f):
         raise UnsupportedExactError("function has no exact branch; use --mode float")
-    for sq in _steepness_queries(q):
-        scan = membership_scan(sq, cap=cap)
+    mode = "exact" if supports_exact(q.f) else "float"
+    for depth, y_depth in families:
+        scan = membership_scan(MembershipQuery(q.f, q.c, q.r, depth, radix_y_set(q.r, y_depth), mode), cap=cap)
         if scan.verdict != "no-violation":  # a float 'inconclusive' is no evidence
             w = scan.worst_triplet
             raise FlowConditionError(
-                f"no steepness evidence at c={q.c}: the steep bound is {scan.verdict} at depth <= {sq.n_max}, "
+                f"no steepness evidence at c={q.c}: the steep bound is {scan.verdict} at depth <= {depth}, "
                 f"worst at (n, k, y) = ({w.n}, {w.k}, {w.y})"
             )
     if q.mode == "exact":
         return _envelope_exact(*grid_values(q.f, q.r**n), q.t)
     return _envelope_float(approx_table(q.f, q.r**n), q.t)
-
-
-def _steepness_queries(q: FlowQuery) -> Tuple[MembershipQuery, MembershipQuery]:
-    """The two scans of the steep bound at c that back a flow at depth n: depth
-    0 on the depth-3 y set (for f vanishing at the integers, the pointwise
-    bound c y (1 - y) <= f(y)), and every depth m <= n with y in
-    {k/r : 0 < k < r}.  Both run exactly whenever f has an exact branch,
-    whatever the flow's mode, and in certified floats otherwise."""
-    mode = "exact" if supports_exact(q.f) else "float"
-    return (
-        MembershipQuery(q.f, q.c, q.r, 0, radix_y_set(q.r, 3), mode),
-        MembershipQuery(q.f, q.c, q.r, q.depth(), radix_y_set(q.r, 1), mode),
-    )
 
 
 def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[int]] = None) -> PiecewiseQuadratic:
@@ -613,17 +617,17 @@ class SubdiffWitness:
         return self.slope_hi - self.slope_lo
 
 
-def subdiff_witnesses(q: FlowQuery) -> List[SubdiffWitness]:
-    """One witness per envelope piece; pieces all have positive width, so
-    every emitted interval certifies a non-differentiability point on the
-    radix grid."""
-    pq = flow_grid(q)
+def subdiff_witnesses(pq: PiecewiseQuadratic) -> List[SubdiffWitness]:
+    """One witness per piece of positive width of the envelope ``pq`` (from
+    :func:`flow_grid`, whose pieces all have one), read off its integer
+    vertices and cuts: every emitted interval certifies a
+    non-differentiability point on the radix grid."""
+    xs, t = pq.breakpoints(), pq.t
     out = []
-    for p in pq.pieces:
-        if p.x_hi > p.x_lo:
-            out.append(
-                SubdiffWitness(p.z, (p.x_lo - p.z) / q.t, (p.x_hi - p.z) / q.t)
-            )
+    for k, lo, hi in zip(pq.ks, xs, xs[1:]):
+        if hi > lo:
+            z = Fraction(k, pq.R)
+            out.append(SubdiffWitness(z, (lo - z) / t, (hi - z) / t))
     return out
 
 

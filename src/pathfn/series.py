@@ -198,9 +198,14 @@ def check_sufficient_conditions(
     2 m r > alpha; a pass yields c = (2 m r - alpha)/(2 (r - 1)).
 
     A pass is finite evidence, not a proof over all stencils; the report
-    records whether (i) was certified exactly or only sampled.  ``cap``
-    bounds the r^x_depth + 1 samples of (i), refused before they are built,
-    and the scans of (ii).
+    records whether (i) was certified exactly or only sampled.  When (i)
+    fails, (ii) is reported on its depth-0 slice only, for context.
+
+    ``cap`` bounds the scan of (ii) at depths <= n_max on the y set, and the
+    r^x_depth + 1 samples of (i).  A request over it raises
+    :class:`ResourceLimitError` before either set is built or (i) is
+    sampled, the y family checked first; the y set is built, and a y_depth
+    below 1 refused, before (i) is sampled too.
     """
     m = Fraction(m)
     alpha = Fraction(alpha)
@@ -210,29 +215,17 @@ def check_sufficient_conditions(
         raise ValueError("alpha must be >= 0")
     if 2 * m * s.r <= alpha:
         raise ValueError(f"need 2*m*r > alpha, got 2*{m}*{s.r} <= {alpha}")
+    check_radix_scan_cap(cap, s.r, scan.n_max, scan.y_depth)
     check_scan_cap(cap, s.r ** cap_depth(scan.x_depth, cap) + 1, unit="sample points")
 
+    ys = scan.y_set(s.r)
     mode, witness = _lower_bound_check(s.psi, m, scan.x_samples(s.r))
-    if witness is not None:
-        return SufficientReport(False, None, mode, witness, _trivial_semiconcavity(s, alpha, scan, cap))
-
-    semi = semiconcavity_scan(s.psi, alpha, s.r, scan.n_max, _capped_y_set(s, scan, scan.n_max, cap), cap=cap)
-    if semi.verdict != "no-violation":
-        return SufficientReport(False, None, mode, None, semi)
+    n_max = scan.n_max if witness is None else 0
+    semi = semiconcavity_scan(s.psi, alpha, s.r, n_max, ys, cap=cap)
+    if witness is not None or semi.verdict != "no-violation":
+        return SufficientReport(False, None, mode, witness, semi)
     c = Fraction(2 * m * s.r - alpha, 2 * (s.r - 1))
     return SufficientReport(True, c, mode, None, semi)
-
-
-def _trivial_semiconcavity(s: USeries, alpha: Fraction, scan: ScanParams, cap: int) -> ScanReport:
-    # condition (i) already failed; still report a depth-0 slice for context
-    return semiconcavity_scan(s.psi, alpha, s.r, 0, _capped_y_set(s, scan, 0, cap), cap=cap)
-
-
-def _capped_y_set(s: USeries, scan: ScanParams, n_max: int, cap: int) -> Tuple[Fraction, ...]:
-    """``scan.y_set(s.r)``, refused over ``cap`` for depths <= n_max before
-    it is built."""
-    check_radix_scan_cap(cap, s.r, n_max, scan.y_depth)
-    return scan.y_set(s.r)
 
 
 def _lower_bound_check(

@@ -216,12 +216,12 @@ def test_c08_pde_residual():
 
 
 def test_c09_subdiff_witnesses():
-    ws4 = subdiff_witnesses(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4)))
+    ws4 = subdiff_witnesses(flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4))))
     ok = [(w.z, w.slope_lo, w.slope_hi) for w in ws4] == [
         (F(0), F(0), F(2)),
         (F(1), F(-2), F(0)),
     ]
-    ws8 = subdiff_witnesses(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8)))
+    ws8 = subdiff_witnesses(flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8))))
     ok = ok and [w.z for w in ws8] == [F(0), F(1, 2), F(1)]
     ok = ok and all(w.width > 0 for w in ws8)
     offsets = [F(s * j, 64) for j in range(1, 9) for s in (1, -1)]

@@ -10,6 +10,7 @@ import pytest
 
 import pathfn.cli as cli
 import pathfn.core.funcs
+import pathfn.flow
 import pathfn.series
 from pathfn.core.funcs import eval_exact
 from pathfn.core.parse import parse_func_spec
@@ -51,14 +52,21 @@ def test_eval_grid_row_count(capsys, spec_file):
     assert lines[0] == "x,value" and len(lines) == 1 + 17  # j/16 for j = 0..16
 
 
-def _refuse_work(monkeypatch, *names):
-    """Make the named CLI entry points fail if a command reaches them."""
+def _refuse_work(monkeypatch, *names, module=cli):
+    """Make the named entry points of ``module`` fail if a command reaches them."""
 
     def boom(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
     for name in names:
-        monkeypatch.setattr(cli, name, boom)
+        monkeypatch.setattr(module, name, boom)
+
+
+def _refuse_library_work(monkeypatch):
+    """Make the work inside ``flow_grid`` and ``check_sufficient_conditions``
+    fail if a command reaches it, so that their own refusals are tested."""
+    _refuse_work(monkeypatch, "membership_scan", "grid_values", "approx_table", module=pathfn.flow)
+    _refuse_work(monkeypatch, "_lower_bound_check", "semiconcavity_scan", module=pathfn.series)
 
 
 def test_eval_grid_cap_exit_2(capsys, spec_file, monkeypatch):
@@ -305,7 +313,8 @@ def test_flow_not_steep_at_its_depth_exit_2(capsys, spec_file):
 
 
 def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    _refuse_library_work(monkeypatch)
+    _refuse_work(monkeypatch, "flow_bruteforce_points")
     base = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--cap", "100"]
     # 2^10 + 1 envelope vertices at t = 1/4096
     code, out, err = run(capsys, base + ["--t", "1/4096"])
@@ -318,7 +327,8 @@ def test_flow_cap_exit_2(capsys, spec_file, monkeypatch):
 def test_flow_cap_counts_the_depth0_steepness_table(capsys, spec_file, monkeypatch):
     # at r = 30, t = 1 the flow has depth 0, but its depth-0 steepness scan reads
     # a table of 30^3 + 1 points: 26999 triplets, refused before any evaluation
-    _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
+    _refuse_library_work(monkeypatch)
+    _refuse_work(monkeypatch, "flow_bruteforce_points")
     argv = ["flow", "--func", spec_file({"kind": "takagi", "r": 30}), "--c", "1", "--t", "1", "--cap", "100"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and "scan of 26999 triplets exceeds cap 100" in err
@@ -443,6 +453,26 @@ def test_flow_csv_outputs(capsys, spec_file, tmp_path):
     assert code2 == 0 and "x,value" in out2
 
 
+def test_float_flow_reports_its_error_bound(capsys, spec_file):
+    # float flow used to print only the centres' envelope, under an "x,value" header
+    argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/8", "--samples", "3"]
+    outputs = {}
+    for mode in ("exact", "float"):
+        code, out, _ = run(capsys, argv + ["--mode", mode])
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert code == 0
+        outputs[mode] = doc["detail"], out[end:].strip().splitlines()
+    detail, lines = outputs["exact"]
+    assert "error_bound" not in detail and lines[0] == "x,value"
+    detail, float_lines = outputs["float"]
+    err = detail["error_bound"]
+    assert Fraction(err) >= 0 and float_lines[0] == "x,value,error_bound" and len(float_lines) == 4
+    for exact_row, float_row in zip(lines[1:], float_lines[1:]):
+        x, value = exact_row.split(",")
+        fx, fvalue, ferr = float_row.split(",")
+        assert fx == x and ferr == err and abs(Fraction(fvalue) - Fraction(value)) <= Fraction(err)
+
+
 def test_flow_samples_count_against_the_cap(capsys, spec_file, monkeypatch):
     # 200000 sample rows at cap 1000 used to run for 4 s and exit 0
     _refuse_work(monkeypatch, "flow_grid", "flow_bruteforce_points")
@@ -476,7 +506,7 @@ def test_flow_report_builds_no_fraction_pieces(capsys, spec_file, monkeypatch, m
     monkeypatch.setattr(pathfn.flow, "Piece", lambda *a: pytest.fail("built a Fraction piece"))
     argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/1024", "--samples", "65", "--mode", mode]
     code, out, _ = run(capsys, argv + extra)
-    detail = json.loads(out.split("\nx,value\n")[0])["detail"]
+    detail = json.loads(out.split("\nx,value")[0])["detail"]
     assert code == 0 and detail["pieces"] == 257 and detail.get("crosscheck", {}).get("mismatches") in (None, [])
 
 
@@ -487,11 +517,15 @@ def test_flow_report_builds_no_fraction_pieces(capsys, spec_file, monkeypatch, m
     ids=["exact-samples", "float"],
 )
 def test_flow_stdout_is_pinned(capsys, spec_file, extra, digest):
-    # sha256 of the whole stdout, timing_ms line removed, recorded before the
-    # envelope kept its pieces in integers and reports got their own encoder
+    # sha256 of the whole stdout, timing_ms line and float mode's later
+    # error_bound line removed, recorded before the envelope kept its pieces in
+    # integers and reports got their own encoder
     code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2"] + extra)
     assert code == 0
-    assert hashlib.sha256(re.sub(r'\n  "timing_ms": [^\n]*', "", out).encode()).hexdigest() == digest
+    bound = ['"1/9007199254740992",'] if "float" in extra else []  # 2^-53
+    assert re.findall(r'\n    "error_bound": ([^\n]*)', out) == bound
+    stripped = re.sub(r'\n  "timing_ms": [^\n]*|\n    "error_bound": [^\n]*', "", out)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ probe
@@ -577,7 +611,8 @@ def test_bounds_psi0(capsys, spec_file):
 
 
 def test_bounds_cap_exit_2(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "check_sufficient_conditions", "lower_chain_check")
+    _refuse_library_work(monkeypatch)
+    _refuse_work(monkeypatch, "lower_chain_check")
     argv = ["bounds", "--psi", spec_file(SPEC_PSI0), "--m", "1", "--alpha", "2", "--r", "2"]
     # the semiconcavity scan at nmax 6, ydepth 3: 127 * 7 triplets
     code, out, err = run(capsys, argv + ["--nmax", "6", "--cap", "10"])
@@ -657,8 +692,8 @@ def test_huge_sizes_are_refused_quickly(capsys, spec_file, monkeypatch, argv):
     # error, a crosscheck at depth 63 in an OverflowError, and depth 30000000
     # spent about 20 s building 3^30000000 before the refusal
     _refuse_huge_point_sets(monkeypatch)
-    _refuse_work(monkeypatch, "membership_scan", "identity_residual_scan", "grid_values", "flow_grid",
-                 "check_sufficient_conditions")
+    _refuse_library_work(monkeypatch)
+    _refuse_work(monkeypatch, "membership_scan", "identity_residual_scan", "grid_values")
     argv = [argv[0], argv[1], spec_file(argv[2])] + argv[3:]
     t0 = time.perf_counter()
     code, out, err = run(capsys, argv)
@@ -709,8 +744,7 @@ _CAPPED_ENTRY_POINTS = {
 
 
 def test_every_capped_entry_point_is_called_with_a_cap():
-    # a call that omits cap runs under the library default, whatever the caller's cap;
-    # subdiff_witnesses has no cap of its own
+    # a call that omits cap runs under the library default, whatever the caller's cap
     import ast
     import pathlib
 
@@ -724,11 +758,34 @@ def test_every_capped_entry_point_is_called_with_a_cap():
                 if not isinstance(call, ast.Call):
                     continue
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
-                if name not in _CAPPED_ENTRY_POINTS or any(k.arg == "cap" for k in call.keywords):
-                    continue
-                if (path.name, fn.name, name) != ("flow.py", "subdiff_witnesses", "flow_grid"):
+                if name in _CAPPED_ENTRY_POINTS and not any(k.arg == "cap" for k in call.keywords):
                     missing.append(f"{path.name}:{call.lineno} {fn.name} -> {name}")
     assert not missing
+
+
+def test_every_import_is_used_or_exported():
+    # an import that a deletion leaves behind; a package __init__ re-exports by design
+    import ast
+    import pathlib
+
+    unused = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        where = path.relative_to(path.parents[1])
+        unused += [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused
 
 
 def test_identity_and_bounds_take_no_mode_flag(capsys, spec_file):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from pathfn.core.funcs import (
 from pathfn.core.points import Triplet
 from pathfn.core.scalars import Approx
 from pathfn.differences import approx_table
-from pathfn.errors import AmbiguousEnvelopeError, FlowConditionError
+from pathfn.errors import AmbiguousEnvelopeError, FlowConditionError, ResourceLimitError
 from pathfn.flow import (
     FlowQuery,
     Piece,
@@ -241,6 +242,35 @@ def test_flow_grid_float_needs_certain_steepness_evidence():
     # without an exact branch, a straddling depth-0 margin is no evidence either
     with pytest.raises(FlowConditionError, match=r"inconclusive at depth <= 0, worst at \(n, k, y\) = \(0, 0, 1/2\)"):
         flow_grid(FlowQuery(f=USeries(2, AbsSin()), c=F(4), r=2, t=F(1, 4), mode="float"))
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (FlowQuery(TAU2, F(2), 2, F(1, 4), n=12), "grid table of 4097 points exceeds cap 100"),
+        (FlowQuery(USeries(30, Distance()), F(1), 30, F(1)), "scan of 26999 triplets exceeds cap 100"),
+        (FlowQuery(TAU2, F(2), 2, F(1, 4), n=6), "scan of 127 triplets exceeds cap 100"),
+    ],
+    ids=["vertices", "depth-0-family", "depth-n-family"],
+)
+def test_flow_grid_refuses_all_its_work_before_any_scan(monkeypatch, q, message):
+    # the r^n + 1 vertices, the depth-0 steepness family and the family at
+    # depths <= n; the depth-0 scan used to run before the other two were
+    # refused, and flow at r = 100 built 10^6 values of y before its refusal
+    import pathfn.flow
+
+    monkeypatch.setattr(pathfn.flow, "radix_y_set", lambda *a: pytest.fail("built a y set"))
+    monkeypatch.setattr(pathfn.flow, "membership_scan", lambda *a, **k: pytest.fail("steepness scan ran"))
+    with pytest.raises(ResourceLimitError, match=message):
+        flow_grid(q, cap=100)
+
+
+def test_flow_grid_refuses_a_huge_depth_before_building_its_power():
+    # this took 3.5 s: the admissibility threshold built 3^(10^7) before a scan refused the depth
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"grid table of at least 2\^22191 points exceeds cap 100"):
+        flow_grid(FlowQuery(USeries(3, Distance()), F(1), 3, F(1, 4), n=10**7), cap=100)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_flow_refuses_an_unknown_mode():
@@ -652,7 +682,7 @@ def test_pde_residual_rejects_breakpoints():
 
 
 def test_witnesses_at_quarter_time():
-    ws = subdiff_witnesses(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4)))
+    ws = subdiff_witnesses(flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4))))
     assert [(w.z, w.slope_lo, w.slope_hi) for w in ws] == [
         (F(0), F(0), F(2)),
         (F(1), F(-2), F(0)),
@@ -661,7 +691,7 @@ def test_witnesses_at_quarter_time():
 
 
 def test_witnesses_at_eighth_time():
-    ws = subdiff_witnesses(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8)))
+    ws = subdiff_witnesses(flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 8))))
     assert [w.z for w in ws] == [F(0), F(1, 2), F(1)]
     assert [(w.slope_lo, w.slope_hi) for w in ws] == [
         (F(0), F(3)),
@@ -673,5 +703,5 @@ def test_witnesses_at_eighth_time():
 def test_witness_support_direct_inequality():
     offsets = [F(s * j, 64) for j in range(1, 9) for s in (1, -1)]
     for t in (F(1, 4), F(1, 8)):
-        for w in subdiff_witnesses(FlowQuery(f=TAU2, c=F(2), r=2, t=t)):
+        for w in subdiff_witnesses(flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=t))):
             assert witness_support_violations(TAU2, w, offsets) == []

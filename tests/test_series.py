@@ -224,11 +224,14 @@ def test_sufficient_conditions_refuse_their_samples_before_building_them(monkeyp
             check_sufficient_conditions(s, F(1), F(0), ScanParams(x_depth=depth))
 
 
-@pytest.mark.parametrize("m, triplets", [(F(1), 31 * (2**20 - 1)), (F(2), 2**20 - 1)], ids=["scan", "condition-i-fails"])
+@pytest.mark.parametrize(
+    "m, triplets", [(F(1), 31 * (2**20 - 1)), (F(2), 31 * (2**20 - 1))], ids=["scan", "condition-i-fails"]
+)
 def test_sufficient_conditions_refuse_their_y_set_before_building_it(monkeypatch, m, triplets):
     # both paths scan y in radix_y_set(2, 20): the full scan at depths <= 4, or
-    # the depth-0 slice after m d <= psi fails; building the 2^20 - 1 values
-    # first took 23.6 s at y depth 20
+    # the depth-0 slice after m d <= psi fails; the family at depths <= 4 is
+    # refused before either runs.  Building the 2^20 - 1 values first took
+    # 23.6 s at y depth 20
     import pathfn.series
 
     def guard(r, depth):
@@ -237,6 +240,25 @@ def test_sufficient_conditions_refuse_their_y_set_before_building_it(monkeypatch
     monkeypatch.setattr(pathfn.series, "radix_y_set", guard)
     with pytest.raises(ResourceLimitError, match=f"scan of {triplets} triplets exceeds cap 1000"):
         check_sufficient_conditions(USeries(2, Distance()), m, F(0), ScanParams(y_depth=20, x_depth=2), cap=1000)
+
+
+@pytest.mark.parametrize(
+    "params, error, message",
+    [
+        (ScanParams(y_depth=20, x_depth=16), ResourceLimitError, f"scan of {31 * (2**20 - 1)} triplets exceeds cap"),
+        (ScanParams(y_depth=0, x_depth=16), ValueError, "depth must be >= 1"),
+    ],
+    ids=["cap", "empty-y-set"],
+)
+def test_sufficient_conditions_refuse_before_sampling_condition_i(monkeypatch, params, error, message):
+    # the 2^16 + 1 samples of m d <= psi took 0.89 s of exact evaluations
+    # before the 31 (2^20 - 1) triplets of condition (ii), or a y depth of 0,
+    # were refused
+    import pathfn.series
+
+    monkeypatch.setattr(pathfn.series, "eval_exact", lambda *a: pytest.fail("sampled condition (i) first"))
+    with pytest.raises(error, match=message):
+        check_sufficient_conditions(USeries(2, Distance()), F(1), F(0), params, cap=10**6)
 
 
 def test_sufficient_conditions_precondition():
