@@ -8,83 +8,107 @@ transform with its exact identities (``pathfn.series``), and the Hopf-Lax
 style flow with its parabola-envelope representation (``pathfn.flow``).
 Everything that can be checked in exact rational arithmetic is; float mode
 always carries certified error bounds.
+
+``import pathfn`` is lazy: it imports no layer.  Each name of ``__all__`` is
+imported from its submodule the first time it is read (``pathfn.flow_grid``
+loads ``pathfn.flow``), and ``from pathfn import *`` imports them all.  So a
+CLI command loads only the layers it runs.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    AbsSin,
-    Approx,
-    Dilate,
-    Distance,
-    DistancePower,
-    FuncExpr,
-    PolySplinePeriodic,
-    Scale,
-    Scalar,
-    Sin2Pi,
-    Sum,
-    ThetaSplice,
-    Triplet,
-    USeries,
-    enumerate_triplets,
-    eval_approx,
-    eval_exact,
-    parse_func_spec,
-    parse_rational,
-    psi_zero,
-    radix_x_samples,
-    radix_y_set,
-    sin_cancellation,
-    sup_abs_bound,
-    supports_exact,
-    to_spec_dict,
-)
-from .differences import (
-    MembershipQuery,
-    ProbeRow,
-    ScanReport,
-    central_second_diff,
-    divergence_probe,
-    membership_scan,
-    semiconcavity_scan,
-    stencil_slopes,
-)
-from .errors import (
-    AmbiguousEnvelopeError,
-    FlowConditionError,
-    FuncSpecError,
-    OrbitLimitError,
-    PathfnError,
-    ResourceLimitError,
-    UnsupportedExactError,
-)
-from .flow import (
-    DominanceReport,
-    FlowQuery,
-    Piece,
-    PiecewiseQuadratic,
-    SubdiffWitness,
-    crossing_points,
-    dominance_check,
-    flow_bruteforce,
-    flow_bruteforce_count,
-    flow_bruteforce_points,
-    flow_grid,
-    parabola_eval,
-    pde_residual,
-    piecewise_from_json,
-    subdiff_witnesses,
-    witness_support_violations,
-)
-from .series import (
-    ChainReport,
-    ScanParams,
-    SufficientReport,
-    check_sufficient_conditions,
-    concave_generator_constant,
-    lower_chain_check,
-    steepness_transfer_constant,
-    u_delta_identity_residual,
-    u_eval_exact,
-)
+_EXPORTS = {
+    "core": (
+        "AbsSin",
+        "Approx",
+        "Dilate",
+        "Distance",
+        "DistancePower",
+        "FuncExpr",
+        "PolySplinePeriodic",
+        "Scale",
+        "Scalar",
+        "Sin2Pi",
+        "Sum",
+        "ThetaSplice",
+        "Triplet",
+        "USeries",
+        "enumerate_triplets",
+        "eval_approx",
+        "eval_exact",
+        "parse_func_spec",
+        "parse_rational",
+        "psi_zero",
+        "radix_x_samples",
+        "radix_y_set",
+        "sin_cancellation",
+        "sup_abs_bound",
+        "supports_exact",
+        "to_spec_dict",
+    ),
+    "differences": (
+        "MembershipQuery",
+        "ProbeRow",
+        "ScanReport",
+        "central_second_diff",
+        "divergence_probe",
+        "membership_scan",
+        "semiconcavity_scan",
+        "stencil_slopes",
+    ),
+    "errors": (
+        "AmbiguousEnvelopeError",
+        "FlowConditionError",
+        "FuncSpecError",
+        "OrbitLimitError",
+        "PathfnError",
+        "ResourceLimitError",
+        "UnsupportedExactError",
+    ),
+    "flow": (
+        "DominanceReport",
+        "FlowQuery",
+        "Piece",
+        "PiecewiseQuadratic",
+        "SubdiffWitness",
+        "crossing_points",
+        "dominance_check",
+        "flow_bruteforce",
+        "flow_bruteforce_count",
+        "flow_bruteforce_points",
+        "flow_grid",
+        "parabola_eval",
+        "pde_residual",
+        "piecewise_from_json",
+        "subdiff_witnesses",
+        "witness_support_violations",
+    ),
+    "series": (
+        "ChainReport",
+        "ScanParams",
+        "SufficientReport",
+        "check_sufficient_conditions",
+        "concave_generator_constant",
+        "lower_chain_check",
+        "steepness_transfer_constant",
+        "u_delta_identity_residual",
+        "u_eval_exact",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in ``python -X importtime``
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

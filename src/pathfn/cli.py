@@ -14,39 +14,56 @@ Output is assembled in memory and written once.
 
 from __future__ import annotations
 
-import argparse
 import decimal
-import hashlib
 import io
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set
 from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
-from .differences import (
-    DEFAULT_TRIPLET_CAP,
-    MembershipQuery,
-    approx_table,
-    cap_depth,
-    check_radix_scan_cap,
-    check_scan_cap,
-    divergence_probe,
-    membership_scan,
-)
-from .errors import PathfnError
-from .flow import FlowQuery, PiecewiseQuadratic, flow_bruteforce_count, flow_bruteforce_points, flow_grid
-from .grid import grid_values
-from .series import (
-    ScanParams,
-    check_sufficient_conditions,
-    identity_residual_scan,
-    lower_chain_check,
-)
+from .errors import DEFAULT_TRIPLET_CAP, PathfnError, cap_depth, check_scan_cap
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .flow import PiecewiseQuadratic
+
+# The layers' entry points, each imported from its module the first time it
+# is read from this one (PEP 562), so a command loads only the layers it
+# runs.  Commands read them as attributes of ``_lazy`` (this module): a value
+# set with ``setattr(pathfn.cli, name, ...)`` is the one a command calls.
+_LAZY = {
+    "MembershipQuery": "differences",
+    "approx_table": "differences",
+    "check_radix_scan_cap": "differences",
+    "divergence_probe": "differences",
+    "membership_scan": "differences",
+    "FlowQuery": "flow",
+    "flow_bruteforce_count": "flow",
+    "flow_bruteforce_points": "flow",
+    "flow_grid": "flow",
+    "grid_values": "grid",
+    "ScanParams": "series",
+    "check_sufficient_conditions": "series",
+    "identity_residual_scan": "series",
+    "lower_chain_check": "series",
+}
+_lazy = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in ``python -X importtime``
+    value = globals()[name] = getattr(__import__(f"pathfn.{module}", fromlist=[name]), name)
+    return value
+
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -55,13 +72,20 @@ EXIT_ERROR = 2
 SCHEMA = "pathfn/1"
 
 
-def _load_func(path: str) -> tuple[FuncExpr, str]:
+def _load_func(path: str, digest: bool = False) -> tuple[FuncExpr, Optional[str]]:
+    """The function in ``path`` and, if ``digest``, the SHA-256 of its bytes
+    (hashlib loads OpenSSL, so only the commands that print it import it)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    return parse_func_spec(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    f = parse_func_spec(raw.decode("utf-8"))
+    if not digest:
+        return f, None
+    import hashlib
+
+    return f, hashlib.sha256(raw).hexdigest()
 
 
 def _rat(text: str, what: str) -> Fraction:
@@ -117,6 +141,10 @@ def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, after pathfn's modules are compiled, for the reason
+    # given at _COMMAND_LAYER.
+    import argparse
+
     top = argparse.ArgumentParser(prog="pathfn", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"pathfn {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
@@ -192,14 +220,14 @@ def cmd_eval(args, out: io.StringIO) -> int:
         if not supports_exact(f):
             raise PathfnError("function has no exact branch; use --mode float")
         if args.grid is not None:
-            vals, den = grid_values(f, len(xs) - 1)
+            vals, den = _lazy.grid_values(f, len(xs) - 1)
             values = [Fraction(v, den) for v in vals]
         else:
             values = eval_exact_points(f, xs, max_orbit=args.cap)
         rows.append("x,value")
         rows += [f"{format_rational(x)},{format_rational(v)}" for x, v in zip(xs, values)]
     else:
-        values = approx_table(f, len(xs) - 1) if args.grid is not None else [eval_approx(f, x) for x in xs]
+        values = _lazy.approx_table(f, len(xs) - 1) if args.grid is not None else [eval_approx(f, x) for x in xs]
         rows.append("x,value,error_bound")
         rows += [f"{format_rational(x)},{v.value!r},{v.err!r}" for x, v in zip(xs, values)]
     out.write("\n".join(rows) + "\n")
@@ -208,15 +236,15 @@ def cmd_eval(args, out: io.StringIO) -> int:
 
 def cmd_membership(args, out: io.StringIO) -> int:
     t0 = time.perf_counter()
-    f, digest = _load_func(args.func)
+    f, digest = _load_func(args.func, digest=True)
     c = _rat(args.c, "--c")
     if c <= 0:
         raise ValueError("--c must be positive")
-    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
-    q = MembershipQuery(
+    _lazy.check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    q = _lazy.MembershipQuery(
         f=f, c=c, r=args.r, n_max=args.nmax, y_set=radix_y_set(args.r, args.ydepth), mode=args.mode
     )
-    report = membership_scan(q, cap=args.cap)
+    report = _lazy.membership_scan(q, cap=args.cap)
     verdict = {"no-violation": "pass", "violated": "fail", "inconclusive": "inconclusive"}[report.verdict]
     doc = _report(
         "membership",
@@ -240,12 +268,12 @@ def cmd_membership(args, out: io.StringIO) -> int:
 
 def cmd_identity(args, out: io.StringIO) -> int:
     t0 = time.perf_counter()
-    psi, digest = _load_func(args.psi)
+    psi, digest = _load_func(args.psi, digest=True)
     if not supports_exact(psi):
         raise PathfnError("identity verification requires an exact-capable generator")
     s = USeries(args.r, psi)
-    check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
-    report = identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
+    _lazy.check_radix_scan_cap(args.cap, args.r, args.nmax, args.ydepth)
+    report = _lazy.identity_residual_scan(s, args.nmax, radix_y_set(args.r, args.ydepth), cap=args.cap)
     verdict = "pass" if report.offender is None else "fail"
     doc = _report(
         "identity",
@@ -261,11 +289,11 @@ def cmd_identity(args, out: io.StringIO) -> int:
 
 def cmd_flow(args, out: io.StringIO) -> int:
     t0 = time.perf_counter()
-    f, digest = _load_func(args.func)
+    f, digest = _load_func(args.func, digest=True)
     c = _rat(args.c, "--c")
     t = _rat(args.t, "--t")
     r = args.r if args.r is not None else _root_radix(f)
-    q = FlowQuery(f=f, c=c, r=r, t=t, n=args.n, mode=args.mode)
+    q = _lazy.FlowQuery(f=f, c=c, r=r, t=t, n=args.n, mode=args.mode)
     d = args.crosscheck
     if d is not None and d < 0:
         raise ValueError("--crosscheck must be >= 0")
@@ -277,9 +305,9 @@ def cmd_flow(args, out: io.StringIO) -> int:
     xs = () if d is None else radix_x_samples(r, min(d, 6))
     if d is not None:  # refused before flow_grid runs
         # each x compares at least r^d values, so a clamped depth still counts past the cap
-        brute_evals = flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
+        brute_evals = _lazy.flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
         check_scan_cap(args.cap, brute_evals, unit="brute-force evaluations")
-    pq = flow_grid(q, cap=args.cap)
+    pq = _lazy.flow_grid(q, cap=args.cap)
     detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.ks)}
     suffix = ""  # the samples' error_bound column
     if args.mode == "float":  # err is dyadic, so "p/q" prints it exactly
@@ -287,7 +315,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
         suffix = "," + detail["error_bound"]
     verdict = "pass"
     if d is not None:
-        brute = flow_bruteforce_points(f, t, xs, radix_depth=d, r=r, mode=args.mode)
+        brute = _lazy.flow_bruteforce_points(f, t, xs, radix_depth=d, r=r, mode=args.mode)
         mismatches = [str(x) for x, b in zip(xs, brute) if _certainly_differ(pq, x, b)]
         detail["crosscheck"] = {
             "radix_depth": d,
@@ -335,7 +363,7 @@ def cmd_probe(args, out: io.StringIO) -> int:
     x = _point_literal(args.x)
     mode = "auto" if args.mode == "exact" else "float"
     check_scan_cap(args.cap, 3 * (args.depth + 1), unit="point evaluations")
-    rows = divergence_probe(f, x, args.depth, y=y, r=r, mode=mode)
+    rows = _lazy.divergence_probe(f, x, args.depth, y=y, r=r, mode=mode)
     exact_rows = all(not isinstance(row.gap, Approx) for row in rows)
     lines = ["n,delta_plus,delta_minus,gap" if exact_rows else "n,delta_plus,delta_minus,gap,error_bound"]
     for row in rows:
@@ -351,18 +379,18 @@ def cmd_probe(args, out: io.StringIO) -> int:
 
 def cmd_bounds(args, out: io.StringIO) -> int:
     t0 = time.perf_counter()
-    psi, digest = _load_func(args.psi)
+    psi, digest = _load_func(args.psi, digest=True)
     m = _rat(args.m, "--m")
     alpha = _rat(args.alpha, "--alpha")
     if not supports_exact(psi):
         raise PathfnError("bounds requires an exact-capable generator")
     s = USeries(args.r, psi)
-    params = ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
-    report = check_sufficient_conditions(s, m, alpha, params, cap=args.cap)
+    params = _lazy.ScanParams(n_max=args.nmax, y_depth=args.ydepth, x_depth=args.xdepth)
+    report = _lazy.check_sufficient_conditions(s, m, alpha, params, cap=args.cap)
     detail = to_json(report)
     ok = report.passed
     if ok:
-        chain = lower_chain_check(s, m, radix_x_samples(args.r, min(args.xdepth, 6)))
+        chain = _lazy.lower_chain_check(s, m, radix_x_samples(args.r, min(args.xdepth, 6)))
         detail["lower_chain"] = to_json(chain)
         ok = chain.holds
     verdict = "pass" if ok else "fail"
@@ -395,8 +423,23 @@ _COMMANDS = {
     "bounds": cmd_bounds,
 }
 
+# The layer each command runs (it imports the ones below it).  main imports it
+# before argparse, so that argparse's objects reuse the heap that compiling
+# the layer freed; compiled after argparse and hashlib, flow's crosscheck runs
+# peaked 0.5-0.7 MiB higher.
+_COMMAND_LAYER = {
+    "membership": "differences",
+    "probe": "differences",
+    "identity": "series",
+    "bounds": "series",
+    "flow": "flow",
+}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMAND_LAYER:
+        __import__(f"pathfn.{_COMMAND_LAYER[argv[0]]}")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

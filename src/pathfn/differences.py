@@ -38,10 +38,8 @@ from .core.points import (
     validate_radix,
 )
 from .core.scalars import Approx, Scalar
-from .errors import OrbitLimitError, ResourceLimitError
+from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, cap_depth, check_scan_cap
 from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
-
-DEFAULT_TRIPLET_CAP = 10**7
 
 _AUTO_ORBIT_CAP = 4096
 
@@ -125,34 +123,6 @@ class ScanReport:
     scanned: int
     mode: str
     inconclusive_count: Optional[int] = None
-
-
-# Refusals print counts of at most this many bits exactly: 2^14000 has 4215
-# digits, below Python's default limit of 4300 for int-to-string conversion.
-_PRINTED_BITS = 14000
-
-
-def cap_depth(depth: int, cap: int) -> int:
-    """``depth``, clamped so that r^depth can be built at once for a cap check.
-
-    A clamped depth d still gives r^d >= 2^d > cap, and counts of more than
-    ``_PRINTED_BITS`` bits, so a count built from it is refused just as the
-    true one, as "at least 2^K"."""
-    return min(depth, max(cap.bit_length(), _PRINTED_BITS) + 1)
-
-
-def _count_text(count: int) -> str:
-    bits = count.bit_length()
-    return str(count) if bits <= _PRINTED_BITS else f"at least 2^{bits - 1}"
-
-
-def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str = "triplets") -> None:
-    """Refuse a scan of more than ``cap`` ``unit`` (triplets by default), or
-    one whose grid table {j/grid} would hold more than ``cap`` points."""
-    if count > cap:
-        raise ResourceLimitError(f"scan of {_count_text(count)} {unit} exceeds cap {cap}")
-    if grid is not None and grid + 1 > cap:
-        raise ResourceLimitError(f"grid table of {_count_text(grid + 1)} points exceeds cap {cap}")
 
 
 def check_radix_scan_cap(cap: int, r: int, n_max: int, y_depth: int) -> None:

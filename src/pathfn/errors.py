@@ -1,4 +1,11 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the cap rule every
+entry point refuses oversized work by.  The rule lives here, beside
+:class:`ResourceLimitError`, so that the CLI can apply it without importing
+a scan layer."""
+
+from __future__ import annotations
+
+from typing import Optional
 
 
 class PathfnError(Exception):
@@ -34,3 +41,33 @@ class FlowConditionError(PathfnError):
 class AmbiguousEnvelopeError(PathfnError):
     """Float-mode envelope construction hit a comparison that is undecidable
     within the certified error bounds; exact mode is required."""
+
+
+DEFAULT_TRIPLET_CAP = 10**7
+
+# Refusals print counts of at most this many bits exactly: 2^14000 has 4215
+# digits, below Python's default limit of 4300 for int-to-string conversion.
+_PRINTED_BITS = 14000
+
+
+def cap_depth(depth: int, cap: int) -> int:
+    """``depth``, clamped so that r^depth can be built at once for a cap check.
+
+    A clamped depth d still gives r^d >= 2^d > cap, and counts of more than
+    ``_PRINTED_BITS`` bits, so a count built from it is refused just as the
+    true one, as "at least 2^K"."""
+    return min(depth, max(cap.bit_length(), _PRINTED_BITS) + 1)
+
+
+def _count_text(count: int) -> str:
+    bits = count.bit_length()
+    return str(count) if bits <= _PRINTED_BITS else f"at least 2^{bits - 1}"
+
+
+def check_scan_cap(cap: int, count: int, grid: Optional[int] = None, unit: str = "triplets") -> None:
+    """Refuse a scan of more than ``cap`` ``unit`` (triplets by default), or
+    one whose grid table {j/grid} would hold more than ``cap`` points."""
+    if count > cap:
+        raise ResourceLimitError(f"scan of {_count_text(count)} {unit} exceeds cap {cap}")
+    if grid is not None and grid + 1 > cap:
+        raise ResourceLimitError(f"grid table of {_count_text(grid + 1)} points exceeds cap {cap}")

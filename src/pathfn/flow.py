@@ -45,18 +45,22 @@ from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_ratios, format_rational
 from .differences import (
-    DEFAULT_TRIPLET_CAP,
     MembershipQuery,
     approx_table,
-    cap_depth,
     central_second_diff,
     check_mode,
     check_radix_scan_cap,
-    check_scan_cap,
     membership_scan,
     stencil_slopes,
 )
-from .errors import AmbiguousEnvelopeError, FlowConditionError, UnsupportedExactError
+from .errors import (
+    DEFAULT_TRIPLET_CAP,
+    AmbiguousEnvelopeError,
+    FlowConditionError,
+    UnsupportedExactError,
+    cap_depth,
+    check_scan_cap,
+)
 from .grid import grid_values
 
 

@@ -42,17 +42,14 @@ from .core.points import (
 from .core.polys import certify_nonneg
 from .core.scalars import reduce_mod1
 from .differences import (
-    DEFAULT_TRIPLET_CAP,
     ScanReport,
-    cap_depth,
     central_second_diff,
     check_radix_scan_cap,
-    check_scan_cap,
     scan_family,
     semiconcavity_scan,
     stencil_slopes,
 )
-from .errors import UnsupportedExactError
+from .errors import DEFAULT_TRIPLET_CAP, UnsupportedExactError, cap_depth, check_scan_cap
 from .grid import grid_values, stencil_rows
 
 

@@ -1,0 +1,150 @@
+"""Start-up: ``import pathfn`` is lazy, each subcommand loads only the layers
+it runs, and only the commands that print a spec digest import hashlib."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pathfn
+import pathfn.cli as cli
+from conftest import SPEC_DISTANCE, SPEC_TAKAGI2
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The modules a command may or may not load; the core layer is always loaded.
+OPTIONAL = {"pathfn.differences", "pathfn.series", "pathfn.flow", "hashlib"}
+
+_REPORT_MODULES = (
+    "import json, sys\n"
+    "from pathfn import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps([code, sorted(sys.modules)]) + '\\n')\n"
+)
+
+
+def _fresh(code: str, *argv: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+TAKAGI = ["--func", "takagi2.json"]
+PSI = ["--psi", "dist.json", "--r", "2"]
+
+_LOADS = [
+    ("eval-exact", ["eval", *TAKAGI, "--points", "0,1/3"], set()),
+    ("eval-float", ["eval", *TAKAGI, "--points", "1/3", "--mode", "float"], set()),
+    ("probe", ["probe", *TAKAGI, "--x", "1/3", "--N", "3"], {"pathfn.differences"}),
+    ("membership", ["membership", *TAKAGI, "--c", "1/8", "--r", "2", "--nmax", "2", "--ydepth", "2"],
+     {"pathfn.differences", "hashlib"}),
+    ("identity", ["identity", *PSI, "--nmax", "2", "--ydepth", "2"],
+     {"pathfn.differences", "pathfn.series", "hashlib"}),
+    ("bounds", ["bounds", *PSI, "--m", "1", "--alpha", "0"],
+     {"pathfn.differences", "pathfn.series", "hashlib"}),
+    ("flow", ["flow", *TAKAGI, "--c", "2", "--t", "1/8"], {"pathfn.differences", "pathfn.flow", "hashlib"}),
+]
+
+
+@pytest.mark.parametrize("argv, loads", [case[1:] for case in _LOADS], ids=[case[0] for case in _LOADS])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
+    (tmp_path / "takagi2.json").write_text(json.dumps(SPEC_TAKAGI2), encoding="utf-8")
+    (tmp_path / "dist.json").write_text(json.dumps(SPEC_DISTANCE), encoding="utf-8")
+    proc = _fresh(_REPORT_MODULES, *argv, cwd=tmp_path)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert OPTIONAL.intersection(modules) == loads
+
+
+# What ``pathfn/__init__`` re-exported eagerly, by the module it imported each from.
+_PUBLIC = {
+    "core": (
+        "AbsSin", "Approx", "Dilate", "Distance", "DistancePower", "FuncExpr", "PolySplinePeriodic", "Scale",
+        "Scalar", "Sin2Pi", "Sum", "ThetaSplice", "Triplet", "USeries", "enumerate_triplets", "eval_approx",
+        "eval_exact", "parse_func_spec", "parse_rational", "psi_zero", "radix_x_samples", "radix_y_set",
+        "sin_cancellation", "sup_abs_bound", "supports_exact", "to_spec_dict",
+    ),
+    "differences": (
+        "MembershipQuery", "ProbeRow", "ScanReport", "central_second_diff", "divergence_probe",
+        "membership_scan", "semiconcavity_scan", "stencil_slopes",
+    ),
+    "errors": (
+        "AmbiguousEnvelopeError", "FlowConditionError", "FuncSpecError", "OrbitLimitError", "PathfnError",
+        "ResourceLimitError", "UnsupportedExactError",
+    ),
+    "flow": (
+        "DominanceReport", "FlowQuery", "Piece", "PiecewiseQuadratic", "SubdiffWitness", "crossing_points",
+        "dominance_check", "flow_bruteforce", "flow_bruteforce_count", "flow_bruteforce_points", "flow_grid",
+        "parabola_eval", "pde_residual", "piecewise_from_json", "subdiff_witnesses",
+        "witness_support_violations",
+    ),
+    "series": (
+        "ChainReport", "ScanParams", "SufficientReport", "check_sufficient_conditions",
+        "concave_generator_constant", "lower_chain_check", "steepness_transfer_constant",
+        "u_delta_identity_residual", "u_eval_exact",
+    ),
+}
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    names = {name: module for module, group in _PUBLIC.items() for name in group}
+    assert len(names) == 66
+    star = {}
+    exec("from pathfn import *", star)
+    listed = set(dir(pathfn))
+    for name, module in names.items():
+        defined = getattr(importlib.import_module(f"pathfn.{module}"), name)
+        assert getattr(pathfn, name) is defined, name
+        assert star[name] is defined, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pathfn.no_such_name
+
+
+# Names that tests and perfbench/tracer.py replace on pathfn.cli.
+_CLI_LAYER_NAMES = {
+    "parse_func_spec": "core.parse",
+    "membership_scan": "differences",
+    "divergence_probe": "differences",
+    "approx_table": "differences",
+    "identity_residual_scan": "series",
+    "check_sufficient_conditions": "series",
+    "lower_chain_check": "series",
+    "flow_grid": "flow",
+    "flow_bruteforce_points": "flow",
+    "grid_values": "grid",
+    "eval_exact_points": "core.funcs",
+    "eval_approx": "core.funcs",
+    "dump_json": "core.scalars",
+}
+
+
+def test_cli_layer_names_are_reachable():
+    for name, module in _CLI_LAYER_NAMES.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(f"pathfn.{module}"), name), name
+    assert getattr(cli, "flow_bruteforce", None) is None  # the CLI no longer calls it
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+_STUB_BEFORE_IMPORT = (
+    "import sys\n"
+    "from pathfn import cli\n"
+    "from pathfn.errors import PathfnError\n"
+    "assert 'pathfn.flow' not in sys.modules\n"
+    "def stub(q, cap):\n"
+    "    raise PathfnError('stub flow_grid ran')\n"
+    "cli.flow_grid = stub\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_a_stub_set_before_its_layer_is_imported_is_the_one_called(tmp_path):
+    (tmp_path / "takagi2.json").write_text(json.dumps(SPEC_TAKAGI2), encoding="utf-8")
+    proc = _fresh(_STUB_BEFORE_IMPORT, "flow", *TAKAGI, "--c", "2", "--t", "1/8", cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "pathfn: stub flow_grid ran\n"
