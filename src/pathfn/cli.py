@@ -22,11 +22,18 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
-from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, supports_exact
+from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, radix_product, supports_exact
 from .core.parse import parse_func_spec
 from .core.points import radix_x_samples, radix_y_set
 from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
-from .errors import DEFAULT_TRIPLET_CAP, PathfnError, cap_depth, check_scan_cap
+from .errors import (
+    _PRINTED_BITS,
+    DEFAULT_TRIPLET_CAP,
+    OrbitLimitError,
+    PathfnError,
+    cap_depth,
+    check_scan_cap,
+)
 
 if TYPE_CHECKING:
     import argparse
@@ -223,7 +230,7 @@ def cmd_eval(args, out: io.StringIO) -> int:
             vals, den = _lazy.grid_values(f, len(xs) - 1)
             values = [Fraction(v, den) for v in vals]
         else:
-            values = eval_exact_points(f, xs, max_orbit=args.cap)
+            values = _exact_points(f, xs, args.cap)
         rows.append("x,value")
         rows += [f"{format_rational(x)},{format_rational(v)}" for x, v in zip(xs, values)]
     else:
@@ -232,6 +239,23 @@ def cmd_eval(args, out: io.StringIO) -> int:
         rows += [f"{format_rational(x)},{v.value!r},{v.err!r}" for x, v in zip(xs, values)]
     out.write("\n".join(rows) + "\n")
     return EXIT_PASS
+
+
+def _exact_points(f: FuncExpr, xs: Sequence[Fraction], cap: int) -> List[Fraction]:
+    """``eval_exact_points`` under the orbit cap ``cap``, refusing as well,
+    before any value is computed, a point whose exact value would be too long
+    to print: each entry it adds to a series node's orbit walk adds about
+    log2 R bits to the denominator its value is read over, R the product of
+    the tree's series radixes."""
+    limit = _PRINTED_BITS // max(1, (radix_product(f) - 1).bit_length())
+    try:
+        return eval_exact_points(f, xs, max_orbit=min(cap, limit))
+    except OrbitLimitError as exc:
+        if cap <= limit:
+            raise
+        raise OrbitLimitError(
+            f"{exc}: its exact value would have more than {_PRINTED_BITS} bits, too long to print; use --mode float"
+        ) from None
 
 
 def cmd_membership(args, out: io.StringIO) -> int:

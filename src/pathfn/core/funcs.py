@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -65,6 +64,7 @@ from .scalars import (
     _mul_up,
     _ulp,
     _up,
+    record,
     reduce_mod1,
     scale_bounds,
     sin_2pi_bounds,
@@ -91,7 +91,8 @@ Rows = List[Tuple[float, float]]
 
 
 class FuncExpr:
-    """Base class of the expression tree; all variants are frozen dataclasses.
+    """Base class of the expression tree; all variants are frozen records
+    (:func:`pathfn.core.scalars.record`).
 
     The node protocol.  ``children`` holds the subexpressions.  The node's
     own rules are its methods: ``piecewise`` (its pieces on [0, 1], or
@@ -178,7 +179,7 @@ class SineLeaf(FuncExpr):
         return rows + rows[:1]
 
 
-@dataclass(frozen=True)
+@record
 class Distance(PolyLeaf):
     """Distance to the nearest integer: the 1-periodic tent with peak 1/2."""
 
@@ -186,7 +187,7 @@ class Distance(PolyLeaf):
         return ((_ZERO, _HALF, (_ZERO, _ONE)), (_HALF, _ONE, (_ONE, Fraction(-1))))
 
 
-@dataclass(frozen=True)
+@record
 class DistancePower(PolyLeaf):
     """d(x)^p for an integer power p >= 1."""
 
@@ -201,7 +202,7 @@ class DistancePower(PolyLeaf):
         return ((_ZERO, _HALF, mono), (_HALF, _ONE, poly_compose_affine(mono, _ONE, Fraction(-1))))
 
 
-@dataclass(frozen=True)
+@record
 class PolySplinePeriodic(PolyLeaf):
     """Piecewise polynomial on [0, 1], extended periodically.
 
@@ -239,7 +240,7 @@ class PolySplinePeriodic(PolyLeaf):
         return tuple(zip(self.knots, self.knots[1:], self.pieces))
 
 
-@dataclass(frozen=True)
+@record
 class ThetaSplice(PolyLeaf):
     """x^2 on [0, 1/r], continued by the unique quintic that is C^2 across
     both junctions of the periodic extension and stays positive on (0, 1).
@@ -261,14 +262,14 @@ class ThetaSplice(PolyLeaf):
         return ((_ZERO, a, (_ZERO, _ZERO, _ONE)), (a, _ONE, theta_upper_poly(self.r)))
 
 
-@dataclass(frozen=True)
+@record
 class AbsSin(SineLeaf):
     """|sin(pi x)|; no exact branch."""
 
     bounds = staticmethod(sin_pi_abs_bounds)
 
 
-@dataclass(frozen=True)
+@record
 class Sin2Pi(SineLeaf):
     """sin(2 pi x); no exact branch."""
 
@@ -276,7 +277,7 @@ class Sin2Pi(SineLeaf):
     keeps_nonneg = False
 
 
-@dataclass(frozen=True)
+@record
 class Scale(FuncExpr):
     """a * f for a rational constant a."""
 
@@ -325,7 +326,7 @@ class Scale(FuncExpr):
         return [scale_bounds(v, e, af) for v, e in self.child.rows(Q)]
 
 
-@dataclass(frozen=True)
+@record
 class Sum(FuncExpr):
     """Pointwise sum of one or more children."""
 
@@ -379,7 +380,7 @@ class Sum(FuncExpr):
         return [sum_bounds(col) for col in zip(*(c.rows(Q) for c in self.children))]
 
 
-@dataclass(frozen=True)
+@record
 class Dilate(FuncExpr):
     """x -> f(m x) for an integer m >= 1; stays 1-periodic with value 0 at 0."""
 
@@ -436,7 +437,7 @@ class Dilate(FuncExpr):
         return [rows[self.m * j % Q] for j in range(Q + 1)]
 
 
-@dataclass(frozen=True)
+@record
 class USeries(FuncExpr):
     """The series transform sum_j r^{-j} psi(r^j x) of a generator psi.
 
@@ -611,9 +612,9 @@ def supports_exact(f: FuncExpr) -> bool:
     return f.exact and all(supports_exact(c) for c in f.children)
 
 
-def _radix_product(f: FuncExpr) -> int:
+def radix_product(f: FuncExpr) -> int:
     """The product of the radixes of f's series nodes (1 when there are none)."""
-    return f.series_radix * prod(_radix_product(c) for c in f.children)
+    return f.series_radix * prod(radix_product(c) for c in f.children)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +649,7 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
     pw = as_piecewise_poly(f)
     if pw is not None:  # no table needed
         return [_piece_value(pw, x) for x in xs]
-    radixes = _radix_product(f)
+    radixes = radix_product(f)
     groups: Dict[int, List[int]] = {}  # coprime part -> positions in xs
     for i, x in enumerate(xs):
         q = x.denominator

@@ -23,7 +23,6 @@ Kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
@@ -79,8 +78,8 @@ def to_spec_dict(f: FuncExpr) -> dict:
         raise TypeError(f"unknown expression {f!r}")
     kind = _KIND_OF[type(f)]
     doc = {"kind": kind}
-    for (key, (_, encode)), field in zip(_KINDS[kind][1], fields(f)):
-        doc[key] = encode(getattr(f, field.name))
+    for (key, (_, encode)), name in zip(_KINDS[kind][1], f._fields):
+        doc[key] = encode(getattr(f, name))
     return doc
 
 

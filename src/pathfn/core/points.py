@@ -7,12 +7,11 @@ A triplet (n, k, y) names the three-point stencil k/r^n, (k+y)/r^n,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Tuple
 
-from .scalars import reduce_mod1
+from .scalars import _set, record, reduce_mod1
 
 
 def validate_radix(r: int) -> int:
@@ -46,7 +45,7 @@ def radix_depth(x: Fraction, r: int) -> int:
     return n
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Triplet:
     """Stencil indices (n, k, y); y strictly inside (0, 1).
 
@@ -58,15 +57,18 @@ class Triplet:
     k: int
     y: Fraction
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, k: int, y: Fraction) -> None:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be >= 0")
-        y = Fraction(self.y)
-        object.__setattr__(self, "y", y)
-        if not (0 < y < 1):
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        if not (0 < y.numerator < y.denominator):
             raise ValueError(f"y={y} must lie strictly inside (0, 1)")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "y", y)
 
     def points(self, r: int) -> Tuple[Fraction, Fraction, Fraction]:
         """The stencil (left, mid, right) = (k, k+y, k+1) / r^n."""

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
 from typing import Iterable, List, Optional, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -83,7 +82,103 @@ def _mul_up(a: float, b: float) -> float:
     return _nextafter(a * b, _INF)
 
 
-@dataclass(frozen=True)
+def record(cls=None, *, order: bool = False):
+    """Class decorator: a frozen value class whose fields are the class's own
+    annotated names, in order, listed in ``_fields``.  It builds no source
+    code; each method is a closure over the field names.
+
+    It adds each of these that the class does not define itself:
+    ``__init__`` (positional or keyword arguments, defaults from the class
+    attributes, then ``__post_init__`` if there is one), ``__eq__`` and
+    ``__hash__`` on the tuple of field values (two objects compare only when
+    they have the same class), ``__repr__`` as ``Name(field=value, ...)``,
+    and a ``__setattr__`` and ``__delattr__`` that raise AttributeError.
+    ``order=True`` also adds ``<``, ``<=``, ``>`` and ``>=`` on the field
+    tuple.  An ``__init__`` or ``__post_init__`` sets a field with
+    ``object.__setattr__``."""
+    if cls is None:
+        return lambda c: record(c, order=order)
+    names = tuple(cls.__annotations__)  # its own: an unannotated class has an empty dict
+    if len(names) > 1:
+        key = attrgetter(*names)  # the field tuple, built in C
+    elif names:
+        get = attrgetter(*names)
+
+        def key(self) -> tuple:
+            return (get(self),)
+
+    else:
+
+        def key(self) -> tuple:
+            return ()
+
+    def compare(op):
+        def method(self, other):
+            if other.__class__ is self.__class__:
+                return op(key(self), key(other))
+            return NotImplemented
+
+        return method
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    methods = {
+        "__init__": _record_init(cls, names),
+        "__eq__": compare(eq),
+        "__hash__": lambda self: hash(key(self)),
+        "__repr__": __repr__,
+        "__setattr__": _frozen,
+        "__delattr__": _frozen,
+    }
+    if order:
+        methods.update(__lt__=compare(lt), __le__=compare(le), __gt__=compare(gt), __ge__=compare(ge))
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    cls._fields = names
+    return cls
+
+
+def _record_init(cls, names: Tuple[str, ...]):
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    return __init__
+
+
+def _bind(what: str, names: Tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values of a call ``what(*args, **kwargs)``, defaults filled in."""
+    given = dict(zip(names, args))
+    if len(args) > len(names) or not given.keys().isdisjoint(kwargs) or not kwargs.keys() <= set(names):
+        raise TypeError(f"{what}() takes the arguments ({', '.join(names)})")
+    values = {**defaults, **given, **kwargs}
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise TypeError(f"{what}() is missing {', '.join(missing)}")
+    return [values[name] for name in names]
+
+
+# Sets a field past a record's frozen ``__setattr__``.  Writing to the instance
+# ``__dict__`` instead would turn its inline attribute values into a dict: more
+# memory per object and slower reads.
+_set = object.__setattr__
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot set or delete field {name!r} of a frozen {type(self).__name__}")
+
+
+@record
 class Approx:
     """A float with a certified absolute error bound: the true value lies in
     ``[value - err, value + err]``."""
@@ -91,11 +186,13 @@ class Approx:
     value: float
     err: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value: {self.value}")
-        if not (self.err >= 0.0) or not math.isfinite(self.err):
-            raise ValueError(f"bad error bound: {self.err}")
+    def __init__(self, value: float, err: float = 0.0) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value: {value}")
+        if not (err >= 0.0) or not math.isfinite(err):
+            raise ValueError(f"bad error bound: {err}")
+        _set(self, "value", value)
+        _set(self, "err", err)
 
     @staticmethod
     def from_fraction(q: Fraction) -> "Approx":
@@ -188,23 +285,25 @@ Scalar = Union[Fraction, Approx]
 
 def to_json(obj):
     """JSON form of a report: rationals as 'p/q' strings, an Approx as
-    ``{value, error_bound}``, a dataclass as the dict of its fields (leaving
-    out a field whose value and default are both None), lists, tuples and
-    dicts item by item, anything else as it is."""
+    ``{value, error_bound}``, a :func:`record` as the dict of its fields
+    (leaving out a field whose value and default are both None), lists,
+    tuples and dicts item by item, anything else as it is."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, Approx):
         return {"value": obj.value, "error_bound": obj.err}
-    if is_dataclass(obj):
-        return {
-            f.name: to_json(v)
-            for f in fields(obj)
-            if (v := getattr(obj, f.name)) is not None or f.default is not None
-        }
     if isinstance(obj, dict):
         return {k: to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):  # before records: a namedtuple has _fields too
         return [to_json(v) for v in obj]
+    names = getattr(obj, "_fields", None)
+    if names is not None:  # a record; its class attributes hold the defaults
+        cls = type(obj)
+        return {
+            name: to_json(v)
+            for name in names
+            if (v := getattr(obj, name)) is not None or getattr(cls, name, ...) is not None
+        }
     return obj
 
 

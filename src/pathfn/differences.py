@@ -25,7 +25,6 @@ point by point, a separate route that the tests use as the scans' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +36,7 @@ from .core.points import (
     triplet_count,
     validate_radix,
 )
-from .core.scalars import Approx, Scalar
+from .core.scalars import Approx, Scalar, record
 from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, cap_depth, check_scan_cap
 from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 
@@ -83,7 +82,7 @@ def central_second_diff(f: FuncExpr, t: Triplet, r: int, mode: str = "exact") ->
     return scale * (dplus - dminus) if mode == "exact" else (dplus - dminus) * Approx(float(scale), 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class MembershipQuery:
     """Scan request: is Delta <= -2 c r^n over the (n <= n_max, y in y_set) family?"""
 
@@ -103,7 +102,7 @@ class MembershipQuery:
         check_mode(self.mode)
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     """Outcome of a margin scan.
 
@@ -265,7 +264,7 @@ def semiconcavity_scan(
     return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, cap)
 
 
-@dataclass(frozen=True)
+@record
 class ProbeRow:
     n: int
     k: int

@@ -35,7 +35,6 @@ import json
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
@@ -43,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .core.funcs import FuncExpr, as_piecewise_poly, eval_exact, eval_exact_points, sup_abs_bound, supports_exact
 from .core.points import Triplet, radix_y_set, validate_radix
 from .core.polys import certify_nonneg
-from .core.scalars import Approx, Scalar, format_ratios, format_rational
+from .core.scalars import Approx, Scalar, format_ratios, format_rational, record
 from .differences import (
     MembershipQuery,
     approx_table,
@@ -103,7 +102,7 @@ def crossing_points(
     return x1, x2
 
 
-@dataclass(frozen=True)
+@record
 class DominanceReport:
     """Sampled three-parabola inequality vs. the exact criterion Delta <= -1/t.
 
@@ -159,7 +158,7 @@ def dominance_check(
     return DominanceReport(criterion, sampled, criterion == sampled, delta, witness)
 
 
-@dataclass(frozen=True)
+@record
 class FlowQuery:
     """Parameters of a grid-flow computation.
 
@@ -189,13 +188,16 @@ class FlowQuery:
     def depth(self) -> int:
         if self.n is not None:
             return self.n
-        n = 0
-        while 2 * self.c * self.t * self.r**n < 1:
+        # the least n with 2ct r^n >= 1: with 2ct = N/D, the least n with N r^n >= D
+        two_ct = 2 * self.c * self.t
+        power, n = two_ct.numerator, 0
+        while power < two_ct.denominator:
+            power *= self.r
             n += 1
         return n
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     """One parabola segment of the envelope: value fz + (x - z)^2 / (2t) on
     [x_lo, x_hi]."""
@@ -210,7 +212,7 @@ class Piece:
 _Cut = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseQuadratic:
     """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces,
     held in integers: piece m has its vertex at z = ks[m]/R with value
@@ -603,7 +605,7 @@ def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:
     return u_t + u_x**2 / 2
 
 
-@dataclass(frozen=True)
+@record
 class SubdiffWitness:
     """A slope interval certified to sit inside the subdifferential at z.
 

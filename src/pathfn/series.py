@@ -17,7 +17,6 @@ sparse integer table and cycle closed form that ``eval_exact`` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -40,7 +39,7 @@ from .core.points import (
     validate_radix,
 )
 from .core.polys import certify_nonneg
-from .core.scalars import reduce_mod1
+from .core.scalars import record, reduce_mod1
 from .differences import (
     ScanReport,
     central_second_diff,
@@ -97,7 +96,7 @@ def u_delta_identity_residual(s: USeries, t: Triplet) -> Fraction:
     return lhs - rhs
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     """Batch verification of the second-difference decomposition."""
 
@@ -151,7 +150,7 @@ def identity_residual_scan(
     return IdentityReport(total, None, Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class ScanParams:
     """Finite family sizes used by the sufficient-condition checker."""
 
@@ -166,7 +165,7 @@ class ScanParams:
         return radix_x_samples(r, self.x_depth)
 
 
-@dataclass(frozen=True)
+@record
 class SufficientReport:
     """Outcome of the two-part sufficient-condition check.
 
@@ -266,7 +265,7 @@ def steepness_transfer_constant(c: Fraction, r: int) -> Fraction:
     return Fraction(c) * Fraction(r, 2 * (r - 1))
 
 
-@dataclass(frozen=True)
+@record
 class ChainReport:
     """Pointwise audit of (m r/(r-1)) x(1-x) <= m * tau_r(x) <= U_psi(x)."""
 

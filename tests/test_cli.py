@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import re
@@ -11,10 +10,11 @@ import pytest
 import pathfn.cli as cli
 import pathfn.core.funcs
 import pathfn.flow
+import pathfn.grid
 import pathfn.series
 from pathfn.core.funcs import eval_exact
 from pathfn.core.parse import parse_func_spec
-from pathfn.flow import PiecewiseQuadratic
+from pathfn.flow import Piece, PiecewiseQuadratic
 from conftest import (
     SPEC_DISTANCE,
     SPEC_PSI0,
@@ -85,6 +85,29 @@ def test_eval_points_orbit_cap_exit_2(capsys, spec_file):
         capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/5003", "--cap", "100"]
     )
     assert code == 2 and out == "" and "exceeded 100 steps" in err
+
+
+def test_eval_refuses_a_point_too_long_to_print_before_value_work(capsys, spec_file, monkeypatch):
+    # 2 has order 1000002 mod 1000003: the value's denominator would have about
+    # 10^6 bits, and the table's entries 10^6 such integers each
+    def spy(*args, **kwargs):
+        pytest.fail("cycle values computed for a point whose value cannot be printed")
+
+    for module in (pathfn.grid, pathfn.core.funcs):  # where the series rules look it up
+        monkeypatch.setattr(module, "close_cycles", spy)
+    code, out, err = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/1000003"])
+    assert code == 2 and out == ""
+    assert err == (
+        "pathfn: series orbit of 1/1000003 exceeded 14000 steps (radix 2): its exact value "
+        "would have more than 14000 bits, too long to print; use --mode float\n"
+    )
+
+
+def test_eval_prints_a_long_orbit_that_fits(capsys, spec_file):
+    # 2 has order 8000 mod 16001: a walk of 8000 entries, within the printable size
+    code, out, _ = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "1/16001"])
+    value = eval_exact(parse_func_spec(json.dumps(SPEC_TAKAGI2)), F(1, 16001))
+    assert code == 0 and out == f"x,value\n1/16001,{value}\n"
 
 
 def test_eval_points_orbit_cap_refuses_before_value_work(capsys, spec_file, monkeypatch):
@@ -406,7 +429,7 @@ def test_flow_crosscheck_catches_a_shifted_vertex(capsys, spec_file, monkeypatch
     def shifted(q, cap):
         pq = real(q, cap=cap)
         assert pq.err < 1e-12
-        pieces = tuple(dataclasses.replace(p, fz=p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
+        pieces = tuple(Piece(p.x_lo, p.x_hi, p.z, p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
         return PiecewiseQuadratic.from_pieces(pq.t, pieces, pq.err)
 
     monkeypatch.setattr(cli, "flow_grid", shifted)

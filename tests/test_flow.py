@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -273,6 +272,31 @@ def test_flow_grid_refuses_a_huge_depth_before_building_its_power():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_flow_grid_refuses_a_tiny_time_before_its_depth_costs_more_than_the_cap():
+    # depth() rebuilt a Fraction r^n per step: 7.1 s to find n = 19998 at t = 2^-20000
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="grid table of at least 2"):
+        flow_grid(FlowQuery(TAU2, 2, 2, F(1, 2**20000)), cap=100)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _depth_reference(q: FlowQuery) -> int:
+    n = 0
+    while 2 * q.c * q.t * q.r**n < 1:
+        n += 1
+    return n
+
+
+def test_flow_query_depth_is_the_least_admissible_depth():
+    rng = random.Random(18)
+    for _ in range(300):
+        c = F(rng.randint(1, 40), rng.randint(1, 40))
+        t = F(rng.randint(1, 60), rng.randint(1, 5000))
+        q = FlowQuery(TAU2, c, rng.randint(2, 7), t)
+        assert q.depth() == _depth_reference(q), q
+    assert FlowQuery(TAU2, 1, 2, F(1, 4), n=5).depth() == 5
+
+
 def test_flow_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="mode must be 'exact' or 'float', got 'Exact'"):
         flow_grid(FlowQuery(TAU2, 2, 2, F(1, 4), mode="Exact"))
@@ -420,7 +444,8 @@ def test_flow_grid_integer_form_at_random_t_and_n(mode):
         ]
         assert pq.sample_lines(count) == [f"{x},{v}" for x, v in rows]
         again = piecewise_from_json(json.dumps(pq.as_json()))
-        assert again == dataclasses.replace(pq, err=0.0) and again.pieces == pq.pieces
+        exact = PiecewiseQuadratic(pq.t, pq.R, pq.ks, pq.D, pq.vals, pq.cuts, err=0.0)
+        assert again == exact and again.pieces == pq.pieces
         checked += 1
     assert checked >= 12
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -145,7 +144,7 @@ def test_grid_table_size_counts_against_the_cap():
     with pytest.raises(ResourceLimitError, match="grid table"):
         membership_scan(q, cap=10**5)
     with pytest.raises(ResourceLimitError, match="grid table"):  # float scans slice the same grid
-        membership_scan(dataclasses.replace(q, mode="float"), cap=10**5)
+        membership_scan(MembershipQuery(q.f, q.c, q.r, q.n_max, q.y_set, mode="float"), cap=10**5)
     with pytest.raises(ResourceLimitError, match="grid table"):
         identity_residual_scan(USeries(2, Distance()), 0, (F(1, 2**40),), cap=10**5)
 

@@ -1,5 +1,6 @@
 """Start-up: ``import pathfn`` is lazy, each subcommand loads only the layers
-it runs, and only the commands that print a spec digest import hashlib."""
+it runs, only the commands that print a spec digest import hashlib, and none
+imports dataclasses."""
 
 import importlib
 import json
@@ -18,6 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The modules a command may or may not load; the core layer is always loaded.
 OPTIONAL = {"pathfn.differences", "pathfn.series", "pathfn.flow", "hashlib"}
+# What no command loads: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``.
+NEVER = {"dataclasses", "inspect"}
 
 _REPORT_MODULES = (
     "import json, sys\n"
@@ -58,6 +61,9 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
     code, modules = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert OPTIONAL.intersection(modules) == loads
+    # value classes are records, built without generated code; a bare
+    # interpreter loads neither module
+    assert NEVER.isdisjoint(modules), NEVER.intersection(modules)
 
 
 # What ``pathfn/__init__`` re-exported eagerly, by the module it imported each from.
