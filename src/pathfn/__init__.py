@@ -10,42 +10,37 @@ Everything that can be checked in exact rational arithmetic is; float mode
 always carries certified error bounds.
 
 ``import pathfn`` is lazy: it imports no layer.  Each name of ``__all__`` is
-imported from its submodule the first time it is read (``pathfn.flow_grid``
-loads ``pathfn.flow``), and ``from pathfn import *`` imports them all.  So a
-CLI command loads only the layers it runs.
+imported from the submodule that defines it the first time it is read
+(``pathfn.flow_grid`` loads ``pathfn.flow``), and ``from pathfn import *``
+imports them all.  So a CLI command loads only the layers it runs.  This is
+the only module that re-exports names; ``pathfn.core`` holds submodules only.
 """
 
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": (
+    "core.funcs": (
         "AbsSin",
-        "Approx",
         "Dilate",
         "Distance",
         "DistancePower",
         "FuncExpr",
         "PolySplinePeriodic",
         "Scale",
-        "Scalar",
         "Sin2Pi",
         "Sum",
         "ThetaSplice",
-        "Triplet",
         "USeries",
-        "enumerate_triplets",
         "eval_approx",
         "eval_exact",
-        "parse_func_spec",
-        "parse_rational",
         "psi_zero",
-        "radix_x_samples",
-        "radix_y_set",
         "sin_cancellation",
         "sup_abs_bound",
         "supports_exact",
-        "to_spec_dict",
     ),
+    "core.parse": ("parse_func_spec", "to_spec_dict"),
+    "core.points": ("Triplet", "enumerate_triplets", "radix_x_samples", "radix_y_set"),
+    "core.scalars": ("Approx", "Scalar", "parse_rational"),
     "differences": (
         "MembershipQuery",
         "ProbeRow",

@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
+# import order sets the heap layout and so peak RSS: keep scalars, points, funcs, parse
+from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
+from .core.points import radix_x_samples, radix_y_set
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, radix_product, supports_exact
 from .core.parse import parse_func_spec
-from .core.points import radix_x_samples, radix_y_set
-from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
 from .errors import (
     _PRINTED_BITS,
     DEFAULT_TRIPLET_CAP,

@@ -1,90 +1,2 @@
 """Core layer: scalar arithmetic, grid geometry, the function catalog, and
 the function-spec document format."""
-
-from .scalars import (
-    Approx,
-    RationalFormatError,
-    Scalar,
-    format_rational,
-    parse_rational,
-    reduce_mod1,
-    to_json,
-)
-from .points import (
-    Triplet,
-    enumerate_triplets,
-    is_radix_rational,
-    radix_depth,
-    radix_x_samples,
-    radix_y_set,
-    triplet_count,
-    validate_radix,
-)
-from .funcs import (
-    AbsSin,
-    Dilate,
-    Distance,
-    DistancePower,
-    FuncExpr,
-    PolySplinePeriodic,
-    Scale,
-    Sin2Pi,
-    Sum,
-    ThetaSplice,
-    USeries,
-    as_piecewise_poly,
-    default_series_terms,
-    eval_approx,
-    eval_exact,
-    eval_exact_points,
-    psi_zero,
-    series_tail_bound,
-    sin_cancellation,
-    sup_abs_bound,
-    supports_exact,
-    theta_upper_poly,
-)
-from .parse import build_func, parse_func_spec, to_spec_dict
-
-__all__ = [
-    "Approx",
-    "RationalFormatError",
-    "Scalar",
-    "format_rational",
-    "parse_rational",
-    "reduce_mod1",
-    "to_json",
-    "Triplet",
-    "enumerate_triplets",
-    "is_radix_rational",
-    "radix_depth",
-    "radix_x_samples",
-    "radix_y_set",
-    "triplet_count",
-    "validate_radix",
-    "AbsSin",
-    "Dilate",
-    "Distance",
-    "DistancePower",
-    "FuncExpr",
-    "PolySplinePeriodic",
-    "Scale",
-    "Sin2Pi",
-    "Sum",
-    "ThetaSplice",
-    "USeries",
-    "as_piecewise_poly",
-    "default_series_terms",
-    "eval_approx",
-    "eval_exact",
-    "eval_exact_points",
-    "psi_zero",
-    "series_tail_bound",
-    "sin_cancellation",
-    "sup_abs_bound",
-    "supports_exact",
-    "theta_upper_poly",
-    "build_func",
-    "parse_func_spec",
-    "to_spec_dict",
-]

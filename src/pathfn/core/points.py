@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Tuple
 
-from .scalars import _set, record, reduce_mod1
+from .scalars import _set, record
 
 
 def validate_radix(r: int) -> int:
@@ -118,16 +118,3 @@ def radix_x_samples(r: int, depth: int) -> Tuple[Fraction, ...]:
         raise ValueError("depth must be >= 0")
     den = r**depth
     return tuple(Fraction(j, den) for j in range(0, den + 1))
-
-
-__all__ = [
-    "Triplet",
-    "validate_radix",
-    "is_radix_rational",
-    "radix_depth",
-    "triplet_count",
-    "enumerate_triplets",
-    "radix_y_set",
-    "radix_x_samples",
-    "reduce_mod1",
-]

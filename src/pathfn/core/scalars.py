@@ -181,7 +181,8 @@ def _frozen(self, name: str, *value) -> None:
 @record
 class Approx:
     """A float with a certified absolute error bound: the true value lies in
-    ``[value - err, value + err]``."""
+    ``[value - err, value + err]``.  Arithmetic takes Approx operands only;
+    a rational enters through :meth:`from_fraction`."""
 
     value: float
     err: float = 0.0
@@ -205,18 +206,6 @@ class Approx:
         v = lo / 2 + hi / 2
         return Approx(v, _up(max(hi - v, v - lo)))
 
-    @staticmethod
-    def coerce(x: "ApproxLike") -> "Approx":
-        if isinstance(x, Approx):
-            return x
-        if isinstance(x, Fraction):
-            return Approx.from_fraction(x)
-        if isinstance(x, int):
-            return Approx(float(x), 0.0)
-        if isinstance(x, float):
-            return Approx(x, 0.0)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Approx")
-
     # interval endpoints (outward-rounded)
     def lo(self) -> float:
         return _down(self.value - self.err)
@@ -224,26 +213,15 @@ class Approx:
     def hi(self) -> float:
         return _up(self.value + self.err)
 
-    def __add__(self, other: "ApproxLike") -> "Approx":
-        o = Approx.coerce(other)
+    def __add__(self, o: "Approx") -> "Approx":
         v = self.value + o.value
         return Approx(v, _add_up(self.err, o.err, _ulp(v)))
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Approx":
-        return Approx(-self.value, self.err)
-
-    def __sub__(self, other: "ApproxLike") -> "Approx":
-        o = Approx.coerce(other)
-        v = self.value - o.value  # the same float as self + (-o)
+    def __sub__(self, o: "Approx") -> "Approx":
+        v = self.value - o.value
         return Approx(v, _add_up(self.err, o.err, _ulp(v)))
 
-    def __rsub__(self, other: "ApproxLike") -> "Approx":
-        return Approx.coerce(other) + (-self)
-
-    def __mul__(self, other: "ApproxLike") -> "Approx":
-        o = Approx.coerce(other)
+    def __mul__(self, o: "Approx") -> "Approx":
         v = self.value * o.value
         e = _add_up(
             _mul_up(abs(self.value), o.err),
@@ -253,10 +231,7 @@ class Approx:
         )
         return Approx(v, e)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "ApproxLike") -> "Approx":
-        o = Approx.coerce(other)
+    def __truediv__(self, o: "Approx") -> "Approx":
         m = _down(abs(o.value) - o.err)
         if m <= 0.0:
             raise ZeroDivisionError("division by an interval containing zero")
@@ -265,19 +240,10 @@ class Approx:
         e = _add_up(_up(num / _down(m * abs(o.value))), _ulp(v))
         return Approx(v, e)
 
-    def __rtruediv__(self, other: "ApproxLike") -> "Approx":
-        return Approx.coerce(other) / self
-
     # certain comparisons
-    def overlaps(self, other: "ApproxLike") -> bool:
-        o = Approx.coerce(other)
-        return not (self.hi() < o.lo() or o.hi() < self.lo())
+    def overlaps(self, other: "Approx") -> bool:
+        return not (self.hi() < other.lo() or other.hi() < self.lo())
 
-    def __str__(self) -> str:
-        return f"{self.value!r} ± {self.err:.3e}"
-
-
-ApproxLike = Union[Approx, Fraction, int, float]
 
 # Scalar: the two arithmetic modes of the toolkit.
 Scalar = Union[Fraction, Approx]

@@ -29,14 +29,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, eval_approx, eval_exact_points
-from .core.points import (
-    Triplet,
-    is_radix_rational,
-    reduce_mod1,
-    triplet_count,
-    validate_radix,
-)
-from .core.scalars import Approx, Scalar, record
+from .core.points import Triplet, is_radix_rational, triplet_count, validate_radix
+from .core.scalars import Approx, Scalar, record, reduce_mod1
 from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, cap_depth, check_scan_cap
 from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 

@@ -227,7 +227,11 @@ def check_sufficient_conditions(
 def _lower_bound_check(
     psi: FuncExpr, m: Fraction, samples: Sequence[Fraction]
 ) -> Tuple[str, Optional[Fraction]]:
-    """Check psi - m*d >= 0 on [0, 1]; returns (mode, witness_or_None)."""
+    """Check psi - m*d >= 0 on [0, 1]; returns (mode, witness_or_None).
+
+    Every piece is certified: the first exact negative point in piece order
+    is the witness, even after a piece that could not be decided.  The mode
+    is 'sampled' only when no piece is refuted and some piece is undecided."""
     gap = Sum((psi, Scale(-m, Distance())))
     # sampling first: cheap, and failures come with a concrete witness
     for x in samples:
@@ -236,13 +240,14 @@ def _lower_bound_check(
     pw = as_piecewise_poly(gap)
     if pw is None:
         return "sampled", None
+    mode = "exact"
     for lo, hi, coeffs in pw:
         verdict = certify_nonneg(coeffs, lo, hi)
         if verdict is None:
-            return "sampled", None
-        if verdict is not True:  # an exact point where psi - m*d < 0
+            mode = "sampled"
+        elif verdict is not True:  # an exact point where psi - m*d < 0
             return "exact", verdict
-    return "exact", None
+    return mode, None
 
 
 def concave_generator_constant(s: USeries) -> Fraction:

@@ -26,3 +26,15 @@ SPEC_PSI0 = {
         {"kind": "scale", "a": "1", "child": {"kind": "distance_power", "p": 2}},
     ],
 }
+# psi = d + g: g >= 0 on [0, 1/2] with a tangency at 1/3, so certify_nonneg
+# cannot decide that piece, and g < 0 only on (1197/2000, 1201/2000), between
+# the samples j/256 of the piece [1/2, 5/8]
+SPEC_DIP = {
+    "kind": "poly_spline",
+    "knots": ["0", "1/2", "5/8", "1"],
+    "pieces": [
+        ["0", "539597/500000", "-118791/250000", "356373/500000"],
+        ["5437597/4000000", "-2199/1000", "1"],
+        ["1502597/1500000", "-1502597/1500000"],
+    ],
+}

@@ -16,6 +16,7 @@ from pathfn.core.funcs import eval_exact
 from pathfn.core.parse import parse_func_spec
 from pathfn.flow import Piece, PiecewiseQuadratic
 from conftest import (
+    SPEC_DIP,
     SPEC_DISTANCE,
     SPEC_PSI0,
     SPEC_TAKAGI2,
@@ -880,6 +881,26 @@ def test_bounds_narrow_dip_has_exact_witness(capsys, spec_file):
     x = Fraction(detail["lower_bound_witness"])
     assert 0 < x < e
     assert eval_exact(parse_func_spec(json.dumps(psi)), x) - x < 0  # d(x) = x here
+
+
+
+def test_bounds_refutes_a_piece_after_an_undecided_one(capsys, spec_file):
+    code, out, _ = run(capsys, ["bounds", "--psi", spec_file(SPEC_DIP), "--m", "1", "--alpha", "3", "--r", "2"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    detail = doc["detail"]
+    assert (detail["passed"], detail["c"]) == (False, None)
+    assert detail["lower_bound_mode"] == "exact" and detail["lower_bound_witness"] == "1199/2000"
+    assert detail["semiconcavity"]["scanned"] == 7  # (ii) on its depth-0 slice
+
+
+def test_bounds_passes_a_generator_without_pieces_on_samples(capsys, spec_file):
+    code, out, _ = run(capsys, ["bounds", "--psi", spec_file(SPEC_TAKAGI2), "--m", "1", "--alpha", "0", "--r", "2"])
+    assert code == 0
+    detail = json.loads(out)["detail"]
+    assert (detail["passed"], detail["c"]) == (True, "2")
+    assert detail["lower_bound_mode"] == "sampled" and detail["lower_bound_witness"] is None
 
 
 # ------------------------------------------------------------ shared shape

@@ -66,14 +66,16 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
     assert NEVER.isdisjoint(modules), NEVER.intersection(modules)
 
 
-# What ``pathfn/__init__`` re-exported eagerly, by the module it imported each from.
+# What ``pathfn/__init__`` re-exported eagerly, by the module that defines each.
 _PUBLIC = {
-    "core": (
-        "AbsSin", "Approx", "Dilate", "Distance", "DistancePower", "FuncExpr", "PolySplinePeriodic", "Scale",
-        "Scalar", "Sin2Pi", "Sum", "ThetaSplice", "Triplet", "USeries", "enumerate_triplets", "eval_approx",
-        "eval_exact", "parse_func_spec", "parse_rational", "psi_zero", "radix_x_samples", "radix_y_set",
-        "sin_cancellation", "sup_abs_bound", "supports_exact", "to_spec_dict",
+    "core.funcs": (
+        "AbsSin", "Dilate", "Distance", "DistancePower", "FuncExpr", "PolySplinePeriodic", "Scale", "Sin2Pi",
+        "Sum", "ThetaSplice", "USeries", "eval_approx", "eval_exact", "psi_zero", "sin_cancellation",
+        "sup_abs_bound", "supports_exact",
     ),
+    "core.parse": ("parse_func_spec", "to_spec_dict"),
+    "core.points": ("Triplet", "enumerate_triplets", "radix_x_samples", "radix_y_set"),
+    "core.scalars": ("Approx", "Scalar", "parse_rational"),
     "differences": (
         "MembershipQuery", "ProbeRow", "ScanReport", "central_second_diff", "divergence_probe",
         "membership_scan", "semiconcavity_scan", "stencil_slopes",
@@ -109,6 +111,17 @@ def test_every_public_name_resolves_to_its_module_object():
         assert name in listed, name
     with pytest.raises(AttributeError, match="no_such_name"):
         pathfn.no_such_name
+
+
+def test_pathfn_core_reexports_nothing():
+    # ``pathfn`` is the one module that re-exports names; the core package holds its submodules only
+    import pathfn.core
+
+    for module in ("funcs", "parse", "points", "polys", "scalars"):
+        importlib.import_module(f"pathfn.core.{module}")
+    public = {name: value for name, value in vars(pathfn.core).items() if not name.startswith("_")}
+    assert set(public) == {"funcs", "parse", "points", "polys", "scalars"}
+    assert all(value is sys.modules[f"pathfn.core.{name}"] for name, value in public.items())
 
 
 # Names that tests and perfbench/tracer.py replace on pathfn.cli.

@@ -16,6 +16,7 @@ from pathfn.core.funcs import (
     psi_zero,
     sin_cancellation,
 )
+from pathfn.core.parse import build_func
 from pathfn.core.points import Triplet, radix_x_samples, radix_y_set
 from pathfn.differences import MembershipQuery, membership_scan
 from pathfn.errors import ResourceLimitError, UnsupportedExactError
@@ -29,6 +30,7 @@ from pathfn.series import (
     u_delta_identity_residual,
     u_eval_exact,
 )
+from conftest import SPEC_DIP
 
 F = Fraction
 
@@ -208,6 +210,16 @@ def test_sufficient_conditions_theta_fails_near_zero():
     assert not rep2.passed
 
 
+def test_sufficient_conditions_refute_a_piece_after_an_undecided_one():
+    # the first piece of psi - d is not decided; the second has the exact
+    # negative point 1199/2000, which no sample reaches
+    rep = check_sufficient_conditions(USeries(2, build_func(SPEC_DIP)), m=F(1), alpha=F(3))
+    assert not rep.passed and rep.c is None
+    assert rep.lower_bound_mode == "exact" and rep.lower_bound_witness == F(1199, 2000)
+    assert eval_exact(build_func(SPEC_DIP), F(1199, 2000)) < eval_exact(Distance(), F(1199, 2000))
+    assert rep.semiconcavity.scanned == 7  # (ii) on its depth-0 slice only
+
+
 def test_sufficient_conditions_refuse_their_samples_before_building_them(monkeypatch):
     import pathfn.series
 
@@ -274,6 +286,12 @@ def test_lower_chain():
     # the pure Takagi chain includes its own quadratic lower bound
     s2 = USeries(2, Distance())
     assert lower_chain_check(s2, F(1), radix_x_samples(2, 6)).holds
+
+
+def test_lower_chain_reports_its_first_failure():
+    # m = 2 breaks (m r/(r-1)) x(1-x) <= m tau_2(x) <= tau_2(x) at the first x > 0
+    rep = lower_chain_check(USeries(2, Distance()), F(2), radix_x_samples(2, 4))
+    assert (rep.holds, rep.checked, rep.first_failure) == (False, 2, F(1, 16))
 
 
 # ------------------------------------------------ derived-constant shortcuts
