@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathfn import (
     Distance,
     FlowQuery,
-    flow_bruteforce,
+    flow_bruteforce_points,
     flow_grid,
     pde_residual,
     USeries,
@@ -32,7 +32,7 @@ print(f"  H(1/2) = {pq.eval(F(1, 2))}  (the two parabolas cross at the kink)")
 
 print("\n=== exact agreement with brute-force minimization ===")
 ok = all(
-    flow_bruteforce(tau2, F(1, 4), x, radix_depth=6, r=2) == pq.eval(x)
+    flow_bruteforce_points(tau2, F(1, 4), [x], radix_depth=6, r=2)[0] == pq.eval(x)
     for x in (F(0), F(5, 64), F(1, 2), F(27, 64), F(1))
 )
 print(f"  envelope == min over the depth-6 grid at 5 sample points: {ok}")

@@ -5,7 +5,8 @@ The library works on continuous 1-periodic functions vanishing at the
 integers, described by a small expression algebra (``pathfn.core``).  On top
 of it sit grid-difference scanners (``pathfn.differences``), the series
 transform with its exact identities (``pathfn.series``), and the Hopf-Lax
-style flow with its parabola-envelope representation (``pathfn.flow``).
+style flow with its parabola-envelope representation (``pathfn.flow``); the
+oracles and audits that check them from outside sit in ``pathfn.audit``.
 Everything that can be checked in exact rational arithmetic is; float mode
 always carries certified error bounds.
 
@@ -33,13 +34,11 @@ _EXPORTS = {
         "USeries",
         "eval_approx",
         "eval_exact",
-        "psi_zero",
-        "sin_cancellation",
         "sup_abs_bound",
         "supports_exact",
     ),
     "core.parse": ("parse_func_spec", "to_spec_dict"),
-    "core.points": ("Triplet", "enumerate_triplets", "radix_x_samples", "radix_y_set"),
+    "core.points": ("Triplet", "radix_x_samples", "radix_y_set"),
     "core.scalars": ("Approx", "Scalar", "parse_rational"),
     "differences": (
         "MembershipQuery",
@@ -61,33 +60,32 @@ _EXPORTS = {
         "UnsupportedExactError",
     ),
     "flow": (
-        "DominanceReport",
         "FlowQuery",
         "Piece",
         "PiecewiseQuadratic",
-        "SubdiffWitness",
-        "crossing_points",
-        "dominance_check",
-        "flow_bruteforce",
         "flow_bruteforce_count",
         "flow_bruteforce_points",
         "flow_grid",
+    ),
+    "series": ("ScanParams", "SufficientReport", "check_sufficient_conditions", "u_eval_exact"),
+    "audit": (
+        "ChainReport",
+        "DominanceReport",
+        "SubdiffWitness",
+        "concave_generator_constant",
+        "crossing_points",
+        "dominance_check",
+        "enumerate_triplets",
+        "lower_chain_check",
         "parabola_eval",
         "pde_residual",
         "piecewise_from_json",
-        "subdiff_witnesses",
-        "witness_support_violations",
-    ),
-    "series": (
-        "ChainReport",
-        "ScanParams",
-        "SufficientReport",
-        "check_sufficient_conditions",
-        "concave_generator_constant",
-        "lower_chain_check",
+        "psi_zero",
+        "sin_cancellation",
         "steepness_transfer_constant",
+        "subdiff_witnesses",
         "u_delta_identity_residual",
-        "u_eval_exact",
+        "witness_support_violations",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -578,18 +578,6 @@ def _check_child(c) -> None:
         raise FuncSpecError(f"expected a function expression, got {type(c).__name__}")
 
 
-# Convenience constructors used throughout tests and demos.
-
-def psi_zero(a: Fraction, b: Fraction) -> Sum:
-    """a*d + b*d^2: not concave, but 2b-semiconcave on [0, 1]."""
-    return Sum((Scale(Fraction(a), Distance()), Scale(Fraction(b), DistancePower(2))))
-
-
-def sin_cancellation(r: int) -> Sum:
-    """|sin(pi x)| - (1/r)|sin(pi r x)|: its series transform telescopes to |sin(pi x)|."""
-    return Sum((AbsSin(), Scale(Fraction(-1, r), Dilate(r, AbsSin()))))
-
-
 @lru_cache(maxsize=_BOUND_CACHE_SIZE)
 def theta_upper_poly(r: int) -> Coeffs:
     """The quintic continuation of the x^2 splice on [1/r, 1]."""
@@ -642,8 +630,12 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
     one sparse integer table on the lcm Q of its denominators, dropped after
     its points are read.  ``max_orbit`` caps the entries that each point
     adds to its group's table of each series node, in list order; the cap is
-    checked while the table's indices are walked, before any value is
-    computed, and exceeding it raises :class:`OrbitLimitError`.
+    checked while the table's indices are walked, and exceeding it raises
+    :class:`OrbitLimitError`.  A point adds at most Q - 1 entries to a walk
+    on the grid Q, so only a group with Q > ``max_orbit`` can be refused.
+    When there is more than one group, each such group is walked once, and
+    the walk dropped, before any value is computed: a refusal comes before
+    any work, and only one walk is held at a time.
     """
     xs = [reduce_mod1(Fraction(x)) for x in xs]
     pw = as_piecewise_poly(f)
@@ -656,10 +648,16 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
         while gcd(q, radixes) > 1:
             q //= gcd(q, radixes)
         groups.setdefault(q, []).append(i)
-    out: List[Fraction] = [_ZERO] * len(xs)
+    grids = []  # (members, Q, js) per group
     for members in groups.values():
         Q = lcm(*(xs[i].denominator for i in members))
-        js = [xs[i].numerator * (Q // xs[i].denominator) for i in members]
+        grids.append((members, Q, [xs[i].numerator * (Q // xs[i].denominator) for i in members]))
+    if len(grids) > 1 and max_orbit is not None:
+        for _, Q, js in grids:
+            if Q > max_orbit:
+                f.walk(Q, js, max_orbit)
+    out: List[Fraction] = [_ZERO] * len(xs)
+    for members, Q, js in grids:
         vals, den = point_values(f, Q, js, max_orbit)
         for i, j in zip(members, js):
             out[i] = Fraction(vals[j], den)

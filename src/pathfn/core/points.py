@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 from .scalars import _set, record
 
@@ -82,24 +82,6 @@ def triplet_count(r: int, n_max: int, num_y: int) -> int:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return num_y * (r ** (n_max + 1) - 1) // (r - 1)
-
-
-def enumerate_triplets(
-    r: int, n_max: int, y_set: Iterable[Fraction]
-) -> Iterator[Triplet]:
-    """All admissible triplets with n <= n_max and y in y_set, in lexicographic
-    (n, k, y) order.  Yields exactly sum_{n<=n_max} r^n * |y_set| items."""
-    validate_radix(r)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    ys = sorted({Fraction(y) for y in y_set})
-    for y in ys:
-        if not (0 < y < 1):
-            raise ValueError(f"y={y} must lie strictly inside (0, 1)")
-    for n in range(n_max + 1):
-        for k in range(r**n):
-            for y in ys:
-                yield Triplet(n, k, y)
 
 
 def radix_y_set(r: int, depth: int) -> Tuple[Fraction, ...]:

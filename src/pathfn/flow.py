@@ -21,7 +21,7 @@ Two routes compute it:
   the radix z-grid {j/r^N}, in exact or certified float arithmetic, for many
   x on one table of f.  At x = a/X the exact objective at z_j is
   N_j / (2pX^2R^2D) with N_j = 2pX^2R^2 I_(j mod R) + qD (aR - jX)^2, so the
-  minimum is taken over integers.  ``flow_bruteforce`` is its one-point case.
+  minimum is taken over integers.
 
 The envelope is piecewise quadratic; on each piece u(t,x) = f(z) +
 (x-z)^2/(2t) solves u_t + u_x^2/2 = 0 classically, and every piece of
@@ -31,7 +31,6 @@ at its vertex (hence is not differentiable there).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from bisect import bisect_right
@@ -39,19 +38,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import FuncExpr, as_piecewise_poly, eval_exact, eval_exact_points, sup_abs_bound, supports_exact
-from .core.points import Triplet, radix_y_set, validate_radix
+from .core.funcs import FuncExpr, as_piecewise_poly, sup_abs_bound, supports_exact
+from .core.points import radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import Approx, Scalar, format_ratios, format_rational, record
-from .differences import (
-    MembershipQuery,
-    approx_table,
-    central_second_diff,
-    check_mode,
-    check_radix_scan_cap,
-    membership_scan,
-    stencil_slopes,
-)
+from .differences import MembershipQuery, approx_table, check_mode, check_radix_scan_cap, membership_scan
 from .errors import (
     DEFAULT_TRIPLET_CAP,
     AmbiguousEnvelopeError,
@@ -61,101 +52,6 @@ from .errors import (
     check_scan_cap,
 )
 from .grid import grid_values
-
-
-def parabola_eval(f: FuncExpr, t: Fraction, x: Fraction, z: Fraction) -> Fraction:
-    """q(t, x; z) = f(z) + (x - z)^2 / (2t)."""
-    t, x, z = Fraction(t), Fraction(x), Fraction(z)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return eval_exact(f, z) + (x - z) ** 2 / (2 * t)
-
-
-def crossing_points(
-    f: FuncExpr, t_idx: Triplet, r: int, t: Fraction
-) -> Tuple[Fraction, Fraction]:
-    """Abscissas where the interior-vertex parabola meets the edge-vertex ones.
-
-    x1 solves q(t, x; mid) = q(t, x; left) and x2 solves q(t, x; mid) =
-    q(t, x; right); closed forms are
-
-        x1 = k/r^n + y/(2 r^n)     + t * dminus
-        x2 = k/r^n + (1+y)/(2 r^n) + t * dplus.
-
-    The edge parabola dominance pattern means the interior vertex is
-    redundant exactly when x1 >= x2.  Both closed forms are re-verified
-    against the defining parabola equalities before returning.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    validate_radix(r)
-    left, mid, right = t_idx.points(r)
-    ((dminus, dplus),) = stencil_slopes(f, [t_idx], r)
-    scale = Fraction(1, r**t_idx.n)
-    x1 = left + t_idx.y * scale / 2 + t * dminus
-    x2 = left + (1 + t_idx.y) * scale / 2 + t * dplus
-    if parabola_eval(f, t, x1, mid) != parabola_eval(f, t, x1, left):
-        raise AssertionError("crossing x1 fails its defining equality")
-    if parabola_eval(f, t, x2, mid) != parabola_eval(f, t, x2, right):
-        raise AssertionError("crossing x2 fails its defining equality")
-    return x1, x2
-
-
-@record
-class DominanceReport:
-    """Sampled three-parabola inequality vs. the exact criterion Delta <= -1/t.
-
-    The inequality q(t,x; mid) >= min(q(t,x; left), q(t,x; right)) fails
-    exactly on the open interval (x1, x2) when x1 < x2, so the sample set is
-    augmented with that interval's midpoint; ``agree`` then flags any
-    discrepancy between sampling and the criterion (there should never be
-    one)."""
-
-    criterion_holds: bool
-    sampled_holds: bool
-    agree: bool
-    delta: Fraction
-    witness_x: Optional[Fraction]
-
-
-def dominance_check(
-    f: FuncExpr,
-    t_idx: Triplet,
-    r: int,
-    t: Fraction,
-    x_samples: Sequence[Fraction],
-) -> DominanceReport:
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    left, mid, right = t_idx.points(r)
-    delta = central_second_diff(f, t_idx, r, "exact")
-    criterion = delta <= Fraction(-1) / t
-    x1, x2 = crossing_points(f, t_idx, r, t)
-    samples = [Fraction(x) for x in x_samples]
-    if x1 < x2:
-        samples.append((x1 + x2) / 2)  # guaranteed violation point
-    # Over one common denominator: with t = p/q, x = a/X, the vertex z = Z/P and
-    # f(z) = I/D, q(t, x; z) = [2p(XP)^2 I + qD (aP - ZX)^2] / (2p(XP)^2 D).
-    vertices = (mid, left, right)
-    fz = eval_exact_points(f, vertices)
-    D = math.lcm(*(v.denominator for v in fz))
-    P = math.lcm(*(z.denominator for z in vertices))
-    X = math.lcm(*(x.denominator for x in samples))
-    c, qD = 2 * t.numerator * (X * P) ** 2, t.denominator * D
-    (cm, zm), (cl, zl), (cr, zr) = (
-        (c * v.numerator * (D // v.denominator), z.numerator * (P // z.denominator) * X) for v, z in zip(fz, vertices)
-    )
-    witness = None
-    for x in samples:
-        aP = x.numerator * (X // x.denominator) * P
-        q_mid = cm + qD * (aP - zm) ** 2
-        if q_mid < cl + qD * (aP - zl) ** 2 and q_mid < cr + qD * (aP - zr) ** 2:
-            witness = x
-            break
-    sampled = witness is None
-    return DominanceReport(criterion, sampled, criterion == sampled, delta, witness)
 
 
 @record
@@ -341,16 +237,6 @@ class PiecewiseQuadratic:
         """The "x,value" CSV lines of :meth:`sample_rows`, rationals as 'p/q'."""
         nums, den = self._samples(count)
         return [f"{x},{v}" for x, v in zip(format_ratios(range(count), count - 1), format_ratios(nums, den))]
-
-
-def piecewise_from_json(doc: Union[str, dict]) -> PiecewiseQuadratic:
-    """Rebuild an envelope from its JSON form (schema pathfn/1)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    pieces = [
-        Piece(Fraction(p["x_lo"]), Fraction(p["x_hi"]), Fraction(p["z"]), Fraction(p["fz"])) for p in doc["pieces"]
-    ]
-    return PiecewiseQuadratic.from_pieces(Fraction(doc["t"]), pieces)
 
 
 def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadratic:
@@ -576,83 +462,3 @@ def flow_bruteforce_points(
             lo_min, hi_min = min(lo_min, v.lo()), min(hi_min, v.hi())
         out.append(Approx.from_bounds(lo_min, hi_min))
     return out
-
-
-def flow_bruteforce(
-    f: FuncExpr,
-    t: Fraction,
-    x: Union[Fraction, float],
-    radix_depth: int,
-    r: int,
-    mode: str = "exact",
-) -> Scalar:
-    """:func:`flow_bruteforce_points` at one point."""
-    return flow_bruteforce_points(f, t, [x], radix_depth, r, mode)[0]
-
-
-def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:
-    """u_t + u_x^2 / 2 at an interior point of a piece (exactly 0 for every
-    envelope; the flow is a classical solution away from breakpoints).
-
-    Raises at breakpoints, where only the viscosity interpretation applies.
-    """
-    x = Fraction(x)
-    if x in pq.breakpoints():
-        raise ValueError(f"x={x} is a breakpoint; residual undefined at kinks")
-    p = pq.piece_at(x)
-    u_t = -((x - p.z) ** 2) / (2 * pq.t**2)
-    u_x = (x - p.z) / pq.t
-    return u_t + u_x**2 / 2
-
-
-@record
-class SubdiffWitness:
-    """A slope interval certified to sit inside the subdifferential at z.
-
-    A piece [x_lo, x_hi] with vertex z witnesses that every slope
-    (x - z)/t for x in the piece is a subgradient of the initial function at
-    z; positive width therefore certifies non-differentiability at z.
-    """
-
-    z: Fraction
-    slope_lo: Fraction
-    slope_hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.slope_hi - self.slope_lo
-
-
-def subdiff_witnesses(pq: PiecewiseQuadratic) -> List[SubdiffWitness]:
-    """One witness per piece of positive width of the envelope ``pq`` (from
-    :func:`flow_grid`, whose pieces all have one), read off its integer
-    vertices and cuts: every emitted interval certifies a
-    non-differentiability point on the radix grid."""
-    xs, t = pq.breakpoints(), pq.t
-    out = []
-    for k, lo, hi in zip(pq.ks, xs, xs[1:]):
-        if hi > lo:
-            z = Fraction(k, pq.R)
-            out.append(SubdiffWitness(z, (lo - z) / t, (hi - z) / t))
-    return out
-
-
-def witness_support_violations(
-    f: FuncExpr, w: SubdiffWitness, offsets: Sequence[Fraction]
-) -> List[Tuple[Fraction, Fraction]]:
-    """Direct audit of a witness: for slopes at both interval endpoints,
-    check f(z + h) >= f(z) + p*h at the given local offsets h.
-
-    Returns the (offset, slope) pairs that fail; an empty list is the
-    expected outcome for offsets within the witness's support scale.
-    """
-    fz = eval_exact(f, w.z)
-    bad = []
-    for p in (w.slope_lo, w.slope_hi):
-        for h in offsets:
-            h = Fraction(h)
-            if h == 0:
-                continue
-            if eval_exact(f, w.z + h) < fz + p * h:
-                bad.append((h, p))
-    return bad

@@ -2,17 +2,15 @@
 
 The transform is the expression ``USeries(r, psi)``; its certified truncated
 value is ``eval_approx``.  This module adds exact finite-sum evaluation at
-radix-rational points, the exact decomposition of the transform's second
-differences into generator differences, and the sufficient-condition checker
-that yields a steepness constant c for the transform from a linear lower
-bound and a semiconcavity bound on the generator.
+radix-rational points, the exact scan of the decomposition of the
+transform's second differences into generator differences, and the
+sufficient-condition checker that yields a steepness constant c for the
+transform from a linear lower bound and a semiconcavity bound on the
+generator.  Both the scan and the checker read grid tables.
 
-Duplicate routes are kept apart on purpose, each the other's oracle: the
-identity scan reads its left side off the transform's grid table and its
-right side off the generator's table plus ``u_eval_exact``, while
-``u_delta_identity_residual`` evaluates both sides per triplet; and
 ``u_eval_exact`` sums the transform at j/r^N as a finite sum, without the
-sparse integer table and cycle closed form that ``eval_exact`` reads.
+sparse integer table and cycle closed form that ``eval_exact`` reads; the
+identity scan takes its correction term from it.
 """
 
 from __future__ import annotations
@@ -30,24 +28,10 @@ from .core.funcs import (
     eval_exact,
     supports_exact,
 )
-from .core.points import (
-    Triplet,
-    is_radix_rational,
-    radix_depth,
-    radix_x_samples,
-    radix_y_set,
-    validate_radix,
-)
+from .core.points import Triplet, is_radix_rational, radix_depth, radix_y_set
 from .core.polys import certify_nonneg
 from .core.scalars import record, reduce_mod1
-from .differences import (
-    ScanReport,
-    central_second_diff,
-    check_radix_scan_cap,
-    scan_family,
-    semiconcavity_scan,
-    stencil_slopes,
-)
+from .differences import ScanReport, check_radix_scan_cap, scan_family, semiconcavity_scan
 from .errors import DEFAULT_TRIPLET_CAP, UnsupportedExactError, cap_depth, check_scan_cap
 from .grid import grid_values, stencil_rows
 
@@ -71,29 +55,6 @@ def u_eval_exact(s: USeries, p: Union[Fraction, int]) -> Fraction:
         total += Fraction(1, s.r**j) * eval_exact(s.psi, cur)
         cur = reduce_mod1(cur * s.r)
     return total
-
-
-def u_delta_identity_residual(s: USeries, t: Triplet) -> Fraction:
-    """Left minus right side of the exact second-difference decomposition
-
-        Delta_{n,k}(y; U_psi)
-            = sum_{j=0}^{n-1} r^j Delta_{n-j,k}(y; psi)
-              - (2 r^n / (y (1-y))) * U_psi(y),
-
-    each side computed on its own path (the transform's differences on the
-    left; generator differences plus one exact transform value on the
-    right).  The contract is a residual of exactly 0 for every admissible
-    triplet with radix-rational y; anything else exposes an evaluator bug.
-    The empty sum at n = 0 is 0.
-    """
-    if not is_radix_rational(t.y, s.r):
-        raise ValueError(f"y={t.y} is not radix-rational for r={s.r}")
-    lhs = central_second_diff(s, t, s.r, "exact")
-    inner = [Triplet(t.n - j, t.k % s.r ** (t.n - j), t.y) for j in range(t.n)]
-    # r^j Delta_{n-j}(psi) = 2 r^n (dplus - dminus) on the stencil (n - j, ., y)
-    rhs = 2 * s.r**t.n * sum((dplus - dminus for dminus, dplus in stencil_slopes(s.psi, inner, s.r)), Fraction(0))
-    rhs -= Fraction(2 * s.r**t.n) / (t.y * (1 - t.y)) * u_eval_exact(s, t.y)
-    return lhs - rhs
 
 
 @record
@@ -161,19 +122,16 @@ class ScanParams:
     def y_set(self, r: int) -> Tuple[Fraction, ...]:
         return radix_y_set(r, self.y_depth)
 
-    def x_samples(self, r: int) -> Tuple[Fraction, ...]:
-        return radix_x_samples(r, self.x_depth)
-
 
 @record
 class SufficientReport:
     """Outcome of the two-part sufficient-condition check.
 
     Condition (i): m * d(x) <= psi(x) on [0, 1] -- certified exactly when the
-    generator is piecewise polynomial ('exact' mode), otherwise evidence on a
-    finite sample ('sampled' mode).  Condition (ii): Delta(psi) <= alpha over
-    the triplet family.  On success the implied steepness constant is
-    c = (2 m r - alpha) / (2 (r - 1)).
+    generator is piecewise polynomial ('exact' mode), otherwise evidence on
+    the grid {j/r^x_depth} ('sampled' mode).  Condition (ii): Delta(psi) <=
+    alpha over the triplet family.  On success the implied steepness
+    constant is c = (2 m r - alpha) / (2 (r - 1)).
     """
 
     passed: bool
@@ -198,10 +156,10 @@ def check_sufficient_conditions(
     fails, (ii) is reported on its depth-0 slice only, for context.
 
     ``cap`` bounds the scan of (ii) at depths <= n_max on the y set, and the
-    r^x_depth + 1 samples of (i).  A request over it raises
-    :class:`ResourceLimitError` before either set is built or (i) is
-    sampled, the y family checked first; the y set is built, and a y_depth
-    below 1 refused, before (i) is sampled too.
+    r^x_depth + 1 grid points of (i).  A request over it raises
+    :class:`ResourceLimitError` before the y set or the grid table of (i) is
+    built, the y family checked first; the y set is built, and a y_depth
+    below 1 or an x_depth below 0 refused, before (i) is sampled too.
     """
     m = Fraction(m)
     alpha = Fraction(alpha)
@@ -215,7 +173,9 @@ def check_sufficient_conditions(
     check_scan_cap(cap, s.r ** cap_depth(scan.x_depth, cap) + 1, unit="sample points")
 
     ys = scan.y_set(s.r)
-    mode, witness = _lower_bound_check(s.psi, m, scan.x_samples(s.r))
+    if scan.x_depth < 0:
+        raise ValueError("depth must be >= 0")
+    mode, witness = _lower_bound_check(s.psi, m, s.r**scan.x_depth)
     n_max = scan.n_max if witness is None else 0
     semi = semiconcavity_scan(s.psi, alpha, s.r, n_max, ys, cap=cap)
     if witness is not None or semi.verdict != "no-violation":
@@ -224,19 +184,19 @@ def check_sufficient_conditions(
     return SufficientReport(True, c, mode, None, semi)
 
 
-def _lower_bound_check(
-    psi: FuncExpr, m: Fraction, samples: Sequence[Fraction]
-) -> Tuple[str, Optional[Fraction]]:
+def _lower_bound_check(psi: FuncExpr, m: Fraction, Q: int) -> Tuple[str, Optional[Fraction]]:
     """Check psi - m*d >= 0 on [0, 1]; returns (mode, witness_or_None).
 
-    Every piece is certified: the first exact negative point in piece order
-    is the witness, even after a piece that could not be decided.  The mode
-    is 'sampled' only when no piece is refuted and some piece is undecided."""
+    The grid {j/Q} comes first, read off one table: the least j/Q where the
+    table is negative is the witness.  Then every piece is certified: the
+    first exact negative point in piece order is the witness, even after a
+    piece that could not be decided.  The mode is 'sampled' only when no
+    piece is refuted and some piece is undecided."""
     gap = Sum((psi, Scale(-m, Distance())))
-    # sampling first: cheap, and failures come with a concrete witness
-    for x in samples:
-        if eval_exact(gap, x) < 0:
-            return "sampled", Fraction(x)
+    vals, _ = grid_values(gap, Q)  # over a positive denominator
+    j = next((j for j, v in enumerate(vals) if v < 0), None)
+    if j is not None:
+        return "sampled", Fraction(j, Q)
     pw = as_piecewise_poly(gap)
     if pw is None:
         return "sampled", None
@@ -248,50 +208,3 @@ def _lower_bound_check(
         elif verdict is not True:  # an exact point where psi - m*d < 0
             return "exact", verdict
     return mode, None
-
-
-def concave_generator_constant(s: USeries) -> Fraction:
-    """Steepness constant (2r/(r-1)) * psi(1/2) for a concave positive generator."""
-    half = eval_exact(s.psi, Fraction(1, 2))
-    return Fraction(2 * s.r, s.r - 1) * half
-
-
-def steepness_transfer_constant(c: Fraction, r: int) -> Fraction:
-    """Constant at which the transform of a generator satisfying the steep
-    bound at c satisfies it again: c * r / (2 (r - 1)).
-
-    Derivation: the depth-0 consequence gives psi(y) >= c y (1-y) >=
-    (c/2) d(y), so m = c/2 and alpha = 0 are admissible in the sufficient
-    conditions, yielding (2 m r - 0) / (2 (r - 1)).  Note m = c does NOT
-    follow (y(1-y) < d(y) at y = 1/2), and the resulting stronger constant
-    c r/(r - 1) is falsifiable by scan; see the transfer tests.
-    """
-    validate_radix(r)
-    return Fraction(c) * Fraction(r, 2 * (r - 1))
-
-
-@record
-class ChainReport:
-    """Pointwise audit of (m r/(r-1)) x(1-x) <= m * tau_r(x) <= U_psi(x)."""
-
-    holds: bool
-    checked: int
-    first_failure: Optional[Fraction]
-
-
-def lower_chain_check(
-    s: USeries, m: Fraction, xs: Sequence[Fraction]
-) -> ChainReport:
-    """Exact check of the parabola / Takagi-style / transform chain at radix
-    rationals, valid whenever m * d <= psi on [0, 1]."""
-    m = Fraction(m)
-    tau_r = USeries(s.r, Distance())
-    coeff = Fraction(m * s.r, s.r - 1)
-    count = 0
-    for x in xs:
-        x = Fraction(x)
-        count += 1
-        tau = u_eval_exact(tau_r, x)
-        if not (coeff * x * (1 - x) <= m * tau <= u_eval_exact(s, x)):
-            return ChainReport(False, count, x)
-    return ChainReport(True, count, None)

@@ -10,6 +10,16 @@ import random
 import time
 from fractions import Fraction
 
+from pathfn.audit import (
+    crossing_points,
+    dominance_check,
+    pde_residual,
+    psi_zero,
+    sin_cancellation,
+    subdiff_witnesses,
+    u_delta_identity_residual,
+    witness_support_violations,
+)
 from pathfn.core.funcs import (
     Distance,
     DistancePower,
@@ -18,8 +28,6 @@ from pathfn.core.funcs import (
     USeries,
     eval_approx,
     eval_exact,
-    psi_zero,
-    sin_cancellation,
 )
 from pathfn.core.points import Triplet, radix_y_set
 from pathfn.differences import (
@@ -30,17 +38,11 @@ from pathfn.differences import (
 )
 from pathfn.flow import (
     FlowQuery,
-    crossing_points,
-    dominance_check,
-    flow_bruteforce,
+    flow_bruteforce_points,
     flow_grid,
-    pde_residual,
-    subdiff_witnesses,
-    witness_support_violations,
 )
 from pathfn.series import (
     identity_residual_scan,
-    u_delta_identity_residual,
 )
 
 F = Fraction
@@ -128,11 +130,11 @@ def test_c04_flow_cross_validation():
             for _ in range(100):
                 m = rng.randint(0, 8)
                 x = F(rng.randint(0, 2**m), 2**m)
-                ok = ok and flow_bruteforce(f, t, x, radix_depth=depth, r=2) == pq.eval(x)
+                ok = ok and flow_bruteforce_points(f, t, [x], radix_depth=depth, r=2)[0] == pq.eval(x)
                 exact_checked += 1
             for _ in range(2):
                 xf = rng.random()
-                b = flow_bruteforce(f, t, xf, radix_depth=depth, r=2, mode="float")
+                b = flow_bruteforce_points(f, t, [xf], radix_depth=depth, r=2, mode="float")[0]
                 ok = ok and F(b.lo()) <= pq.eval(F(xf)) <= F(b.hi())
                 float_checked += 1
     gate(4, "grid flow equals brute-force inf-convolution",

@@ -9,6 +9,7 @@ import pytest
 
 import pathfn.cli as cli
 import pathfn.core.funcs
+import pathfn.differences
 import pathfn.flow
 import pathfn.grid
 import pathfn.series
@@ -622,7 +623,23 @@ def test_bounds_distance(capsys, spec_file):
     assert doc["verdict"] == "pass"
     assert doc["detail"]["c"] == "2"
     assert doc["detail"]["lower_bound_mode"] == "exact"
-    assert doc["detail"]["lower_chain"]["holds"] is True
+
+
+@pytest.mark.parametrize("spec", [SPEC_DISTANCE, SPEC_TAKAGI2], ids=["distance", "takagi2"])
+def test_bounds_makes_no_per_point_exact_evaluation(capsys, spec_file, monkeypatch, spec):
+    # condition (i) reads one grid table; the chain it implies is not re-checked
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds evaluated a point")
+
+    for module, names in (
+        (pathfn.series, ("eval_exact", "u_eval_exact")),
+        (pathfn.core.funcs, ("eval_exact", "eval_exact_points")),
+        (pathfn.differences, ("eval_exact_points",)),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run(capsys, ["bounds", "--psi", spec_file(spec), "--m", "1", "--alpha", "0", "--r", "2"])
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
 def test_bounds_psi0(capsys, spec_file):
@@ -636,7 +653,6 @@ def test_bounds_psi0(capsys, spec_file):
 
 def test_bounds_cap_exit_2(capsys, spec_file, monkeypatch):
     _refuse_library_work(monkeypatch)
-    _refuse_work(monkeypatch, "lower_chain_check")
     argv = ["bounds", "--psi", spec_file(SPEC_PSI0), "--m", "1", "--alpha", "2", "--r", "2"]
     # the semiconcavity scan at nmax 6, ydepth 3: 127 * 7 triplets
     code, out, err = run(capsys, argv + ["--nmax", "6", "--cap", "10"])
@@ -654,7 +670,8 @@ def test_series_commands_radix_error_exit_2(capsys, spec_file):
 
 
 def _refuse_huge_point_sets(monkeypatch):
-    """Make building a y set or a sample set of more than 10^6 points fail at once."""
+    """Make building a y set, a sample set or the grid table of ``bounds`` of
+    more than 10^6 points fail at once."""
 
     def guard(real):
         def wrapped(r, depth):
@@ -664,9 +681,14 @@ def _refuse_huge_point_sets(monkeypatch):
 
         return wrapped
 
-    for module in (cli, pathfn.series):
-        for name in ("radix_y_set", "radix_x_samples"):
-            monkeypatch.setattr(module, name, guard(getattr(module, name)))
+    def table_guard(f, Q):
+        if Q > 10**6:
+            raise AssertionError(f"built a table of {Q} + 1 points before the cap check")
+        return pathfn.grid.grid_values(f, Q)
+
+    for module, name in ((cli, "radix_y_set"), (cli, "radix_x_samples"), (pathfn.series, "radix_y_set")):
+        monkeypatch.setattr(module, name, guard(getattr(module, name)))
+    monkeypatch.setattr(pathfn.series, "grid_values", table_guard)
 
 
 @pytest.mark.parametrize(
@@ -826,7 +848,7 @@ def test_identity_and_bounds_take_no_mode_flag(capsys, spec_file):
 
 
 def test_bounds_refuses_a_generator_without_exact_branch_before_work(capsys, spec_file, monkeypatch):
-    _refuse_work(monkeypatch, "check_sufficient_conditions", "lower_chain_check")
+    _refuse_work(monkeypatch, "check_sufficient_conditions")
     code, out, err = run(
         capsys, ["bounds", "--psi", spec_file({"kind": "abs_sin"}), "--m", "1", "--alpha", "0", "--r", "2"]
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathfn.differences
+from pathfn.audit import enumerate_triplets, psi_zero
 from pathfn.core.funcs import (
     AbsSin,
     Distance,
@@ -16,9 +17,8 @@ from pathfn.core.funcs import (
     USeries,
     eval_exact,
     eval_exact_points,
-    psi_zero,
 )
-from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set
+from pathfn.core.points import Triplet, radix_y_set
 from pathfn.core.scalars import Approx
 from pathfn.differences import (
     MembershipQuery,

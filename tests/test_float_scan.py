@@ -9,6 +9,7 @@ import pytest
 
 import pathfn.core.funcs as funcs
 import pathfn.differences as differences
+from pathfn.audit import enumerate_triplets, psi_zero, sin_cancellation
 from pathfn.core.funcs import (
     AbsSin,
     Dilate,
@@ -22,14 +23,12 @@ from pathfn.core.funcs import (
     default_series_terms,
     eval_approx,
     eval_exact,
-    psi_zero,
     series_tail_bound,
-    sin_cancellation,
     sup_abs_bound,
     supports_exact,
     theta_upper_poly,
 )
-from pathfn.core.points import Triplet, enumerate_triplets, radix_y_set, triplet_count
+from pathfn.core.points import Triplet, radix_y_set, triplet_count
 from pathfn.core.scalars import Approx, to_json
 from pathfn.differences import (
     MembershipQuery,

@@ -6,6 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from pathfn.audit import (
+    crossing_points,
+    dominance_check,
+    parabola_eval,
+    pde_residual,
+    piecewise_from_json,
+    psi_zero,
+    sin_cancellation,
+    subdiff_witnesses,
+    witness_support_violations,
+)
 from pathfn.core.funcs import (
     AbsSin,
     Dilate,
@@ -17,8 +28,6 @@ from pathfn.core.funcs import (
     USeries,
     eval_exact,
     eval_exact_points,
-    psi_zero,
-    sin_cancellation,
 )
 from pathfn.core.points import Triplet
 from pathfn.core.scalars import Approx
@@ -28,17 +37,9 @@ from pathfn.flow import (
     FlowQuery,
     Piece,
     PiecewiseQuadratic,
-    crossing_points,
-    dominance_check,
-    flow_bruteforce,
     flow_bruteforce_count,
     flow_bruteforce_points,
     flow_grid,
-    parabola_eval,
-    pde_residual,
-    piecewise_from_json,
-    subdiff_witnesses,
-    witness_support_violations,
 )
 from pathfn.grid import grid_values
 
@@ -535,7 +536,7 @@ def test_bruteforce_radix_matches_grid():
     q = FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4))
     pq = flow_grid(q)
     for x in (F(1, 2), F(0), F(5, 64), F(27, 64), F(1)):
-        assert flow_bruteforce(TAU2, F(1, 4), x, radix_depth=6, r=2) == pq.eval(x)
+        assert flow_bruteforce_points(TAU2, F(1, 4), [x], radix_depth=6, r=2)[0] == pq.eval(x)
 
 
 def test_bruteforce_radix_matches_grid_tau3_all_depths():
@@ -549,7 +550,7 @@ def test_bruteforce_radix_matches_grid_tau3_all_depths():
             for _ in range(20):
                 m = rng.randint(0, 4)
                 x = F(rng.randint(0, 3**m), 3**m)
-                assert flow_bruteforce(tau3, t, x, radix_depth=depth, r=3) == pq.eval(x)
+                assert flow_bruteforce_points(tau3, t, [x], radix_depth=depth, r=3)[0] == pq.eval(x)
 
 
 def test_bruteforce_radix_window_for_signed_function():
@@ -560,19 +561,19 @@ def test_bruteforce_radix_window_for_signed_function():
     for x in (F(0), F(1, 8), F(3, 10), F(1), F(3, 2)):
         zs = [F(j, den) for j in range(math.ceil((x - 3) * den), math.floor((x + 3) * den) + 1)]
         direct = min(eval_exact(f, z) + (x - z) ** 2 / (2 * t) for z in zs)
-        assert flow_bruteforce(f, t, x, radix_depth=5, r=2) == direct
+        assert flow_bruteforce_points(f, t, [x], radix_depth=5, r=2)[0] == direct
 
 
 def test_bruteforce_nonneg_window_follows_x():
     # f >= 0 vanishes at the integers, so the minimizer lies in [floor(x), floor(x) + 1]
     # and the flow is 1-periodic; x = 17/8 used to search [0, 1] and return 81/32
     t = F(1, 4)
-    assert flow_bruteforce(TAU2, t, F(17, 8), radix_depth=6, r=2) == F(1, 32)
+    assert flow_bruteforce_points(TAU2, t, [F(17, 8)], radix_depth=6, r=2)[0] == F(1, 32)
     for x in (F(1, 8), F(5, 16), F(7, 8), F(1)):
         for mode in ("exact", "float"):
-            at_x = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2, mode=mode)
+            at_x = flow_bruteforce_points(TAU2, t, [x], radix_depth=6, r=2, mode=mode)[0]
             for shift in (2, -1):
-                assert flow_bruteforce(TAU2, t, x + shift, radix_depth=6, r=2, mode=mode) == at_x
+                assert flow_bruteforce_points(TAU2, t, [x + shift], radix_depth=6, r=2, mode=mode)[0] == at_x
 
 
 def test_bruteforce_float_contains_the_exact_sampled_value():
@@ -580,8 +581,8 @@ def test_bruteforce_float_contains_the_exact_sampled_value():
     # minimum over the same samples
     for t in (F(1, 4), F(1, 3), F(1, 1000)):
         for x in (F(1, 8), F(5, 64), F(3, 10), F(17, 8), 0.7):
-            got = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2, mode="float")
-            exact = flow_bruteforce(TAU2, t, x, radix_depth=6, r=2)
+            got = flow_bruteforce_points(TAU2, t, [x], radix_depth=6, r=2, mode="float")[0]
+            exact = flow_bruteforce_points(TAU2, t, [x], radix_depth=6, r=2)[0]
             assert F(got.lo()) <= exact <= F(got.hi()), (t, x, got)
             assert got.err < 1e-12
 
@@ -603,7 +604,7 @@ SIGNED = Sum((Distance(), Scale(F(-1), Dilate(2, Distance()))))
 def test_bruteforce_points_equals_per_point_and_direct_minimum(f, r, t, depth, window):
     xs = [F(0), F(1, 8), F(3, 10), F(1), F(3, 2), F(-3, 2), F(17, 8), F(-1, 7), F(5, 2)]
     got = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=r)
-    assert got == [flow_bruteforce(f, t, x, radix_depth=depth, r=r) for x in xs]
+    assert got == [flow_bruteforce_points(f, t, [x], radix_depth=depth, r=r)[0] for x in xs]
     den = r**depth
     windows = [(x - window, x + window) if window else (math.floor(x), math.floor(x) + 1) for x in xs]
     assert got == [direct_minimum(f, t, x, den, lo, hi) for x, (lo, hi) in zip(xs, windows)]
@@ -611,24 +612,24 @@ def test_bruteforce_points_equals_per_point_and_direct_minimum(f, r, t, depth, w
         math.floor(hi * den) - math.ceil(lo * den) + 1 for lo, hi in windows
     )
     floats = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=r, mode="float")
-    assert floats == [flow_bruteforce(f, t, x, radix_depth=depth, r=r, mode="float") for x in xs]
+    assert floats == [flow_bruteforce_points(f, t, [x], radix_depth=depth, r=r, mode="float")[0] for x in xs]
     for v, b in zip(got, floats):
         assert F(b.lo()) <= v <= F(b.hi()), (v, b)
 
 
 def test_bruteforce_trivial_minimizer():
     # f >= 0 and the vertex parabola at z = 0 is flat zero
-    assert flow_bruteforce(TAU2, F(1, 4), F(0), radix_depth=5, r=2) == 0
+    assert flow_bruteforce_points(TAU2, F(1, 4), [F(0)], radix_depth=5, r=2)[0] == 0
 
 
 def test_bruteforce_argument_validation():
     for kwargs in (dict(radix_depth=4, r=2, mode="step"), dict(radix_depth=-1, r=2), dict(radix_depth=4, r=1)):
         with pytest.raises(ValueError):
-            flow_bruteforce(TAU2, F(1, 4), F(0), **kwargs)
+            flow_bruteforce_points(TAU2, F(1, 4), [F(0)], **kwargs)[0]
         with pytest.raises(ValueError):
             flow_bruteforce_points(TAU2, F(1, 4), [F(0)], **kwargs)
     with pytest.raises(ValueError):
-        flow_bruteforce(TAU2, F(0), F(0), radix_depth=4, r=2)
+        flow_bruteforce_points(TAU2, F(0), [F(0)], radix_depth=4, r=2)[0]
     for kwargs in (dict(radix_depth=-1, r=2), dict(radix_depth=4, r=1)):
         with pytest.raises(ValueError):
             flow_bruteforce_count(TAU2, F(1, 4), [F(0)], **kwargs)
@@ -638,8 +639,8 @@ def test_bruteforce_float_window_for_signed_function():
     # U of sin(2 pi x) dips negative, so the search window must widen; the
     # depth-11 grid contains the depth-9 grid, so its sampled minimum can only be lower
     ueta = USeries(2, Sin2Pi())
-    v9 = flow_bruteforce(ueta, F(1), 0.3, radix_depth=9, r=2, mode="float")
-    v11 = flow_bruteforce(ueta, F(1), 0.3, radix_depth=11, r=2, mode="float")
+    v9 = flow_bruteforce_points(ueta, F(1), [0.3], radix_depth=9, r=2, mode="float")[0]
+    v11 = flow_bruteforce_points(ueta, F(1), [0.3], radix_depth=11, r=2, mode="float")[0]
     assert isinstance(v9, Approx) and isinstance(v11, Approx)
     assert v11.lo() <= v9.hi()
     assert abs(v9.value - v11.value) <= 1e-2
@@ -651,7 +652,7 @@ def test_bruteforce_float_agrees_with_grid():
     # so a finer float brute force contains the envelope's value at any x
     pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 4)))
     for xf in (0.125, 0.3, 0.77):
-        b = flow_bruteforce(TAU2, F(1, 4), xf, radix_depth=6, r=2, mode="float")
+        b = flow_bruteforce_points(TAU2, F(1, 4), [xf], radix_depth=6, r=2, mode="float")[0]
         assert F(b.lo()) <= pq.eval(F(xf)) <= F(b.hi())
 
 

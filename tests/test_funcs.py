@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfn.audit import psi_zero, sin_cancellation
 from pathfn.core.funcs import (
     AbsSin,
     Dilate,
@@ -20,8 +21,6 @@ from pathfn.core.funcs import (
     eval_approx,
     eval_exact,
     eval_exact_points,
-    psi_zero,
-    sin_cancellation,
     sup_abs_bound,
     supports_exact,
     theta_upper_poly,
@@ -150,6 +149,26 @@ def test_eval_exact_points_share_orbits():
         eval_exact(tau2, F(1, 14), max_orbit=3)
     pair = [F(1, 7), F(1, 14)]
     assert eval_exact_points(tau2, pair, max_orbit=3) == [eval_exact(tau2, x) for x in pair]
+
+
+def test_eval_exact_points_refuse_a_later_group_before_computing_any(monkeypatch):
+    # 1/7, 1/16001 (an 8000-step cycle) and 1/1000003 fall in different groups;
+    # the earlier groups' values used to be computed before the last walk was
+    # refused.  The grid of 1/7 is too small to be refused, so it is not walked
+    # ahead; the grid of 1/16001 is, and its walk of 8000 entries passes
+    import pathfn.core.funcs as funcs
+
+    tau2 = USeries(2, Distance())
+    xs = [F(1, 7), F(1, 16001), F(1, 1000003)]
+    walked = []
+    real_walk = USeries.walk
+    monkeypatch.setattr(USeries, "walk", lambda self, Q, *a: walked.append(Q) or real_walk(self, Q, *a))
+    monkeypatch.setattr(funcs, "point_values", lambda *a: pytest.fail("computed values before every walk"))
+    with pytest.raises(OrbitLimitError, match=r"^series orbit of 1/1000003 exceeded 14000 steps \(radix 2\)$"):
+        eval_exact_points(tau2, xs, max_orbit=14000)
+    assert walked == [16001, 1000003]
+    monkeypatch.undo()
+    assert eval_exact_points(tau2, xs[:2], max_orbit=14000) == [eval_exact(tau2, x) for x in xs[:2]]
 
 
 def orbit_oracle(f, x):

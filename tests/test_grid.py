@@ -6,6 +6,7 @@ import pytest
 import pathfn.cli as cli
 import pathfn.differences
 import pathfn.series
+from pathfn.audit import enumerate_triplets, u_delta_identity_residual
 from pathfn.core.funcs import (
     AbsSin,
     Dilate,
@@ -19,11 +20,11 @@ from pathfn.core.funcs import (
     eval_exact,
     eval_exact_points,
 )
-from pathfn.core.points import enumerate_triplets, radix_y_set
+from pathfn.core.points import radix_y_set
 from pathfn.differences import MembershipQuery, central_second_diff, membership_scan
 from pathfn.errors import ResourceLimitError, UnsupportedExactError
 from pathfn.grid import grid_values
-from pathfn.series import identity_residual_scan, u_delta_identity_residual
+from pathfn.series import identity_residual_scan
 
 F = Fraction
 

@@ -1,6 +1,6 @@
 """Start-up: ``import pathfn`` is lazy, each subcommand loads only the layers
 it runs, only the commands that print a spec digest import hashlib, and none
-imports dataclasses."""
+imports dataclasses or the audits."""
 
 import importlib
 import json
@@ -19,8 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The modules a command may or may not load; the core layer is always loaded.
 OPTIONAL = {"pathfn.differences", "pathfn.series", "pathfn.flow", "hashlib"}
-# What no command loads: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``.
-NEVER = {"dataclasses", "inspect"}
+# What no command loads: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``;
+# ``pathfn.audit`` holds the oracles that check the layers from outside.
+NEVER = {"dataclasses", "inspect", "pathfn.audit"}
 
 _REPORT_MODULES = (
     "import json, sys\n"
@@ -62,7 +63,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
     assert code == 0, proc.stderr
     assert OPTIONAL.intersection(modules) == loads
     # value classes are records, built without generated code; a bare
-    # interpreter loads neither module
+    # interpreter loads neither module, and no command runs an audit
     assert NEVER.isdisjoint(modules), NEVER.intersection(modules)
 
 
@@ -70,11 +71,10 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
 _PUBLIC = {
     "core.funcs": (
         "AbsSin", "Dilate", "Distance", "DistancePower", "FuncExpr", "PolySplinePeriodic", "Scale", "Sin2Pi",
-        "Sum", "ThetaSplice", "USeries", "eval_approx", "eval_exact", "psi_zero", "sin_cancellation",
-        "sup_abs_bound", "supports_exact",
+        "Sum", "ThetaSplice", "USeries", "eval_approx", "eval_exact", "sup_abs_bound", "supports_exact",
     ),
     "core.parse": ("parse_func_spec", "to_spec_dict"),
-    "core.points": ("Triplet", "enumerate_triplets", "radix_x_samples", "radix_y_set"),
+    "core.points": ("Triplet", "radix_x_samples", "radix_y_set"),
     "core.scalars": ("Approx", "Scalar", "parse_rational"),
     "differences": (
         "MembershipQuery", "ProbeRow", "ScanReport", "central_second_diff", "divergence_probe",
@@ -85,22 +85,21 @@ _PUBLIC = {
         "ResourceLimitError", "UnsupportedExactError",
     ),
     "flow": (
-        "DominanceReport", "FlowQuery", "Piece", "PiecewiseQuadratic", "SubdiffWitness", "crossing_points",
-        "dominance_check", "flow_bruteforce", "flow_bruteforce_count", "flow_bruteforce_points", "flow_grid",
-        "parabola_eval", "pde_residual", "piecewise_from_json", "subdiff_witnesses",
-        "witness_support_violations",
+        "FlowQuery", "Piece", "PiecewiseQuadratic", "flow_bruteforce_count", "flow_bruteforce_points", "flow_grid",
     ),
-    "series": (
-        "ChainReport", "ScanParams", "SufficientReport", "check_sufficient_conditions",
-        "concave_generator_constant", "lower_chain_check", "steepness_transfer_constant",
-        "u_delta_identity_residual", "u_eval_exact",
+    "series": ("ScanParams", "SufficientReport", "check_sufficient_conditions", "u_eval_exact"),
+    "audit": (
+        "ChainReport", "DominanceReport", "SubdiffWitness", "concave_generator_constant", "crossing_points",
+        "dominance_check", "enumerate_triplets", "lower_chain_check", "parabola_eval", "pde_residual",
+        "piecewise_from_json", "psi_zero", "sin_cancellation", "steepness_transfer_constant", "subdiff_witnesses",
+        "u_delta_identity_residual", "witness_support_violations",
     ),
 }
 
 
 def test_every_public_name_resolves_to_its_module_object():
     names = {name: module for module, group in _PUBLIC.items() for name in group}
-    assert len(names) == 66
+    assert len(names) == 65
     star = {}
     exec("from pathfn import *", star)
     listed = set(dir(pathfn))
@@ -111,6 +110,15 @@ def test_every_public_name_resolves_to_its_module_object():
         assert name in listed, name
     with pytest.raises(AttributeError, match="no_such_name"):
         pathfn.no_such_name
+
+
+def test_audits_live_only_in_pathfn_audit():
+    # the layers that subcommands load no longer define what moved, and the
+    # one-point brute force is gone
+    layers = [importlib.import_module(f"pathfn.{m}") for m in ("flow", "series", "core.funcs", "core.points")]
+    for name in _PUBLIC["audit"] + ("flow_bruteforce",):
+        assert not any(hasattr(layer, name) for layer in layers), name
+    assert not hasattr(pathfn, "flow_bruteforce") and "flow_bruteforce" not in pathfn.__all__
 
 
 def test_pathfn_core_reexports_nothing():
@@ -132,7 +140,6 @@ _CLI_LAYER_NAMES = {
     "approx_table": "differences",
     "identity_residual_scan": "series",
     "check_sufficient_conditions": "series",
-    "lower_chain_check": "series",
     "flow_grid": "flow",
     "flow_bruteforce_points": "flow",
     "grid_values": "grid",
@@ -145,7 +152,8 @@ _CLI_LAYER_NAMES = {
 def test_cli_layer_names_are_reachable():
     for name, module in _CLI_LAYER_NAMES.items():
         assert getattr(cli, name) is getattr(importlib.import_module(f"pathfn.{module}"), name), name
-    assert getattr(cli, "flow_bruteforce", None) is None  # the CLI no longer calls it
+    # the CLI calls neither the one-point brute force nor the chain audit
+    assert getattr(cli, "flow_bruteforce", None) is None and getattr(cli, "lower_chain_check", None) is None
     with pytest.raises(AttributeError):
         cli.no_such_name
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pathfn.audit import enumerate_triplets
 from pathfn.core.funcs import (
     AbsSin,
     Dilate,
@@ -19,7 +20,7 @@ from pathfn.core.funcs import (
     sup_abs_bound,
     supports_exact,
 )
-from pathfn.core.points import enumerate_triplets, radix_y_set
+from pathfn.core.points import radix_y_set
 from pathfn.differences import MembershipQuery, approx_table, membership_scan
 from pathfn.grid import grid_values, point_values
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfn.audit import enumerate_triplets
 from pathfn.core.points import (
     Triplet,
-    enumerate_triplets,
     is_radix_rational,
     radix_depth,
     radix_y_set,

@@ -5,32 +5,39 @@ from fractions import Fraction
 
 import pytest
 
+from pathfn.audit import (
+    concave_generator_constant,
+    lower_chain_check,
+    psi_zero,
+    sin_cancellation,
+    steepness_transfer_constant,
+    u_delta_identity_residual,
+)
 from pathfn.core.funcs import (
     Distance,
     DistancePower,
+    Scale,
     Sin2Pi,
+    Sum,
     ThetaSplice,
     USeries,
     eval_approx,
     eval_exact,
-    psi_zero,
-    sin_cancellation,
 )
 from pathfn.core.parse import build_func
 from pathfn.core.points import Triplet, radix_x_samples, radix_y_set
 from pathfn.differences import MembershipQuery, membership_scan
 from pathfn.errors import ResourceLimitError, UnsupportedExactError
+from pathfn.grid import grid_values
 from pathfn.series import (
     ScanParams,
+    _lower_bound_check,
     check_sufficient_conditions,
-    concave_generator_constant,
     identity_residual_scan,
-    lower_chain_check,
-    steepness_transfer_constant,
-    u_delta_identity_residual,
     u_eval_exact,
 )
-from conftest import SPEC_DIP
+from conftest import SPEC_DIP, SPEC_TAKAGI2
+from test_grid import random_spline
 
 F = Fraction
 
@@ -223,10 +230,10 @@ def test_sufficient_conditions_refute_a_piece_after_an_undecided_one():
 def test_sufficient_conditions_refuse_their_samples_before_building_them(monkeypatch):
     import pathfn.series
 
-    def guard(r, depth):
-        raise AssertionError(f"built {r}^{depth} sample points before the cap check")
+    def guard(f, Q):
+        raise AssertionError(f"built a table of {Q} + 1 sample points before the cap check")
 
-    monkeypatch.setattr(pathfn.series, "radix_x_samples", guard)
+    monkeypatch.setattr(pathfn.series, "grid_values", guard)
     s = USeries(2, Distance())
     with pytest.raises(ResourceLimitError, match=f"scan of {2**18 + 1} sample points exceeds cap 1000"):
         check_sufficient_conditions(s, F(1), F(0), ScanParams(x_depth=18), cap=1000)
@@ -259,8 +266,9 @@ def test_sufficient_conditions_refuse_their_y_set_before_building_it(monkeypatch
     [
         (ScanParams(y_depth=20, x_depth=16), ResourceLimitError, f"scan of {31 * (2**20 - 1)} triplets exceeds cap"),
         (ScanParams(y_depth=0, x_depth=16), ValueError, "depth must be >= 1"),
+        (ScanParams(x_depth=-1), ValueError, "depth must be >= 0"),
     ],
-    ids=["cap", "empty-y-set"],
+    ids=["cap", "empty-y-set", "negative-x-depth"],
 )
 def test_sufficient_conditions_refuse_before_sampling_condition_i(monkeypatch, params, error, message):
     # the 2^16 + 1 samples of m d <= psi took 0.89 s of exact evaluations
@@ -268,7 +276,7 @@ def test_sufficient_conditions_refuse_before_sampling_condition_i(monkeypatch, p
     # were refused
     import pathfn.series
 
-    monkeypatch.setattr(pathfn.series, "eval_exact", lambda *a: pytest.fail("sampled condition (i) first"))
+    monkeypatch.setattr(pathfn.series, "grid_values", lambda *a: pytest.fail("sampled condition (i) first"))
     with pytest.raises(error, match=message):
         check_sufficient_conditions(USeries(2, Distance()), F(1), F(0), params, cap=10**6)
 
@@ -292,6 +300,39 @@ def test_lower_chain_reports_its_first_failure():
     # m = 2 breaks (m r/(r-1)) x(1-x) <= m tau_2(x) <= tau_2(x) at the first x > 0
     rep = lower_chain_check(USeries(2, Distance()), F(2), radix_x_samples(2, 4))
     assert (rep.holds, rep.checked, rep.first_failure) == (False, 2, F(1, 16))
+
+
+@pytest.mark.parametrize("r", range(2, 10))
+def test_takagi_lies_above_its_parabola(r):
+    # tau_r >= (r/(r-1)) x(1-x) for every x: the left half of the chain, which
+    # is why a passing bounds run needs no chain check; on the radix grid and
+    # on a grid of cycles
+    for Q in (r ** max(1, int(math.log(4096, r))), 1000):
+        vals, den = grid_values(USeries(r, Distance()), Q)
+        assert all((r - 1) * Q * Q * v >= r * den * j * (Q - j) for j, v in enumerate(vals)), (r, Q)
+
+
+def _first_negative_sample(psi, m, r, depth):
+    """Condition (i)'s sampling as one eval_exact per point j/r^depth, in order."""
+    gap = Sum((psi, Scale(-m, Distance())))
+    return next((x for x in radix_x_samples(r, depth) if eval_exact(gap, x) < 0), None)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_condition_i_table_witness_matches_per_point_evaluation(r):
+    rng = random.Random(r)
+    cases = [(random_spline(rng), F(rng.randint(1, 6), rng.randint(1, 6)), rng.randint(0, 8 - 2 * r)) for _ in range(40)]
+    cases += [(build_func(SPEC_TAKAGI2), m, depth) for m in (F(1), F(3, 2), F(2), F(5, 2)) for depth in (0, 1, 3, 5)]
+    found = 0
+    for psi, m, depth in cases:
+        want = _first_negative_sample(psi, m, r, depth)
+        mode, witness = _lower_bound_check(psi, m, r**depth)
+        if want is not None:
+            assert (mode, witness) == ("sampled", want), (psi, m, depth)
+            found += 1
+        else:  # no grid witness; the piece certificates may still find one
+            assert mode == "exact" or witness is None, (psi, m, depth)
+    assert found >= 20
 
 
 # ------------------------------------------------ derived-constant shortcuts
@@ -329,4 +370,3 @@ def test_transfer_constant_uncorrected_is_false():
 def test_scan_params_sets():
     p = ScanParams(n_max=2, y_depth=2, x_depth=3)
     assert len(p.y_set(2)) == 3
-    assert len(p.x_samples(2)) == 9
