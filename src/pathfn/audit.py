@@ -30,7 +30,7 @@ from .core.funcs import (
     eval_exact_points,
 )
 from .core.points import Triplet, is_radix_rational, validate_radix
-from .core.scalars import record
+from .core.scalars import Record
 from .differences import central_second_diff, stencil_slopes
 from .flow import Piece, PiecewiseQuadratic
 from .series import u_eval_exact
@@ -107,8 +107,7 @@ def steepness_transfer_constant(c: Fraction, r: int) -> Fraction:
     return Fraction(c) * Fraction(r, 2 * (r - 1))
 
 
-@record
-class ChainReport:
+class ChainReport(Record):
     """Pointwise audit of (m r/(r-1)) x(1-x) <= m * tau_r(x) <= U_psi(x)."""
 
     holds: bool
@@ -173,8 +172,7 @@ def crossing_points(
     return x1, x2
 
 
-@record
-class DominanceReport:
+class DominanceReport(Record):
     """Sampled three-parabola inequality vs. the exact criterion Delta <= -1/t.
 
     The inequality q(t,x; mid) >= min(q(t,x; left), q(t,x; right)) fails
@@ -254,8 +252,7 @@ def pde_residual(pq: PiecewiseQuadratic, x: Fraction) -> Fraction:
     return u_t + u_x**2 / 2
 
 
-@record
-class SubdiffWitness:
+class SubdiffWitness(Record):
     """A slope interval certified to sit inside the subdifferential at z.
 
     A piece [x_lo, x_hi] with vertex z witnesses that every slope

@@ -103,16 +103,27 @@ def _rat(text: str, what: str) -> Fraction:
 
 
 def _point_literal(tok: str) -> Fraction:
-    """A point on the command line: 'p/q', an integer, or a decimal literal
-    (decimals are exact rationals; no float round trip)."""
+    """A point on the command line: 'p/q', an integer, or a finite decimal
+    literal, an exact rational (no float round trip) whose numerator and
+    denominator in lowest terms have at most ``_PRINTED_BITS`` bits each."""
     try:
         return parse_rational(tok)
     except RationalFormatError:
         pass
     try:
-        return Fraction(decimal.Decimal(tok))
-    except (decimal.InvalidOperation, ValueError) as exc:
+        d = decimal.Decimal(tok)
+    except decimal.InvalidOperation as exc:
         raise ValueError(f"bad point {tok!r}") from exc
+    if not d.is_finite():
+        raise ValueError(f"bad point {tok!r}: not a finite number")
+    _, digits, exp = d.as_tuple()
+    m = "".join(map(str, digits)).rstrip("0")
+    # the value is m * 10^e: once len(m) + |e| passes 4 * _PRINTED_BITS, its numerator
+    # or denominator in lowest terms is far past the limit, and it is refused unbuilt
+    if m and (len(m) + abs(exp + len(digits) - len(m)) > 4 * _PRINTED_BITS
+              or max(n.bit_length() for n in d.as_integer_ratio()) > _PRINTED_BITS):
+        raise ValueError(f"bad point {tok!r}: its exact value has more than {_PRINTED_BITS} bits")
+    return Fraction(d)
 
 
 def _root_radix(f: FuncExpr, fallback: int = 2) -> int:

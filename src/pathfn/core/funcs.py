@@ -39,14 +39,14 @@ Two evaluation modes:
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
-from ..grid import Points, Table, close_cycles, point_values, poly_points, poly_table, preperiod, series_layout
+from ..grid import Points, Table, close_cycles, point_values, poly_points, poly_table, series_layout
+from .points import radix_part
 from .polys import (
     Coeffs,
     certify_nonneg,
@@ -60,11 +60,11 @@ from .polys import (
 )
 from .scalars import (
     Approx,
+    Record,
     _add_up,
     _mul_up,
     _ulp,
     _up,
-    record,
     reduce_mod1,
     scale_bounds,
     sin_2pi_bounds,
@@ -90,9 +90,10 @@ PiecewisePoly = Tuple[Tuple[Fraction, Fraction, Coeffs], ...]
 Rows = List[Tuple[float, float]]
 
 
-class FuncExpr:
+class FuncExpr(Record):
     """Base class of the expression tree; all variants are frozen records
-    (:func:`pathfn.core.scalars.record`).
+    (:class:`pathfn.core.scalars.Record`), so a node class defined elsewhere
+    must be frozen too.
 
     The node protocol.  ``children`` holds the subexpressions.  The node's
     own rules are its methods: ``piecewise`` (its pieces on [0, 1], or
@@ -105,7 +106,7 @@ class FuncExpr:
     nonnegative on [0, 1] whenever its children are) and ``series_radix``.
     """
 
-    __slots__ = ()
+    children = ()  # a leaf's; not a field
     exact = True
     keeps_nonneg = True
     series_radix = 1
@@ -143,14 +144,14 @@ class PolyLeaf(FuncExpr):
     """A leaf that is one polynomial on each piece of [0, 1].  It defines only
     ``piecewise``; every route reads the leaf off its pieces."""
 
-    children: Tuple[FuncExpr, ...] = ()
     keeps_nonneg = False  # its pieces decide
 
     def piecewise(self) -> PiecewisePoly:
         raise NotImplementedError
 
     def approx(self, x: Fraction, series_terms: Optional[int]) -> Tuple[float, float]:
-        v = float(_piece_value(as_piecewise_poly(self), x))
+        vals, den = poly_points(as_piecewise_poly(self), x.denominator, [x.numerator])
+        v = vals[x.numerator] / den  # int / int is correctly rounded
         return v, _ulp(v)
 
 
@@ -159,7 +160,6 @@ class SineLeaf(FuncExpr):
     certified bounds function ``bounds(xv, xe)`` -> (value, err) of f at any
     x with |x - xv| <= xe."""
 
-    children: Tuple[FuncExpr, ...] = ()
     exact = False
 
     def sup_abs(self) -> Fraction:
@@ -179,7 +179,6 @@ class SineLeaf(FuncExpr):
         return rows + rows[:1]
 
 
-@record
 class Distance(PolyLeaf):
     """Distance to the nearest integer: the 1-periodic tent with peak 1/2."""
 
@@ -187,7 +186,6 @@ class Distance(PolyLeaf):
         return ((_ZERO, _HALF, (_ZERO, _ONE)), (_HALF, _ONE, (_ONE, Fraction(-1))))
 
 
-@record
 class DistancePower(PolyLeaf):
     """d(x)^p for an integer power p >= 1."""
 
@@ -202,7 +200,6 @@ class DistancePower(PolyLeaf):
         return ((_ZERO, _HALF, mono), (_HALF, _ONE, poly_compose_affine(mono, _ONE, Fraction(-1))))
 
 
-@record
 class PolySplinePeriodic(PolyLeaf):
     """Piecewise polynomial on [0, 1], extended periodically.
 
@@ -240,7 +237,6 @@ class PolySplinePeriodic(PolyLeaf):
         return tuple(zip(self.knots, self.knots[1:], self.pieces))
 
 
-@record
 class ThetaSplice(PolyLeaf):
     """x^2 on [0, 1/r], continued by the unique quintic that is C^2 across
     both junctions of the periodic extension and stays positive on (0, 1).
@@ -262,14 +258,12 @@ class ThetaSplice(PolyLeaf):
         return ((_ZERO, a, (_ZERO, _ZERO, _ONE)), (a, _ONE, theta_upper_poly(self.r)))
 
 
-@record
 class AbsSin(SineLeaf):
     """|sin(pi x)|; no exact branch."""
 
     bounds = staticmethod(sin_pi_abs_bounds)
 
 
-@record
 class Sin2Pi(SineLeaf):
     """sin(2 pi x); no exact branch."""
 
@@ -277,7 +271,6 @@ class Sin2Pi(SineLeaf):
     keeps_nonneg = False
 
 
-@record
 class Scale(FuncExpr):
     """a * f for a rational constant a."""
 
@@ -326,7 +319,6 @@ class Scale(FuncExpr):
         return [scale_bounds(v, e, af) for v, e in self.child.rows(Q)]
 
 
-@record
 class Sum(FuncExpr):
     """Pointwise sum of one or more children."""
 
@@ -380,7 +372,6 @@ class Sum(FuncExpr):
         return [sum_bounds(col) for col in zip(*(c.rows(Q) for c in self.children))]
 
 
-@record
 class Dilate(FuncExpr):
     """x -> f(m x) for an integer m >= 1; stays 1-periodic with value 0 at 0."""
 
@@ -437,7 +428,6 @@ class Dilate(FuncExpr):
         return [rows[self.m * j % Q] for j in range(Q + 1)]
 
 
-@record
 class USeries(FuncExpr):
     """The series transform sum_j r^{-j} psi(r^j x) of a generator psi.
 
@@ -523,7 +513,7 @@ class USeries(FuncExpr):
                 cycles.append(order[stop:])
             tails.append(order[start:stop])
         psi = self.psi.walk(Q, order, cap)
-        K = preperiod(s, Q)[1]
+        K = radix_part(Q, s)[1]
 
         def series() -> Points:
             pv, pden = psi()
@@ -623,11 +613,11 @@ def eval_exact(f: FuncExpr, x: Union[Fraction, int], max_orbit: Optional[int] = 
 def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[int] = None) -> List[Fraction]:
     """[f(x) for x in xs] as exact rationals.
 
-    A tree with polynomial pieces is evaluated at each point directly.
-    Otherwise the reduced points are grouped by the part of their
-    denominator that is coprime to f's series radixes, which multiplying by
-    a radix never changes, so points on one orbit share a group.  Each group is read off
-    one sparse integer table on the lcm Q of its denominators, dropped after
+    The reduced points are grouped by the part of their denominator that is
+    coprime to f's series radixes, which multiplying by a radix never
+    changes, so points on one orbit share a group.  Each group is read off
+    one sparse integer table on the lcm Q of its denominators (for a tree
+    with polynomial pieces, its pieces at the group's points), dropped after
     its points are read.  ``max_orbit`` caps the entries that each point
     adds to its group's table of each series node, in list order; the cap is
     checked while the table's indices are walked, and exceeding it raises
@@ -638,16 +628,10 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
     any work, and only one walk is held at a time.
     """
     xs = [reduce_mod1(Fraction(x)) for x in xs]
-    pw = as_piecewise_poly(f)
-    if pw is not None:  # no table needed
-        return [_piece_value(pw, x) for x in xs]
     radixes = radix_product(f)
     groups: Dict[int, List[int]] = {}  # coprime part -> positions in xs
-    for i, x in enumerate(xs):
-        q = x.denominator
-        while gcd(q, radixes) > 1:
-            q //= gcd(q, radixes)
-        groups.setdefault(q, []).append(i)
+    for i, q in enumerate(x.denominator for x in xs):
+        groups.setdefault(q // radix_part(q, radixes)[0], []).append(i)
     grids = []  # (members, Q, js) per group
     for members in groups.values():
         Q = lcm(*(xs[i].denominator for i in members))
@@ -662,11 +646,6 @@ def eval_exact_points(f: FuncExpr, xs: Sequence[Fraction], max_orbit: Optional[i
         for i, j in zip(members, js):
             out[i] = Fraction(vals[j], den)
     return out
-
-
-def _piece_value(pw: PiecewisePoly, x: Fraction) -> Fraction:
-    """The value at x in [0, 1] of the last piece that starts at or before x."""
-    return poly_eval(pw[bisect_right(pw, x, 1, len(pw), key=lambda piece: piece[0]) - 1][2], x)
 
 
 # ---------------------------------------------------------------------------

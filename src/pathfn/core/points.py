@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
-from .scalars import _set, record
+from .scalars import Record, _set
 
 
 def validate_radix(r: int) -> int:
@@ -20,33 +20,37 @@ def validate_radix(r: int) -> int:
     return r
 
 
+def radix_part(q: int, r: int) -> Tuple[int, int]:
+    """(q1, K) for an integer q >= 1: q1 is the largest divisor of q whose
+    prime factors all divide r, and K the least K >= 0 with q1 | r^K."""
+    q1, g = 1, gcd(q, r)
+    while g > 1:
+        q //= g
+        q1 *= g
+        g = gcd(q, r)
+    K, power = 0, 1
+    while power % q1:
+        power *= r
+        K += 1
+    return q1, K
+
+
 def is_radix_rational(x: Fraction, r: int) -> bool:
     """True when x = j / r^N for some integers j, N >= 0."""
     validate_radix(r)
-    q = x.denominator
-    while q > 1:
-        g = gcd(q, r)
-        if g == 1:
-            return False
-        while q % g == 0:
-            q //= g
-    return True
+    return radix_part(x.denominator, r)[0] == x.denominator
+
 
 def radix_depth(x: Fraction, r: int) -> int:
     """Smallest N >= 0 with x * r^N integral; raises for non radix-rationals."""
-    if not is_radix_rational(x, r):
+    validate_radix(r)
+    q1, K = radix_part(x.denominator, r)
+    if q1 != x.denominator:
         raise ValueError(f"{x} is not of the form j/{r}^N")
-    q = x.denominator
-    n = 0
-    power = 1
-    while power % q != 0:
-        power *= r
-        n += 1
-    return n
+    return K
 
 
-@record(order=True)
-class Triplet:
+class Triplet(Record, order=True):
     """Stencil indices (n, k, y); y strictly inside (0, 1).
 
     k is interpreted modulo r^n through periodicity, so any k >= 0 is

@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
+from operator import attrgetter, ge, gt, itemgetter, le, lt
 from typing import Iterable, List, Optional, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -82,80 +82,6 @@ def _mul_up(a: float, b: float) -> float:
     return _nextafter(a * b, _INF)
 
 
-def record(cls=None, *, order: bool = False):
-    """Class decorator: a frozen value class whose fields are the class's own
-    annotated names, in order, listed in ``_fields``.  It builds no source
-    code; each method is a closure over the field names.
-
-    It adds each of these that the class does not define itself:
-    ``__init__`` (positional or keyword arguments, defaults from the class
-    attributes, then ``__post_init__`` if there is one), ``__eq__`` and
-    ``__hash__`` on the tuple of field values (two objects compare only when
-    they have the same class), ``__repr__`` as ``Name(field=value, ...)``,
-    and a ``__setattr__`` and ``__delattr__`` that raise AttributeError.
-    ``order=True`` also adds ``<``, ``<=``, ``>`` and ``>=`` on the field
-    tuple.  An ``__init__`` or ``__post_init__`` sets a field with
-    ``object.__setattr__``."""
-    if cls is None:
-        return lambda c: record(c, order=order)
-    names = tuple(cls.__annotations__)  # its own: an unannotated class has an empty dict
-    if len(names) > 1:
-        key = attrgetter(*names)  # the field tuple, built in C
-    elif names:
-        get = attrgetter(*names)
-
-        def key(self) -> tuple:
-            return (get(self),)
-
-    else:
-
-        def key(self) -> tuple:
-            return ()
-
-    def compare(op):
-        def method(self, other):
-            if other.__class__ is self.__class__:
-                return op(key(self), key(other))
-            return NotImplemented
-
-        return method
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
-        return f"{type(self).__qualname__}({body})"
-
-    methods = {
-        "__init__": _record_init(cls, names),
-        "__eq__": compare(eq),
-        "__hash__": lambda self: hash(key(self)),
-        "__repr__": __repr__,
-        "__setattr__": _frozen,
-        "__delattr__": _frozen,
-    }
-    if order:
-        methods.update(__lt__=compare(lt), __le__=compare(le), __gt__=compare(gt), __ge__=compare(ge))
-    for name, method in methods.items():
-        if name not in cls.__dict__:
-            setattr(cls, name, method)
-    cls._fields = names
-    return cls
-
-
-def _record_init(cls, names: Tuple[str, ...]):
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = _bind(cls.__name__, names, defaults, args, kwargs)
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        if post_init is not None:
-            post_init(self)
-
-    return __init__
-
-
 def _bind(what: str, names: Tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> list:
     """The field values of a call ``what(*args, **kwargs)``, defaults filled in."""
     given = dict(zip(names, args))
@@ -178,8 +104,66 @@ def _frozen(self, name: str, *value) -> None:
     raise AttributeError(f"cannot set or delete field {name!r} of a frozen {type(self).__name__}")
 
 
-@record
-class Approx:
+@staticmethod
+def _field_tuple(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+class Record:
+    """Base class of the frozen value classes.  A subclass's fields are its own
+    annotated names in order (``_fields``; its base's if it annotates none),
+    their defaults its class attributes of those names (``_defaults``).
+    ``__init__`` takes positional or keyword arguments, then calls
+    ``__post_init__``, which, like an own ``__init__``, sets a field with
+    ``object.__setattr__``.  Equality, hash and ``order=True``'s ordering read
+    the field tuple ``_key(self)`` of two objects of one class; ``repr`` is
+    ``Name(field=value, ...)``; fields are read-only."""
+
+    _fields, _defaults, _key = (), {}, _field_tuple
+
+    def __init_subclass__(cls, order: bool = False) -> None:
+        if cls.__annotations__:  # its own; a subclass without any keeps its base's fields
+            names = cls._fields = tuple(cls.__annotations__)
+            cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+            cls._key = attrgetter(*names) if len(names) > 1 else _field_tuple  # attrgetter builds it in C
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self).__name__, names, self._defaults, args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    __setattr__ = __delattr__ = _frozen
+
+
+def _ordering(op):
+    def compare(self, other):
+        return op(self._key(self), other._key(other)) if other.__class__ is self.__class__ else NotImplemented
+
+    return compare
+
+
+_ORDER = tuple(map(_ordering, (lt, le, gt, ge)))  # <, <=, >, >= of an ordered record, built once
+
+
+class Approx(Record):
     """A float with a certified absolute error bound: the true value lies in
     ``[value - err, value + err]``.  Arithmetic takes Approx operands only;
     a rational enters through :meth:`from_fraction`."""
@@ -251,7 +235,7 @@ Scalar = Union[Fraction, Approx]
 
 def to_json(obj):
     """JSON form of a report: rationals as 'p/q' strings, an Approx as
-    ``{value, error_bound}``, a :func:`record` as the dict of its fields
+    ``{value, error_bound}``, a :class:`Record` as the dict of its fields
     (leaving out a field whose value and default are both None), lists,
     tuples and dicts item by item, anything else as it is."""
     if isinstance(obj, Fraction):
@@ -260,15 +244,13 @@ def to_json(obj):
         return {"value": obj.value, "error_bound": obj.err}
     if isinstance(obj, dict):
         return {k: to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):  # before records: a namedtuple has _fields too
+    if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
-    names = getattr(obj, "_fields", None)
-    if names is not None:  # a record; its class attributes hold the defaults
-        cls = type(obj)
+    if isinstance(obj, Record):
         return {
             name: to_json(v)
-            for name in names
-            if (v := getattr(obj, name)) is not None or getattr(cls, name, ...) is not None
+            for name in obj._fields
+            if (v := getattr(obj, name)) is not None or obj._defaults.get(name, ...) is not None
         }
     return obj
 

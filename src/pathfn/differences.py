@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, eval_approx, eval_exact_points
 from .core.points import Triplet, is_radix_rational, triplet_count, validate_radix
-from .core.scalars import Approx, Scalar, record, reduce_mod1
+from .core.scalars import Approx, Record, Scalar, reduce_mod1
 from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, cap_depth, check_scan_cap
 from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
 
@@ -76,8 +76,7 @@ def central_second_diff(f: FuncExpr, t: Triplet, r: int, mode: str = "exact") ->
     return scale * (dplus - dminus) if mode == "exact" else (dplus - dminus) * Approx(float(scale), 0.0)
 
 
-@record
-class MembershipQuery:
+class MembershipQuery(Record):
     """Scan request: is Delta <= -2 c r^n over the (n <= n_max, y in y_set) family?"""
 
     f: FuncExpr
@@ -96,8 +95,7 @@ class MembershipQuery:
         check_mode(self.mode)
 
 
-@record
-class ScanReport:
+class ScanReport(Record):
     """Outcome of a margin scan.
 
     ``worst_margin`` is the maximum over scanned triplets of Delta plus the
@@ -258,8 +256,7 @@ def semiconcavity_scan(
     return _run_scan(psi, r, n_max, y_set, "semiconcavity", alpha, mode, cap)
 
 
-@record
-class ProbeRow:
+class ProbeRow(Record):
     n: int
     k: int
     y: Fraction

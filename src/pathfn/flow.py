@@ -21,7 +21,8 @@ Two routes compute it:
   the radix z-grid {j/r^N}, in exact or certified float arithmetic, for many
   x on one table of f.  At x = a/X the exact objective at z_j is
   N_j / (2pX^2R^2D) with N_j = 2pX^2R^2 I_(j mod R) + qD (aR - jX)^2, so the
-  minimum is taken over integers.
+  minimum is taken over integers.  Float mode takes the same integer minimum
+  over the lower and over the upper ends of the dyadic vertex values.
 
 The envelope is piecewise quadratic; on each piece u(t,x) = f(z) +
 (x-z)^2/(2t) solves u_t + u_x^2/2 = 0 classically, and every piece of
@@ -41,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .core.funcs import FuncExpr, as_piecewise_poly, sup_abs_bound, supports_exact
 from .core.points import radix_y_set, validate_radix
 from .core.polys import certify_nonneg
-from .core.scalars import Approx, Scalar, format_ratios, format_rational, record
+from .core.scalars import Approx, Record, Scalar, _down, _up, format_ratios, format_rational
 from .differences import MembershipQuery, approx_table, check_mode, check_radix_scan_cap, membership_scan
 from .errors import (
     DEFAULT_TRIPLET_CAP,
@@ -54,8 +55,7 @@ from .errors import (
 from .grid import grid_values
 
 
-@record
-class FlowQuery:
+class FlowQuery(Record):
     """Parameters of a grid-flow computation.
 
     ``n`` defaults to the smallest depth the time admits, i.e. the smallest
@@ -93,8 +93,7 @@ class FlowQuery:
         return n
 
 
-@record
-class Piece:
+class Piece(Record):
     """One parabola segment of the envelope: value fz + (x - z)^2 / (2t) on
     [x_lo, x_hi]."""
 
@@ -108,8 +107,7 @@ class Piece:
 _Cut = Tuple[int, int]
 
 
-@record
-class PiecewiseQuadratic:
+class PiecewiseQuadratic(Record):
     """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces,
     held in integers: piece m has its vertex at z = ks[m]/R with value
     vals[m]/D and spans [cuts[m], cuts[m + 1]], each cut a pair (num, den).
@@ -366,11 +364,17 @@ def _envelope_float(fz: List[Approx], t: Fraction) -> PiecewiseQuadratic:
     combinatorial structure must never depend on rounding).  All structural
     invariants hold exactly for the centres taken as exact dyadic rationals;
     ``err`` is the largest vertex error."""
-    # centres and errors are dyadic, so the largest denominator is a common one
+    centres, errs, den = _dyadic(fz)
+    return _envelope_exact(centres, den, t, errs)
+
+
+def _dyadic(fz: List[Approx]) -> Tuple[List[int], List[int], int]:
+    """(centres, errors, den): fz[k] is centres[k]/den within errors[k]/den;
+    centres and errors are dyadic, so the largest denominator is a common one."""
     ratios = [x.as_integer_ratio() for v in fz for x in (v.value, v.err)]
     den = max(d for _, d in ratios)
     ints = [n * (den // d) for n, d in ratios]
-    return _envelope_exact(ints[0::2], den, t, ints[1::2])
+    return ints[0::2], ints[1::2], den
 
 
 def _certified_nonneg_on_unit(f: FuncExpr) -> bool:
@@ -435,9 +439,11 @@ def flow_bruteforce_points(
     x = a/X and f(j/R) = I_j/D, the objective at z_j is N_j / (2pX^2R^2D),
     N_j = 2pX^2R^2 I_(j mod R) + qD (aR - jX)^2, and the result is the plain
     minimum of the integers N_j over x's window (see ``_z_windows``).  Float
-    mode reads certified values of f and returns an Approx that contains the
-    exact sampled minimum: it spans the minimum of the lower ends and the
-    minimum of the upper ends of the certified objective values.
+    mode reads certified values of f as dyadic centres v_j within errors e_j
+    over one denominator D, as the float envelope does, takes the same
+    integer minimum once with v_j - e_j and once with v_j + e_j in place of
+    I_j, and returns an Approx containing the interval between the two,
+    rounded outward: it contains the exact sampled minimum.
     """
     t = _bruteforce_args(t, radix_depth, r, mode)
     p, q = t.numerator, t.denominator
@@ -452,13 +458,12 @@ def flow_bruteforce_points(
             c, aR, qD = 2 * p * X * X * R * R, a * R, q * D
             out.append(Fraction(min(c * vals[j % R] + qD * (aR - j * X) ** 2 for j in js), c * D))
         return out
-    fz = approx_table(f, R)
+    centres, errs, D = _dyadic(approx_table(f, R))
+    bounds = [v - e for v, e in zip(centres, errs)], [v + e for v, e in zip(centres, errs)]
     for x, js in zip(xqs, windows):
         a, X = x.numerator, x.denominator
-        c, aR = 2 * p * X * X * R * R, a * R
-        lo_min = hi_min = math.inf
-        for j in js:
-            v = fz[j % R] + Approx.from_fraction(Fraction(q * (aR - j * X) ** 2, c))
-            lo_min, hi_min = min(lo_min, v.lo()), min(hi_min, v.hi())
-        out.append(Approx.from_bounds(lo_min, hi_min))
+        c, aR, qD = 2 * p * X * X * R * R, a * R, q * D
+        pens = [(j % R, qD * (aR - j * X) ** 2) for j in js]
+        lo, hi = (min(c * ends[k] + pen for k, pen in pens) for ends in bounds)
+        out.append(Approx.from_bounds(_down(lo / (c * D)), _up(hi / (c * D))))
     return out

@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Iterator, List, MutableSequence, Optional, Sequence, Tuple, TypeVar
 
+from .core.points import radix_part
+
 if TYPE_CHECKING:
     from .core.funcs import FuncExpr
 
@@ -91,19 +93,6 @@ def poly_points(pw, Q: int, js: Sequence[int]) -> Points:
     return vals, den
 
 
-def preperiod(s: int, Q: int) -> Tuple[int, int]:
-    """(q1, K): x -> s x mod 1 permutes the multiples of q1 on the grid Q
-    (its cycles), and any other j reaches them after at most K steps, the
-    least K with q1 | s^K."""
-    q2 = Q
-    while gcd(q2, s) > 1:
-        q2 //= gcd(q2, s)
-    q1, K = Q // q2, 0
-    while s**K % q1:
-        K += 1
-    return q1, K
-
-
 def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequence[int]) -> int:
     """Write mult * V[j] for every j on the ``cycles`` of j -> s*j mod Q into
     ``vals`` and return mult = lcm(s^L - 1) s^K: it clears each cycle sum
@@ -119,12 +108,13 @@ def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSeque
 
 
 def series_layout(s: int, Q: int) -> Tuple[List[List[int]], int, Iterator[int]]:
-    """(cycles, K, tail) of x -> s x mod 1 on the grid Q: the cycles other
-    than {0}, each listed from its least entry along j -> s*j mod Q; the
-    pre-period K (see :func:`preperiod`); and an iterator over every other j
-    in [1, Q) by depth, the number of steps it takes to reach a cycle, so
-    that s*j mod Q comes before j."""
-    q1, K = preperiod(s, Q)
+    """(cycles, K, tail) of x -> s x mod 1 on the grid Q, with (q1, K) =
+    ``radix_part(Q, s)``: the cycles other than {0}, which hold the multiples
+    of q1, each listed from its least entry along j -> s*j mod Q; the
+    pre-period K, the most steps any other j takes to reach a cycle; and an
+    iterator over every other j in [1, Q) by that number of steps (its
+    depth), so that s*j mod Q comes before j."""
+    q1, K = radix_part(Q, s)
     cycles, seen = [], set()
     for j in range(q1, Q, q1):
         if j not in seen:

@@ -30,7 +30,7 @@ from .core.funcs import (
 )
 from .core.points import Triplet, is_radix_rational, radix_depth, radix_y_set
 from .core.polys import certify_nonneg
-from .core.scalars import record, reduce_mod1
+from .core.scalars import Record, reduce_mod1
 from .differences import ScanReport, check_radix_scan_cap, scan_family, semiconcavity_scan
 from .errors import DEFAULT_TRIPLET_CAP, UnsupportedExactError, cap_depth, check_scan_cap
 from .grid import grid_values, stencil_rows
@@ -46,8 +46,6 @@ def u_eval_exact(s: USeries, p: Union[Fraction, int]) -> Fraction:
     if not supports_exact(s.psi):
         raise UnsupportedExactError("generator has no exact branch")
     x = reduce_mod1(Fraction(p))
-    if not is_radix_rational(x, s.r):
-        raise ValueError(f"{x} is not of the form j/{s.r}^N")
     depth = radix_depth(x, s.r)
     total = Fraction(0)
     cur = x
@@ -57,8 +55,7 @@ def u_eval_exact(s: USeries, p: Union[Fraction, int]) -> Fraction:
     return total
 
 
-@record
-class IdentityReport:
+class IdentityReport(Record):
     """Batch verification of the second-difference decomposition."""
 
     checked: int
@@ -111,8 +108,7 @@ def identity_residual_scan(
     return IdentityReport(total, None, Fraction(0))
 
 
-@record
-class ScanParams:
+class ScanParams(Record):
     """Finite family sizes used by the sufficient-condition checker."""
 
     n_max: int = 4
@@ -123,8 +119,7 @@ class ScanParams:
         return radix_y_set(r, self.y_depth)
 
 
-@record
-class SufficientReport:
+class SufficientReport(Record):
     """Outcome of the two-part sufficient-condition check.
 
     Condition (i): m * d(x) <= psi(x) on [0, 1] -- certified exactly when the

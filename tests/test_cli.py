@@ -1,9 +1,13 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,44 @@ def test_eval_float_mode_bounds(capsys, spec_file):
 def test_eval_bad_point(capsys, spec_file):
     code, _, err = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "zzz"])
     assert code == 2 and "bad point" in err
+
+
+@pytest.mark.parametrize("tok", ["inf", "-inf", "Infinity", "NaN"])
+def test_points_refuse_a_non_finite_decimal(capsys, spec_file, tok):
+    f = spec_file(SPEC_TAKAGI2)
+    for argv in (["eval", "--func", f, f"--points={tok}"], ["eval", "--func", f, f"--points=1/2,{tok}", "--mode", "float"],
+                 ["probe", "--func", f, f"--x={tok}", "--N", "2", "--mode", "float"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and f"bad point {tok!r}: not a finite number" in err, argv
+
+
+@pytest.mark.parametrize("tok", ["1e100000", "1e-100000", "-7.5e-5000", "1e4215", "1e-4215", "3.0e-4215"])
+def test_points_refuse_a_decimal_too_long_to_print(capsys, spec_file, tok):
+    f = spec_file(SPEC_TAKAGI2)
+    for argv in (["eval", "--func", f, f"--points={tok}", "--mode", "float"], ["probe", "--func", f, f"--x={tok}", "--N", "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and f"bad point {tok!r}: its exact value has more than 14000 bits" in err
+
+
+def test_point_literals_at_the_bit_limit():
+    assert cli._point_literal("1e4214") == 10**4214
+    assert cli._point_literal("-1e-4214") == F(-1, 10**4214)
+    assert cli._point_literal("0.50000") == F(1, 2)
+    # trailing zeros are not digits of the value, and zero is zero at any exponent
+    assert cli._point_literal("1" + "0" * 60000 + "e-60000") == 1
+    assert cli._point_literal("0e-999999999") == cli._point_literal("0e999999999") == 0
+
+
+@pytest.mark.parametrize("tok", ["1e999999999", "1e-999999999"])
+def test_a_huge_decimal_exponent_is_refused_at_once(spec_file, tok):
+    # building this value would take a billion-digit integer
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathfn", "eval", "--func", spec_file(SPEC_TAKAGI2), f"--points={tok}", "--mode", "float"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"pathfn: bad point {tok!r}: its exact value has more than 14000 bits\n"
 
 
 def test_missing_file(capsys):

@@ -37,11 +37,13 @@ from pathfn.flow import (
     FlowQuery,
     Piece,
     PiecewiseQuadratic,
+    _z_windows,
     flow_bruteforce_count,
     flow_bruteforce_points,
     flow_grid,
 )
 from pathfn.grid import grid_values
+from test_grid import random_spline
 
 F = Fraction
 TAU2 = USeries(2, Distance())
@@ -585,6 +587,43 @@ def test_bruteforce_float_contains_the_exact_sampled_value():
             exact = flow_bruteforce_points(TAU2, t, [x], radix_depth=6, r=2)[0]
             assert F(got.lo()) <= exact <= F(got.hi()), (t, x, got)
             assert got.err < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bruteforce_float_interval_contains_the_exact_minimum_at_random_arguments(seed):
+    rng = random.Random(seed)
+    for f in (TAU2, U_PSI0, random_spline(rng), random_spline(rng)):
+        for _ in range(3):
+            t, depth = F(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(0, 5)
+            xs = [F(rng.randint(-20, 40), rng.randint(1, 20)) for _ in range(3)] + [rng.uniform(-1, 2)]
+            exact = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=2)
+            floats = flow_bruteforce_points(f, t, xs, radix_depth=depth, r=2, mode="float")
+            for v, b in zip(exact, floats):
+                assert abs(v - F(b.value)) <= F(b.err), (f, t, depth, v, b)
+
+
+def _per_z_oracle(fz, t, x, js, R):
+    """The interval of the minimum over z = j/R of the certified sums
+    f(z) + (x - z)^2/(2t), one Approx per z."""
+    lo = hi = math.inf
+    for j in js:
+        v = fz[j % R] + Approx.from_fraction((x - F(j, R)) ** 2 / (2 * t))
+        lo, hi = min(lo, v.lo()), min(hi, v.hi())
+    return Approx.from_bounds(lo, hi)
+
+
+@pytest.mark.parametrize("t, depth", [(F(1, 4), 4), (F(3, 2), 6), (F(1), 3)])
+def test_bruteforce_float_on_a_sine_tree_spans_the_rational_interval(t, depth):
+    usin = USeries(2, Sum((AbsSin(), Scale(F(-1, 2), Dilate(2, AbsSin())))))
+    R = 2**depth
+    fz = approx_table(usin, R)
+    xs = [F(0), F(1, 3), F(5, 8), F(7, 5), F(-1, 9)]
+    for x, js, got in zip(xs, _z_windows(usin, t, xs, R), flow_bruteforce_points(usin, t, xs, depth, 2, "float")):
+        pens = [(fz[j % R], (x - F(j, R)) ** 2 / (2 * t)) for j in js]
+        lo = min(F(a.value) - F(a.err) + pen for a, pen in pens)
+        hi = min(F(a.value) + F(a.err) + pen for a, pen in pens)
+        assert F(got.value) - F(got.err) <= lo <= hi <= F(got.value) + F(got.err), (x, got)
+        assert got.overlaps(_per_z_oracle(fz, t, x, js, R)), x
 
 
 def direct_minimum(f, t, x, den, lo, hi):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from pathfn.core.funcs import (
 )
 from pathfn.core.parse import parse_func_spec, to_spec_dict, build_func
 from pathfn.core.polys import certify_nonneg, poly_eval
+from pathfn.core.scalars import Approx
 from pathfn.errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
+from test_grid import random_spline
 
 F = Fraction
 
@@ -211,6 +214,34 @@ def random_exact_tree(rng, depth):
     if kind == 2:
         return Dilate(rng.randint(1, 6), random_exact_tree(rng, depth - 1))
     return USeries(rng.choice([2, 3]), random_exact_tree(rng, depth - 1))
+
+
+def horner_oracle(pw, x):
+    """The piecewise polynomial at x mod 1, by Fraction Horner on the last
+    piece that starts at or before it."""
+    x -= x.numerator // x.denominator
+    acc = F(0)
+    for c in reversed([cs for lo, _, cs in pw if lo <= x][-1]):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_piecewise_points_match_a_fraction_horner_oracle(seed):
+    rng = random.Random(seed)
+    leaves = [random_spline(rng), random_spline(rng), DistancePower(rng.randint(1, 4)), ThetaSplice(rng.choice([2, 3]))]
+    trees = leaves + [Sum((leaves[0], Scale(F(-2, 3), Dilate(3, leaves[2])))), Dilate(2, leaves[3])]
+    for f in trees:
+        pw = as_piecewise_poly(f)
+        knots = [lo for lo, _, _ in pw] + [F(1)]
+        xs = knots + [k + shift for k in knots[1:] for shift in (-1, 2)]  # on the knots, shifted by periods
+        xs += [F(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(20)]
+        expected = [horner_oracle(pw, x) for x in xs]
+        assert eval_exact_points(f, xs) == expected, f
+        assert [eval_exact(f, x) for x in xs] == expected, f
+        if f in leaves:  # the leaf rule is its exact value, rounded once
+            for x, v in zip(xs, expected):
+                assert eval_approx(f, x) == Approx(float(v), math.ulp(float(v))), (f, x)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from pathfn.core.points import (
     Triplet,
     is_radix_rational,
     radix_depth,
+    radix_part,
     radix_y_set,
     triplet_count,
     validate_radix,
@@ -45,6 +48,47 @@ def test_radix_depth():
     assert radix_depth(Fraction(7, 12), 6) == 2
     with pytest.raises(ValueError):
         radix_depth(Fraction(1, 3), 2)
+
+
+def _coprime_part(q, r):
+    while gcd(q, r) > 1:
+        q //= gcd(q, r)
+    return q
+
+
+def _preperiod(s, Q):
+    q1, K = Q // _coprime_part(Q, s), 0
+    while s**K % q1:
+        K += 1
+    return q1, K
+
+
+def _depth(x, r):
+    q, n, power = x.denominator, 0, 1
+    while power % q != 0:
+        power *= r
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 10, 12, 30])
+def test_radix_part_matches_the_loops_it_replaced(r):
+    rng = random.Random(r)
+    for _ in range(300):
+        q = 1
+        for p in rng.sample([2, 3, 5, 7, 11], 3):
+            q *= p ** rng.randint(0, 6)
+        q1, K = radix_part(q, r)
+        assert (q1, K) == _preperiod(r, q)
+        assert q // q1 == _coprime_part(q, r)
+        x = Fraction(rng.randrange(-q, 2 * q), q)
+        on_grid = _coprime_part(x.denominator, r) == 1
+        assert is_radix_rational(x, r) is on_grid
+        if on_grid:
+            assert radix_depth(x, r) == _depth(x, r)
+        else:
+            with pytest.raises(ValueError):
+                radix_depth(x, r)
 
 
 def test_triplet_validation_and_points():
