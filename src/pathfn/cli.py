@@ -9,26 +9,28 @@ Conventions shared by every command:
 * exit codes: 0 = pass, 1 = a mathematical violation was found,
   2 = usage error / unsupported request / resource cap.
 
-Output is assembled in memory and written once.
+Every refusal and all the work come first; then the output is written to
+stdout in runs of text as it is encoded, so a refusal (exit 2 with a
+message on stderr) leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import decimal
-import io
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from . import __version__
 # import order sets the heap layout and so peak RSS: keep scalars, points, funcs, parse
-from .core.scalars import Approx, RationalFormatError, Scalar, dump_json, format_rational, parse_rational, to_json
+from .core.scalars import _CHUNK_ROWS, Approx, RationalFormatError, Scalar, format_rational, parse_rational, to_json, write_json
 from .core.points import radix_x_samples, radix_y_set
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, radix_product, supports_exact
 from .core.parse import parse_func_spec
 from .errors import (
     _PRINTED_BITS,
+    _PRINTED_DIGITS,
     DEFAULT_TRIPLET_CAP,
     OrbitLimitError,
     PathfnError,
@@ -105,11 +107,23 @@ def _rat(text: str, what: str) -> Fraction:
 def _point_literal(tok: str) -> Fraction:
     """A point on the command line: 'p/q', an integer, or a finite decimal
     literal, an exact rational (no float round trip) whose numerator and
-    denominator in lowest terms have at most ``_PRINTED_BITS`` bits each."""
+    denominator in lowest terms have at most ``_PRINTED_BITS`` bits each.
+    A literal far past that is refused before its value is built."""
+    parts = tok.strip().lstrip("+-").split("/")
+    # an integer or 'p/q' whose parts are written with at most _PRINTED_DIGITS digits
+    # is built, under Python's int-string limit, and its bits are counted
+    if len(parts) <= 2 and all(map(str.isdecimal, parts)) and max(map(len, parts)) > _PRINTED_DIGITS:
+        raise ValueError(f"bad point {tok!r}: its numerator or denominator has more than {_PRINTED_DIGITS} digits")
     try:
-        return parse_rational(tok)
+        x = parse_rational(tok)
     except RationalFormatError:
-        pass
+        x = _decimal_literal(tok)
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > _PRINTED_BITS:
+        raise ValueError(f"bad point {tok!r}: its exact value has more than {_PRINTED_BITS} bits")
+    return x
+
+
+def _decimal_literal(tok: str) -> Fraction:
     try:
         d = decimal.Decimal(tok)
     except decimal.InvalidOperation as exc:
@@ -120,8 +134,7 @@ def _point_literal(tok: str) -> Fraction:
     m = "".join(map(str, digits)).rstrip("0")
     # the value is m * 10^e: once len(m) + |e| passes 4 * _PRINTED_BITS, its numerator
     # or denominator in lowest terms is far past the limit, and it is refused unbuilt
-    if m and (len(m) + abs(exp + len(digits) - len(m)) > 4 * _PRINTED_BITS
-              or max(n.bit_length() for n in d.as_integer_ratio()) > _PRINTED_BITS):
+    if m and len(m) + abs(exp + len(digits) - len(m)) > 4 * _PRINTED_BITS:
         raise ValueError(f"bad point {tok!r}: its exact value has more than {_PRINTED_BITS} bits")
     return Fraction(d)
 
@@ -144,10 +157,20 @@ def _report(command: str, inputs: dict, verdict: str, detail: dict, mode: str, t
     }
 
 
-def _emit(out: io.StringIO, report: Optional[dict]) -> None:
+def _write_lines(write: Callable[[str], object], lines: Sequence[str]) -> None:
+    """Write each line and a newline, ``_CHUNK_ROWS`` lines per call."""
+    for i in range(0, len(lines), _CHUNK_ROWS):
+        write("\n".join(lines[i:i + _CHUNK_ROWS]) + "\n")
+
+
+def _emit(report: Optional[dict] = None, lines: Sequence[str] = ()) -> None:
+    """Write a command's output to stdout, looked up now: ``report`` as JSON
+    and a newline, then ``lines``.  Called once, after the last refusal."""
+    write = sys.stdout.write
     if report is not None:
-        out.write(dump_json(report))
-        out.write("\n")
+        write_json(report, write)
+        write("\n")
+    _write_lines(write, lines)
 
 
 def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
@@ -223,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def cmd_eval(args, out: io.StringIO) -> int:
+def cmd_eval(args) -> int:
     f, _ = _load_func(args.func)
     if args.grid is not None:
         if args.grid < 0:
@@ -248,7 +271,7 @@ def cmd_eval(args, out: io.StringIO) -> int:
         values = _lazy.approx_table(f, len(xs) - 1) if args.grid is not None else [eval_approx(f, x) for x in xs]
         rows.append("x,value,error_bound")
         rows += [f"{format_rational(x)},{v.value!r},{v.err!r}" for x, v in zip(xs, values)]
-    out.write("\n".join(rows) + "\n")
+    _emit(lines=rows)
     return EXIT_PASS
 
 
@@ -269,7 +292,7 @@ def _exact_points(f: FuncExpr, xs: Sequence[Fraction], cap: int) -> List[Fractio
         ) from None
 
 
-def cmd_membership(args, out: io.StringIO) -> int:
+def cmd_membership(args) -> int:
     t0 = time.perf_counter()
     f, digest = _load_func(args.func, digest=True)
     c = _rat(args.c, "--c")
@@ -295,13 +318,13 @@ def cmd_membership(args, out: io.StringIO) -> int:
         args.mode,
         t0,
     )
-    _emit(out, doc)
+    _emit(doc)
     if verdict == "pass":
         return EXIT_PASS
     return EXIT_VIOLATION if verdict == "fail" else EXIT_ERROR
 
 
-def cmd_identity(args, out: io.StringIO) -> int:
+def cmd_identity(args) -> int:
     t0 = time.perf_counter()
     psi, digest = _load_func(args.psi, digest=True)
     if not supports_exact(psi):
@@ -318,11 +341,11 @@ def cmd_identity(args, out: io.StringIO) -> int:
         "exact",
         t0,
     )
-    _emit(out, doc)
+    _emit(doc)
     return EXIT_PASS if report.offender is None else EXIT_VIOLATION
 
 
-def cmd_flow(args, out: io.StringIO) -> int:
+def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     f, digest = _load_func(args.func, digest=True)
     c = _rat(args.c, "--c")
@@ -343,7 +366,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
         brute_evals = _lazy.flow_bruteforce_count(f, t, xs, cap_depth(d, args.cap), r)
         check_scan_cap(args.cap, brute_evals, unit="brute-force evaluations")
     pq = _lazy.flow_grid(q, cap=args.cap)
-    detail = {"envelope": pq.as_json(), "depth": q.depth(), "pieces": len(pq.ks)}
+    detail = {"envelope": pq.as_report(), "depth": q.depth(), "pieces": len(pq.ks)}
     suffix = ""  # the samples' error_bound column
     if args.mode == "float":  # err is dyadic, so "p/q" prints it exactly
         detail["error_bound"] = format_rational(Fraction(pq.err))
@@ -359,13 +382,16 @@ def cmd_flow(args, out: io.StringIO) -> int:
         }
         if mismatches:
             verdict = "fail"
-    csv_text = None
+    lines: List[str] = []
     if args.samples:
-        header = "x,value,error_bound" if suffix else "x,value"
-        csv_text = "\n".join([header] + [line + suffix for line in pq.sample_lines(args.samples)]) + "\n"
+        lines.append("x,value,error_bound" if suffix else "x,value")
+        lines += [line + suffix for line in pq.sample_lines(args.samples)]
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+            try:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    _write_lines(fh.write, lines)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.csv}: {exc}") from exc
             detail["csv_file"] = args.csv
     doc = _report(
         "flow",
@@ -375,9 +401,7 @@ def cmd_flow(args, out: io.StringIO) -> int:
         args.mode,
         t0,
     )
-    _emit(out, doc)
-    if csv_text and not args.csv:
-        out.write(csv_text)
+    _emit(doc, () if args.csv else lines)
     return EXIT_PASS if verdict == "pass" else EXIT_VIOLATION
 
 
@@ -391,7 +415,7 @@ def _certainly_differ(pq: PiecewiseQuadratic, x: Fraction, brute: Scalar) -> boo
     return v + err < Fraction(brute.lo()) or v - err > Fraction(brute.hi())
 
 
-def cmd_probe(args, out: io.StringIO) -> int:
+def cmd_probe(args) -> int:
     f, _ = _load_func(args.func)
     r = args.r if args.r is not None else _root_radix(f)
     y = _rat(args.y, "--y")
@@ -408,11 +432,11 @@ def cmd_probe(args, out: io.StringIO) -> int:
             )
         else:  # every row of a float probe holds Approx values
             lines.append(f"{row.n},{row.dplus.value!r},{row.dminus.value!r},{row.gap.value!r},{row.gap.err!r}")
-    out.write("\n".join(lines) + "\n")
+    _emit(lines=lines)
     return EXIT_PASS
 
 
-def cmd_bounds(args, out: io.StringIO) -> int:
+def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     psi, digest = _load_func(args.psi, digest=True)
     m = _rat(args.m, "--m")
@@ -439,7 +463,7 @@ def cmd_bounds(args, out: io.StringIO) -> int:
         "exact",
         t0,
     )
-    _emit(out, doc)
+    _emit(doc)
     return EXIT_PASS if verdict == "pass" else EXIT_VIOLATION
 
 
@@ -475,14 +499,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    out = io.StringIO()
     try:
-        code = _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args)
     except (PathfnError, ValueError) as exc:
         sys.stderr.write(f"pathfn: {exc}\n")
         return EXIT_ERROR
-    sys.stdout.write(out.getvalue())
-    return code
 
 
 def entry() -> None:

@@ -13,9 +13,8 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter, ge, gt, itemgetter, le, lt
-from typing import Iterable, List, Optional, Tuple, Union
+from operator import attrgetter, ge, gt, le, lt
+from typing import Callable, Iterable, Iterator, List, Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -255,73 +254,79 @@ def to_json(obj):
     return obj
 
 
-def dump_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte: the one
-    encoder of every report.
+# Rows per write of a :class:`Rows` list.
+_CHUNK_ROWS = 1024
+
+
+class Rows:
+    """A JSON list of ``count`` objects that all have the string keys
+    ``keys``, given in sorted order, and only string values that need no
+    JSON escape (digits, signs and '/', as :func:`format_ratios` writes
+    them).  ``rows(lo, hi)`` gives objects lo..hi-1, each as the tuple of its
+    values in key order.  The report encoder writes ``_CHUNK_ROWS`` objects
+    per call, each by one format template, without building them."""
+
+    __slots__ = ("keys", "count", "rows")
+
+    def __init__(self, keys: Tuple[str, ...], count: int, rows: Callable[[int, int], Iterable[tuple]]) -> None:
+        self.keys, self.count, self.rows = keys, count, rows
+
+
+def write_json(doc, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, by
+    calls ``write(text)``: the one encoder of every report.
 
     The stdlib runs its pure-Python encoder whenever ``indent`` is set.  Here
-    the containers are laid out in Python, every other value goes to
-    ``json.dumps``, and a list of flat dicts with the same keys and plain
-    string values (an envelope's pieces) is written by one format template
-    per row."""
+    the containers are laid out in Python and every other value goes to
+    ``json.dumps``; a :class:`Rows` list is written a run of objects per
+    call, so a long one is never held as text."""
+    for text in _encode(doc, "\n"):
+        write(text)
+
+
+def dump_json(doc) -> str:
+    """:func:`write_json`'s text as one string."""
     out: List[str] = []
-    _dump(doc, "\n", out)
+    write_json(doc, out.append)
     return "".join(out)
 
 
-def _dump(obj, nl: str, out: List[str]) -> None:
+def _encode(obj, nl: str) -> Iterator[str]:
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            yield "{}"
             return
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _dump(value, inner, out)
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _encode(value, inner)
             sep = "," + inner
-        out.append(nl + "}")
+        yield nl + "}"
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            yield "[]"
             return
         inner = nl + "  "
-        rows = _flat_rows(obj, inner)
-        if rows is not None:
-            out.append("[" + inner + rows + nl + "]")
-            return
         sep = "[" + inner
         for value in obj:
-            out.append(sep)
-            _dump(value, inner, out)
+            yield sep
+            yield from _encode(value, inner)
             sep = "," + inner
-        out.append(nl + "]")
+        yield nl + "]"
+    elif isinstance(obj, Rows):
+        if not obj.count:
+            yield "[]"
+            return
+        inner = nl + "  "
+        row = "{" + ",".join(f'{inner}  {json.dumps(key).replace("%", "%%")}: "%s"' for key in obj.keys) + inner + "}"
+        sep = "[" + inner
+        for lo in range(0, obj.count, _CHUNK_ROWS):
+            yield sep + ("," + inner).join(map(row.__mod__, obj.rows(lo, lo + _CHUNK_ROWS)))
+            sep = "," + inner
+        yield nl + "]"
     else:
-        out.append(json.dumps(obj))
-
-
-def _flat_rows(items, nl: str) -> Optional[str]:
-    """The indented items of a list of dicts that share their keys and hold
-    only strings needing no JSON escape (printable ASCII without quote or
-    backslash), or None for any other list."""
-    if set(map(type, items)) != {dict}:
-        return None
-    keys = sorted(items[0])
-    if set(map(len, items)) != {len(keys)} or set(map(type, keys)) != {str}:
-        return None
-    get = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
-    try:
-        rows = list(map(get, items))  # a missing key means the key sets differ
-    except KeyError:
-        return None
-    if set(map(type, chain.from_iterable(rows))) != {str}:
-        return None
-    text = "".join(keys) + "".join(map("".join, rows))
-    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
-        return None
-    inner = nl + "  "
-    body = ",".join(f'{inner}"{k.replace("%", "%%")}": "%s"' for k in keys)
-    return ("," + nl).join(map(("{" + body + nl + "}").__mod__, rows))
+        yield json.dumps(obj)
 
 
 # (value, err) forms of the node rules that float evaluation shares between

@@ -33,16 +33,16 @@ at its vertex (hence is not differentiable there).
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import pairwise
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, as_piecewise_poly, sup_abs_bound, supports_exact
 from .core.points import radix_y_set, validate_radix
 from .core.polys import certify_nonneg
-from .core.scalars import Approx, Record, Scalar, _down, _up, format_ratios, format_rational
+from .core.scalars import Approx, Record, Rows, Scalar, _down, _up, format_ratios, format_rational
 from .differences import MembershipQuery, approx_table, check_mode, check_radix_scan_cap, membership_scan
 from .errors import (
     DEFAULT_TRIPLET_CAP,
@@ -115,10 +115,12 @@ class PiecewiseQuadratic(Record):
     Invariants: pieces tile [0, 1] with positive widths, adjacent pieces agree
     at shared breakpoints, and vertices sit on the radix grid.  R and D are
     the least common denominators and the cuts are reduced, so equal
-    envelopes compare equal.  ``err`` bounds how far ``eval`` may sit from
-    the envelope of the exact vertex values: 0 in exact mode; in float mode,
-    the largest certified error of the vertex values (the envelope of values
-    each within err of the exact ones is within err of the exact envelope).
+    envelopes compare equal; :meth:`from_pieces` and :func:`flow_grid` build
+    them so, and the constructor takes its fields as given.  ``err`` bounds
+    how far ``eval`` may sit from the envelope of the exact vertex values: 0
+    in exact mode; in float mode, the largest certified error of the vertex
+    values (the envelope of values each within err of the exact ones is
+    within err of the exact envelope).
     It is not part of the JSON form.
     """
 
@@ -129,19 +131,6 @@ class PiecewiseQuadratic(Record):
     vals: Tuple[int, ...]
     cuts: Tuple[_Cut, ...]
     err: float = 0.0
-
-    def __post_init__(self) -> None:
-        g = math.gcd(self.R, *self.ks)
-        if g != 1:
-            object.__setattr__(self, "R", self.R // g)
-            object.__setattr__(self, "ks", tuple(k // g for k in self.ks))
-        g = math.gcd(self.D, *self.vals)
-        if g != 1:
-            object.__setattr__(self, "D", self.D // g)
-            object.__setattr__(self, "vals", tuple(v // g for v in self.vals))
-        ns, ds = zip(*self.cuts)
-        gs = list(map(math.gcd, ns, ds))
-        object.__setattr__(self, "cuts", tuple(zip(map(operator.floordiv, ns, gs), map(operator.floordiv, ds, gs))))
 
     @classmethod
     def from_pieces(cls, t: Fraction, pieces: Sequence[Piece], err: float = 0.0) -> "PiecewiseQuadratic":
@@ -201,15 +190,26 @@ class PiecewiseQuadratic(Record):
         (num,), den = self._values([self._index(x)], [x.numerator], x.denominator)
         return Fraction(num, den)
 
+    def _rows(self, lo: int, hi: int) -> Iterator[Tuple[str, str, str, str]]:
+        """(fz, x_hi, x_lo, z) of pieces lo..hi-1 as 'p/q' strings: the
+        pieces' JSON keys in sorted order."""
+        xs = [str(n) if d == 1 else f"{n}/{d}" for n, d in self.cuts[lo:hi + 1]]  # reduced; each formatted once
+        return zip(format_ratios(self.vals[lo:hi], self.D), xs[1:], xs, format_ratios(self.ks[lo:hi], self.R))
+
     def as_json(self) -> dict:
-        xs = [str(n) if d == 1 else f"{n}/{d}" for n, d in self.cuts]  # reduced; each formatted once
         return {
             "schema": "pathfn/1",
             "t": format_rational(self.t),
-            "pieces": [
-                {"x_lo": lo, "x_hi": hi, "z": z, "fz": fz}
-                for lo, hi, z, fz in zip(xs, xs[1:], format_ratios(self.ks, self.R), format_ratios(self.vals, self.D))
-            ],
+            "pieces": [{"x_lo": lo, "x_hi": hi, "z": z, "fz": fz} for fz, hi, lo, z in self._rows(0, len(self.ks))],
+        }
+
+    def as_report(self) -> dict:
+        """:meth:`as_json` with the pieces as :class:`Rows`, which the report
+        encoder formats from the integers a run of pieces at a time."""
+        return {
+            "schema": "pathfn/1",
+            "t": format_rational(self.t),
+            "pieces": Rows(("fz", "x_hi", "x_lo", "z"), len(self.ks), self._rows),
         }
 
     def _samples(self, count: int) -> Tuple[List[int], int]:
@@ -292,8 +292,9 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[
     values, else :class:`AmbiguousEnvelopeError`, and ``err`` is the largest
     of these errors."""
     g = math.gcd(den, *vals, *(errs or ()))  # reduced data keep the crossings and their gcds small
-    vals, den = [v // g for v in vals], den // g
-    errs = None if errs is None else [e // g for e in errs]
+    if g != 1:
+        vals, den = [v // g for v in vals], den // g
+        errs = None if errs is None else [e // g for e in errs]
     err = max(errs) / den if errs else 0.0  # exact: each errs[k] / den is a float
     R = len(vals) - 1
     a, b = 2 * t.numerator * R * R, t.denominator * den
@@ -305,56 +306,70 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[
         return a * (vals[j] - vals[i]) + b * (i + j) * (j - i), j - i
 
     stack: List[int] = [0]
-    cuts: List[_Cut] = []  # cuts[m] is the left boundary of stack[m + 1]'s cell
+    # nums[m] / (C * gaps[m]) is the left boundary of stack[m + 1]'s cell; the
+    # boundaries rise strictly along the stack
+    nums: List[int] = []
+    gaps: List[int] = []
     for j in range(1, R + 1):
         num, dj = crossing(stack[-1], j)
-        while cuts:
-            left, di = cuts[-1]  # the top vertex keeps a nonempty cell iff gap > 0
-            gap = num * di - left * dj
+        while nums:
+            gap = num * gaps[-1] - nums[-1] * dj  # the top vertex keeps a nonempty cell iff gap > 0
             if errs is not None:
                 h, i = stack[-2], stack[-1]  # each num moves by up to a (errs of its vertices)
-                if abs(gap) <= a * ((errs[i] + errs[j]) * di + (errs[h] + errs[i]) * dj):
+                if abs(gap) <= a * ((errs[i] + errs[j]) * gaps[-1] + (errs[h] + errs[i]) * dj):
                     raise AmbiguousEnvelopeError(
                         f"breakpoint between z={Fraction(i, R)} and z={Fraction(j, R)} is ambiguous; use exact mode"
                     )
             if gap > 0:
                 break
             stack.pop()
-            cuts.pop()
+            nums.pop()
+            gaps.pop()
             num, dj = crossing(stack[-1], j)
         stack.append(j)
-        cuts.append((num, dj))
-    bounds = [(0, 1)] + [(num, C * dj) for num, dj in cuts] + [(1, 1)]
-    kept: List[Tuple[int, _Cut, _Cut]] = []  # (vertex, lo, hi), clamped to [0, 1]
-    for m, i in enumerate(stack):
-        lo, hi = bounds[m], bounds[m + 1]
-        if lo[0] < 0:
-            lo = (0, 1)
-        if hi[0] > hi[1]:
-            hi = (1, 1)
-        if lo[0] * hi[1] < hi[0] * lo[1]:
-            kept.append((i, lo, hi))
-    _check_envelope_invariants(kept, vals, den, t)
-    ks = tuple(i for i, _, _ in kept)
-    cuts = (kept[0][1],) + tuple(hi for _, _, hi in kept)
-    return PiecewiseQuadratic(t, R, ks, den, tuple(vals[i] for i in ks), cuts, err)
+        nums.append(num)
+        gaps.append(dj)
+    # the cells that meet (0, 1): those of stack[lo..hi], clamped to [0, 1]
+    lo, hi = 0, len(nums)
+    while lo < hi and nums[lo] <= 0:
+        lo += 1
+    while hi > lo and nums[hi - 1] >= C * gaps[hi - 1]:
+        hi -= 1
+    cuts = [(0, 1)]
+    for num, dj in zip(nums[lo:hi], gaps[lo:hi]):
+        d = C * dj
+        g = math.gcd(num, d)
+        cuts.append((num // g, d // g))
+    cuts.append((1, 1))
+    del nums, gaps  # freed before the envelope's tuples are built: 0.4 MiB off the peak at R = 2^14
+    ks = stack[lo:hi + 1]
+    kept = [vals[k] for k in ks]
+    g, h = math.gcd(R, *ks), math.gcd(den, *kept)
+    if g != 1:
+        R, ks = R // g, [k // g for k in ks]
+    if h != 1:
+        den, kept = den // h, [v // h for v in kept]
+    pq = PiecewiseQuadratic(t, R, tuple(ks), den, tuple(kept), tuple(cuts), err)
+    _check_envelope_invariants(pq)
+    return pq
 
 
-def _check_envelope_invariants(kept: List[Tuple[int, _Cut, _Cut]], vals: List[int], den: int, t: Fraction) -> None:
-    """Pieces (vertex, lo, hi) tile [0, 1] with positive widths, and adjacent
-    pieces agree at their shared breakpoint x = N/M: for vertices i < j,
-    2pR^2 M (I_i - I_j) + qD (j - i)(2NR - (i + j) M) = 0 is
+def _check_envelope_invariants(pq: PiecewiseQuadratic) -> None:
+    """The pieces tile [0, 1] with positive widths, and adjacent pieces agree
+    at their shared breakpoint x = N/M: for vertices i < j with values I, J,
+    2pR^2 M (I - J) + qD (j - i)(2NR - (i + j) M) = 0 is
     2pDR^2 M times the difference of the two parabolas at x."""
-    R, p, q = len(vals) - 1, t.numerator, t.denominator
-    if not kept or kept[0][1][0] != 0 or kept[-1][2][0] != kept[-1][2][1]:
+    R, D, ks, vals, cuts = pq.R, pq.D, pq.ks, pq.vals, pq.cuts
+    p, q = pq.t.numerator, pq.t.denominator
+    if len(cuts) != len(ks) + 1 or cuts[0][0] != 0 or cuts[-1][0] != cuts[-1][1]:
         raise AssertionError("envelope does not tile [0, 1]")
-    for _, (lo_n, lo_d), (hi_n, hi_d) in kept:
-        if lo_n * hi_d >= hi_n * lo_d:
+    for (n, m), (n2, m2) in pairwise(cuts):
+        if n * m2 >= n2 * m:
             raise AssertionError("envelope piece of non-positive width")
-    for (i, _, (n, m)), (j, (n2, m2), _) in zip(kept, kept[1:]):
-        if n * m2 != n2 * m or i >= j:
-            raise AssertionError("envelope pieces do not share endpoints")
-        if 2 * p * R * R * m * (vals[i] - vals[j]) + q * den * (j - i) * (2 * n * R - (i + j) * m):
+    for (i, j), (I, J), (n, m) in zip(pairwise(ks), pairwise(vals), cuts[1:]):
+        if i >= j:
+            raise AssertionError("envelope vertices out of order")
+        if 2 * p * R * R * m * (I - J) + q * D * (j - i) * (2 * n * R - (i + j) * m):
             raise AssertionError("envelope discontinuous at a breakpoint")
 
 

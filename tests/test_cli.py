@@ -183,6 +183,27 @@ def test_point_literals_at_the_bit_limit():
     assert cli._point_literal("0e-999999999") == cli._point_literal("0e999999999") == 0
 
 
+@pytest.mark.parametrize("digits", [4250, 5000])
+def test_points_refuse_a_long_ratio_literal_unbuilt(capsys, spec_file, monkeypatch, digits):
+    # at 5000 digits Python's int-string limit ended the run with a message that
+    # named no point; at 4250 the numerator (about 14100 bits) was accepted
+    f = spec_file(SPEC_TAKAGI2)
+    real = cli.parse_rational
+    monkeypatch.setattr(cli, "parse_rational", lambda tok: pytest.fail("built it") if len(tok) > 4000 else real(tok))
+    for tok in ("1" * digits + "/3", "3/" + "1" * digits, "-" + "1" * digits):
+        want = f"pathfn: bad point {tok!r}: its numerator or denominator has more than 4215 digits\n"
+        for argv in (["eval", "--func", f, f"--points={tok}", "--mode", "float"], ["probe", "--func", f, f"--x={tok}", "--N", "2"]):
+            assert run(capsys, argv) == (2, "", want), argv
+
+
+def test_ratio_literals_at_the_digit_limit(capsys, spec_file):
+    assert cli._point_literal("1" * 4215 + "/3") == F(int("1" * 4215), 3)
+    assert cli._point_literal("-00007/" + "0" * 4210 + "8") == F(-7, 8)
+    # 4215 digits may still be past 2^14000: that is read off the value
+    code, out, err = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points=1/" + "9" * 4215])
+    assert (code, out) == (2, "") and "its exact value has more than 14000 bits" in err
+
+
 @pytest.mark.parametrize("tok", ["1e999999999", "1e-999999999"])
 def test_a_huge_decimal_exponent_is_refused_at_once(spec_file, tok):
     # building this value would take a billion-digit integer
@@ -518,6 +539,24 @@ def test_flow_csv_outputs(capsys, spec_file, tmp_path):
         ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4", "--samples", "5"],
     )
     assert code2 == 0 and "x,value" in out2
+
+
+def test_flow_csv_to_an_unwritable_path_exits_2(capsys, spec_file, tmp_path):
+    # used to end in a FileNotFoundError traceback with exit 1, the code of a violation
+    path = tmp_path / "missing" / "x.csv"
+    argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/4", "--samples", "3", "--csv", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith(f"pathfn: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
+def test_flow_report_does_not_build_as_json(capsys, spec_file, monkeypatch):
+    # the report's pieces are written from the envelope's integers, run by run
+    monkeypatch.setattr(PiecewiseQuadratic, "as_json", lambda self: pytest.fail("built the JSON pieces"))
+    for extra in (["--samples", "5"], ["--mode", "float", "--crosscheck", "4"]):
+        code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/1024", *extra])
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert code == 0 and len(doc["detail"]["envelope"]["pieces"]) == doc["detail"]["pieces"] == 257
 
 
 def test_float_flow_reports_its_error_bound(capsys, spec_file):

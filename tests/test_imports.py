@@ -145,7 +145,7 @@ _CLI_LAYER_NAMES = {
     "grid_values": "grid",
     "eval_exact_points": "core.funcs",
     "eval_approx": "core.funcs",
-    "dump_json": "core.scalars",
+    "write_json": "core.scalars",
 }
 
 

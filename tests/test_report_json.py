@@ -1,8 +1,10 @@
-"""The report encoder: ``dump_json`` writes what ``json.dumps(doc,
-sort_keys=True, indent=2)`` writes, byte for byte."""
+"""The report encoder: ``write_json`` and ``dump_json`` write what
+``json.dumps(doc, sort_keys=True, indent=2)`` writes, byte for byte."""
 
 import json
+import random
 import types
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 import pathfn.cli as cli
 import pathfn.core.scalars as scalars
-from pathfn.core.scalars import dump_json
+from pathfn.core.funcs import Distance, USeries
+from pathfn.core.scalars import _CHUNK_ROWS, Rows, dump_json, write_json
+from pathfn.flow import FlowQuery, _envelope_exact, flow_grid
 from conftest import SPEC_DISTANCE, SPEC_TAKAGI2
 
 
@@ -64,14 +68,56 @@ def test_dump_json_equals_the_stdlib_on_lists_of_flat_string_dicts(lists):
     assert dump_json(doc) == stdlib(doc)
 
 
-def test_dump_json_writes_flat_string_rows_without_a_call_per_value(monkeypatch):
+def envelopes():
+    """Envelopes from flow_grid at random t and n, exact and float, and
+    integer envelopes with more pieces than one run of report rows."""
+    rng = random.Random(23)
+    tau2 = USeries(2, Distance())
+    for mode in ("exact", "float"):
+        for _ in range(6):
+            n = rng.randint(0, 9)
+            t = F(1, 2 ** (n + 2)) * F(rng.randint(4, 40), 4)  # admissible at depth n for c = 2
+            yield flow_grid(FlowQuery(f=tau2, c=F(2), r=2, t=t, n=n, mode=mode))
+    for R in (_CHUNK_ROWS, 2 * _CHUNK_ROWS + 5):
+        # values within 4 of each other and (1/R)^2 / 2t = 8 keep every vertex
+        den = rng.randint(1, 10**6)
+        yield _envelope_exact([rng.randint(0, 4 * den) for _ in range(R + 1)], den, F(1, 16 * R * R))
+
+
+def test_the_streamed_envelope_is_the_stdlib_encoding_of_as_json():
+    sizes = []
+    for pq in envelopes():
+        writes = []
+        write_json({"detail": {"envelope": pq.as_report(), "pieces": len(pq.ks)}}, writes.append)
+        assert "".join(writes) == stdlib({"detail": {"envelope": pq.as_json(), "pieces": len(pq.ks)}})
+        assert dump_json(pq.as_report()) == stdlib(pq.as_json())
+        # a run of pieces per write: no write holds more than _CHUNK_ROWS of them
+        assert max(text.count('"x_lo"') for text in writes) == min(len(pq.ks), _CHUNK_ROWS)
+        sizes.append(len(pq.ks))
+    assert max(sizes) > 2 * _CHUNK_ROWS and min(sizes) <= 2
+
+
+def test_envelope_rows_are_written_without_a_call_per_value(monkeypatch):
     # an envelope's pieces go through one format template, not json.dumps per value
-    rows = [{"fz": f"{k}/7", "x_hi": f"{k + 1}/9", "x_lo": f"{k}/9", "z": f"{k}/8"} for k in range(1000)]
-    doc = {"detail": {"envelope": {"pieces": rows, "schema": "pathfn/1", "t": "1/4"}, "depth": 3}}
+    pq = _envelope_exact(list(range(3000, -1, -1)), 7, F(1, 10**8))
     calls = []
     monkeypatch.setattr(scalars, "json", types.SimpleNamespace(dumps=lambda v: calls.append(v) or json.dumps(v)))
-    text = dump_json(doc)
-    assert text == stdlib(doc) and len(calls) < 20
+    text = dump_json({"detail": {"envelope": pq.as_report(), "depth": 3}})
+    assert len(pq.ks) == 3001 and len(calls) < 20
+    assert text == stdlib({"detail": {"envelope": pq.as_json(), "depth": 3}})
+
+
+@pytest.mark.parametrize("keys, rows", [
+    (("a",), []),
+    (("a",), [("1",)]),
+    (("%s", 'a"b', "c\\"), [("1", "2", "3"), ("-4/5", "6", "7"), ("8", "9", "0")]),
+    (("k",), [(str(i),) for i in range(2 * _CHUNK_ROWS + 1)]),
+])
+def test_rows_are_written_as_their_list_of_objects(keys, rows):
+    objects = [dict(zip(keys, row)) for row in rows]
+    table = Rows(keys, len(rows), lambda lo, hi: rows[lo:hi])
+    for doc, want in (({"r": table}, {"r": objects}), ([table, 1], [objects, 1])):
+        assert dump_json(doc) == stdlib(want)
 
 
 SPEC_TAKAGI3 = {"kind": "takagi", "r": 3}
@@ -101,13 +147,28 @@ REPORTS = {
 }
 
 
+def plain(obj):
+    """``obj`` with each Rows as the list of objects it stands for."""
+    if isinstance(obj, Rows):
+        return [dict(zip(obj.keys, row)) for row in obj.rows(0, obj.count)]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_every_report_kind_is_the_stdlib_encoding(name, spec_file, monkeypatch, capsys):
     specs = {"tau2": SPEC_TAKAGI2, "tau3": SPEC_TAKAGI3, "dist": SPEC_DISTANCE, "usin": SPEC_USIN}
     argv, code = REPORTS[name]
     argv = [spec_file(specs[a[1:]], a[1:] + ".json") if a.startswith("@") else a for a in argv]
     seen = []
-    monkeypatch.setattr(cli, "dump_json", lambda doc: seen.append((doc, dump_json(doc))) or seen[-1][1])
+
+    def spy(doc, write):
+        parts = []
+        write_json(doc, lambda text: parts.append(text) or write(text))
+        seen.append((plain(doc), "".join(parts)))
+
+    monkeypatch.setattr(cli, "write_json", spy)
     assert cli.main(argv) == code
     ((doc, text),) = seen
     assert text == stdlib(doc)
