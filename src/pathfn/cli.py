@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from . import __version__
-# import order sets the heap layout and so peak RSS: keep scalars, points, funcs, parse
+# Import order sets the heap layout and so peak RSS.  Keep scalars, points,
+# funcs, parse, the order eval's and probe's peaks were measured in, although
+# alphabetical order read 0.1-0.2 MiB lower in every command when last measured.
 from .core.scalars import _CHUNK_ROWS, Approx, RationalFormatError, Scalar, format_rational, parse_rational, to_json, write_json
 from .core.points import radix_x_samples, radix_y_set
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, radix_product, supports_exact
@@ -82,8 +84,13 @@ SCHEMA = "pathfn/1"
 
 
 def _load_func(path: str, digest: bool = False) -> tuple[FuncExpr, Optional[str]]:
-    """The function in ``path`` and, if ``digest``, the SHA-256 of its bytes
-    (hashlib loads OpenSSL, so only the commands that print it import it)."""
+    """The function in ``path`` and, if ``digest``, the SHA-256 of its bytes.
+
+    The digest comes from CPython's built-in SHA-256 module (``_sha2`` from
+    3.12, ``_sha256`` before), the one hashlib falls back to without OpenSSL,
+    so it is the same hex string; importing hashlib would map OpenSSL's
+    libcrypto, about 3.4 MiB, into a process that hashes one small file.
+    ``hashlib`` is the fallback for an interpreter built without either."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -92,35 +99,41 @@ def _load_func(path: str, digest: bool = False) -> tuple[FuncExpr, Optional[str]
     f = parse_func_spec(raw.decode("utf-8"))
     if not digest:
         return f, None
-    import hashlib
-
-    return f, hashlib.sha256(raw).hexdigest()
-
-
-def _rat(text: str, what: str) -> Fraction:
     try:
-        return parse_rational(text)
-    except RationalFormatError as exc:
-        raise ValueError(f"bad {what}: {exc}") from exc
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return f, sha256(raw).hexdigest()
 
 
-def _point_literal(tok: str) -> Fraction:
-    """A point on the command line: 'p/q', an integer, or a finite decimal
-    literal, an exact rational (no float round trip) whose numerator and
-    denominator in lowest terms have at most ``_PRINTED_BITS`` bits each.
-    A literal far past that is refused before its value is built."""
-    parts = tok.strip().lstrip("+-").split("/")
+def _rat(text: str, what: str, decimals: bool = False) -> Fraction:
+    """The rational ``text`` of ``what`` (a flag, or a point): 'p/q', an
+    integer or, if ``decimals``, a finite decimal literal, an exact rational
+    (no float round trip) whose numerator and denominator in lowest terms have
+    at most ``_PRINTED_BITS`` bits each.  A literal far past that is refused
+    before its value is built."""
+    parts = text.strip().lstrip("+-").split("/")
     # an integer or 'p/q' whose parts are written with at most _PRINTED_DIGITS digits
     # is built, under Python's int-string limit, and its bits are counted
     if len(parts) <= 2 and all(map(str.isdecimal, parts)) and max(map(len, parts)) > _PRINTED_DIGITS:
-        raise ValueError(f"bad point {tok!r}: its numerator or denominator has more than {_PRINTED_DIGITS} digits")
+        raise ValueError(f"bad {what}: its numerator or denominator has more than {_PRINTED_DIGITS} digits")
     try:
-        x = parse_rational(tok)
-    except RationalFormatError:
-        x = _decimal_literal(tok)
+        x = parse_rational(text)
+    except RationalFormatError as exc:
+        if not decimals:
+            raise ValueError(f"bad {what}: {exc}") from exc
+        x = _decimal_literal(text)
     if max(x.numerator.bit_length(), x.denominator.bit_length()) > _PRINTED_BITS:
-        raise ValueError(f"bad point {tok!r}: its exact value has more than {_PRINTED_BITS} bits")
+        raise ValueError(f"bad {what}: its exact value has more than {_PRINTED_BITS} bits")
     return x
+
+
+def _point_literal(tok: str) -> Fraction:
+    """A point on the command line, read by ``_rat`` with decimals allowed."""
+    return _rat(tok, f"point {tok!r}", decimals=True)
 
 
 def _decimal_literal(tok: str) -> Fraction:
@@ -183,7 +196,8 @@ def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     # Imported here, after pathfn's modules are compiled, for the reason
-    # given at _COMMAND_LAYER.
+    # given at _COMMAND_LAYER; imported at the top of this module, it raised
+    # every command's peak by 0.1-0.4 MiB.
     import argparse
 
     top = argparse.ArgumentParser(prog="pathfn", description=__doc__.splitlines()[0])
@@ -478,8 +492,8 @@ _COMMANDS = {
 
 # The layer each command runs (it imports the ones below it).  main imports it
 # before argparse, so that argparse's objects reuse the heap that compiling
-# the layer freed; compiled after argparse and hashlib, flow's crosscheck runs
-# peaked 0.5-0.7 MiB higher.
+# the layer freed; compiled after argparse, flow's tau2 crosscheck peaked
+# 0.3 MiB higher and the exact membership and identity scans 0.1-0.2 MiB.
 _COMMAND_LAYER = {
     "membership": "differences",
     "probe": "differences",
@@ -500,6 +514,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
+        if args.cap < 0:
+            raise ValueError("--cap must be >= 0")
         return _COMMANDS[args.command](args)
     except (PathfnError, ValueError) as exc:
         sys.stderr.write(f"pathfn: {exc}\n")

@@ -197,8 +197,11 @@ def test_points_refuse_a_long_ratio_literal_unbuilt(capsys, spec_file, monkeypat
 
 
 def test_ratio_literals_at_the_digit_limit(capsys, spec_file):
-    assert cli._point_literal("1" * 4215 + "/3") == F(int("1" * 4215), 3)
-    assert cli._point_literal("-00007/" + "0" * 4210 + "8") == F(-7, 8)
+    for read in (cli._point_literal, lambda tok: cli._rat(tok, "--c")):
+        assert read("1" * 4215 + "/3") == F(int("1" * 4215), 3)
+        assert read("-00007/" + "0" * 4210 + "8") == F(-7, 8)
+    with pytest.raises(ValueError, match=r"^bad --m: not a rational literal: '0\.5'$"):
+        cli._rat("0.5", "--m")  # decimals are points' alone
     # 4215 digits may still be past 2^14000: that is read off the value
     code, out, err = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points=1/" + "9" * 4215])
     assert (code, out) == (2, "") and "its exact value has more than 14000 bits" in err
@@ -1026,3 +1029,106 @@ def test_reports_carry_schema_and_inputs(capsys, spec_file):
     assert doc["command"] == "membership"
     assert isinstance(doc["timing_ms"], float)
     assert doc["mode"] == "exact"
+
+
+# ------------------------------------------------------ flags and digests
+
+# One command per rational flag other than the points; "TOK" is the flag's value.
+_RATIONAL_FLAGS = [
+    ("--c", ["membership", "--func", "F", "--c=TOK", "--r", "2", "--nmax", "1", "--ydepth", "1"]),
+    ("--c", ["flow", "--func", "F", "--c=TOK", "--t", "1/4"]),
+    ("--t", ["flow", "--func", "F", "--c", "2", "--t=TOK"]),
+    ("--y", ["probe", "--func", "F", "--x", "1/3", "--N", "2", "--y=TOK"]),
+    ("--m", ["bounds", "--psi", "P", "--m=TOK", "--alpha", "0", "--r", "2"]),
+    ("--alpha", ["bounds", "--psi", "P", "--m", "1", "--alpha=TOK", "--r", "2"]),
+]
+
+
+def _flag_argv(spec_file, argv, tok):
+    files = {"F": spec_file(SPEC_TAKAGI2, "takagi2.json"), "P": spec_file(SPEC_DISTANCE, "dist.json")}
+    return [files.get(a, a.replace("TOK", tok)) for a in argv]
+
+
+@pytest.mark.parametrize("digits", [4250, 5000])
+@pytest.mark.parametrize("flag, argv", _RATIONAL_FLAGS, ids=[f"{a[0]}{f}" for f, a in _RATIONAL_FLAGS])
+def test_rational_flags_refuse_a_long_literal_unbuilt(capsys, spec_file, monkeypatch, flag, argv, digits):
+    # at 5000 digits Python's int-string limit ended the run with a message that
+    # named no flag; at 4250 the value (about 14100 bits) was accepted
+    real = cli.parse_rational
+    monkeypatch.setattr(cli, "parse_rational", lambda tok: pytest.fail("built it") if len(tok) > 4000 else real(tok))
+    want = f"pathfn: bad {flag}: its numerator or denominator has more than 4215 digits\n"
+    for tok in ("1" * digits + "/3", "3/" + "1" * digits, "-" + "1" * digits):
+        assert run(capsys, _flag_argv(spec_file, argv, tok)) == (2, "", want), tok
+
+
+@pytest.mark.parametrize("flag, argv", _RATIONAL_FLAGS, ids=[f"{a[0]}{f}" for f, a in _RATIONAL_FLAGS])
+def test_rational_flags_refuse_a_value_past_the_bit_limit(capsys, spec_file, flag, argv):
+    # 4215 digits may still be past 2^14000: that is read off the value
+    want = f"pathfn: bad {flag}: its exact value has more than 14000 bits\n"
+    assert run(capsys, _flag_argv(spec_file, argv, "1/" + "9" * 4215)) == (2, "", want)
+
+
+_EVERY_COMMAND = {
+    "eval": ["eval", "--func", "F", "--points", "1/3"],
+    "membership": ["membership", "--func", "F", "--c", "2", "--r", "2", "--nmax", "1", "--ydepth", "1"],
+    "identity": ["identity", "--psi", "P", "--r", "2", "--nmax", "1", "--ydepth", "1"],
+    "flow": ["flow", "--func", "F", "--c", "2", "--t", "1/4"],
+    "probe": ["probe", "--func", "F", "--x", "1/3", "--N", "2"],
+    "bounds": ["bounds", "--psi", "P", "--m", "1", "--alpha", "0", "--r", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_a_negative_cap_is_refused_up_front(capsys, spec_file, command):
+    # flow read "scan of 0 sample rows exceeds cap -1", eval "series orbit of 1/3 exceeded -5 steps"
+    for cap in ("-1", "-5"):
+        argv = _flag_argv(spec_file, _EVERY_COMMAND[command], "") + ["--cap", cap]
+        assert run(capsys, argv) == (2, "", "pathfn: --cap must be >= 0\n"), cap
+
+
+# The commands whose report prints the SHA-256 of the spec file, and its key.
+_DIGESTS = {
+    "membership": ("func_sha256", ["membership", "--c", "2", "--r", "2", "--nmax", "2", "--ydepth", "1"]),
+    "identity": ("psi_sha256", ["identity", "--r", "2", "--nmax", "2", "--ydepth", "1"]),
+    "bounds": ("psi_sha256", ["bounds", "--m", "1", "--alpha", "0", "--r", "2", "--nmax", "2", "--ydepth", "1"]),
+    "flow": ("func_sha256", ["flow", "--c", "2", "--t", "1/4"]),
+}
+# "١" is ARABIC-INDIC DIGIT ONE: the rational literal 1 written in two non-ASCII bytes
+_NON_ASCII = {"func": '{"kind": "scale", "a": "١", "child": {"kind": "takagi", "r": 2}}',
+              "psi": '{"kind": "scale", "a": "١", "child": {"kind": "distance"}}'}
+
+
+def _spec_bytes(command: str, padded: bool) -> bytes:
+    text = _NON_ASCII["psi" if _DIGESTS[command][0] == "psi_sha256" else "func"]
+    return (text + " " * (1 << 20) + "\n" if padded else text).encode("utf-8")
+
+
+def _digest_of_report(capsys, tmp_path, command: str, raw: bytes) -> str:
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    key, argv = _DIGESTS[command]
+    flag = "--psi" if key == "psi_sha256" else "--func"
+    code, out, err = run(capsys, [argv[0], flag, str(path), *argv[1:]])
+    assert code in (0, 1) and err == "", err
+    return json.loads(out)["inputs"][key]
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["non-ascii", "padded-1MiB"])
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_report_digest_is_the_sha256_of_the_spec_bytes(capsys, tmp_path, command, padded):
+    raw = _spec_bytes(command, padded)
+    assert max(raw) > 0x7F and len(raw) >= (1 << 20 if padded else 1)
+    assert _digest_of_report(capsys, tmp_path, command, raw) == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_report_digest_falls_back_to_hashlib(capsys, tmp_path, monkeypatch, command):
+    # an interpreter built without CPython's own SHA-256 modules hashes with hashlib
+    raw = _spec_bytes(command, padded=True)
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(len(data)) or real(data))
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert _digest_of_report(capsys, tmp_path, command, raw) == real(raw).hexdigest()
+    assert hashed == [len(raw)]

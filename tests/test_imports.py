@@ -1,6 +1,7 @@
 """Start-up: ``import pathfn`` is lazy, each subcommand loads only the layers
-it runs, only the commands that print a spec digest import hashlib, and none
-imports dataclasses or the audits."""
+it runs, and none imports dataclasses, the audits or hashlib: the commands
+that print a spec digest take SHA-256 from CPython's built-in module, so no
+command maps OpenSSL."""
 
 import importlib
 import json
@@ -18,10 +19,11 @@ from conftest import SPEC_DISTANCE, SPEC_TAKAGI2
 ROOT = Path(__file__).resolve().parent.parent
 
 # The modules a command may or may not load; the core layer is always loaded.
-OPTIONAL = {"pathfn.differences", "pathfn.series", "pathfn.flow", "hashlib"}
+OPTIONAL = {"pathfn.differences", "pathfn.series", "pathfn.flow"}
 # What no command loads: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``;
-# ``pathfn.audit`` holds the oracles that check the layers from outside.
-NEVER = {"dataclasses", "inspect", "pathfn.audit"}
+# ``pathfn.audit`` holds the oracles that check the layers from outside; ``hashlib`` imports
+# ``_hashlib``, which maps OpenSSL's libcrypto.
+NEVER = {"dataclasses", "inspect", "pathfn.audit", "hashlib", "_hashlib"}
 
 _REPORT_MODULES = (
     "import json, sys\n"
@@ -45,12 +47,12 @@ _LOADS = [
     ("eval-float", ["eval", *TAKAGI, "--points", "1/3", "--mode", "float"], set()),
     ("probe", ["probe", *TAKAGI, "--x", "1/3", "--N", "3"], {"pathfn.differences"}),
     ("membership", ["membership", *TAKAGI, "--c", "1/8", "--r", "2", "--nmax", "2", "--ydepth", "2"],
-     {"pathfn.differences", "hashlib"}),
+     {"pathfn.differences"}),
     ("identity", ["identity", *PSI, "--nmax", "2", "--ydepth", "2"],
-     {"pathfn.differences", "pathfn.series", "hashlib"}),
+     {"pathfn.differences", "pathfn.series"}),
     ("bounds", ["bounds", *PSI, "--m", "1", "--alpha", "0"],
-     {"pathfn.differences", "pathfn.series", "hashlib"}),
-    ("flow", ["flow", *TAKAGI, "--c", "2", "--t", "1/8"], {"pathfn.differences", "pathfn.flow", "hashlib"}),
+     {"pathfn.differences", "pathfn.series"}),
+    ("flow", ["flow", *TAKAGI, "--c", "2", "--t", "1/8"], {"pathfn.differences", "pathfn.flow"}),
 ]
 
 
@@ -63,7 +65,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads):
     assert code == 0, proc.stderr
     assert OPTIONAL.intersection(modules) == loads
     # value classes are records, built without generated code; a bare
-    # interpreter loads neither module, and no command runs an audit
+    # interpreter loads neither module, no command runs an audit, and the
+    # spec digest does not load OpenSSL
     assert NEVER.isdisjoint(modules), NEVER.intersection(modules)
 
 
