@@ -16,7 +16,6 @@ message on stderr) leaves stdout empty.
 
 from __future__ import annotations
 
-import decimal
 import sys
 import time
 from fractions import Fraction
@@ -26,19 +25,12 @@ from . import __version__
 # Import order sets the heap layout and so peak RSS.  Keep scalars, points,
 # funcs, parse, the order eval's and probe's peaks were measured in, although
 # alphabetical order read 0.1-0.2 MiB lower in every command when last measured.
-from .core.scalars import _CHUNK_ROWS, Approx, RationalFormatError, Scalar, format_rational, parse_rational, to_json, write_json
+from .core.scalars import (_CHUNK_ROWS, _PRINTED_BITS, Approx, RationalFormatError, Scalar, format_rational,
+                           parse_rational, to_json, write_json)
 from .core.points import radix_x_samples, radix_y_set
 from .core.funcs import FuncExpr, USeries, eval_approx, eval_exact_points, radix_product, supports_exact
 from .core.parse import parse_func_spec
-from .errors import (
-    _PRINTED_BITS,
-    _PRINTED_DIGITS,
-    DEFAULT_TRIPLET_CAP,
-    OrbitLimitError,
-    PathfnError,
-    cap_depth,
-    check_scan_cap,
-)
+from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, PathfnError, cap_depth, check_scan_cap
 
 if TYPE_CHECKING:
     import argparse
@@ -110,46 +102,11 @@ def _load_func(path: str, digest: bool = False) -> tuple[FuncExpr, Optional[str]
 
 
 def _rat(text: str, what: str, decimals: bool = False) -> Fraction:
-    """The rational ``text`` of ``what`` (a flag, or a point): 'p/q', an
-    integer or, if ``decimals``, a finite decimal literal, an exact rational
-    (no float round trip) whose numerator and denominator in lowest terms have
-    at most ``_PRINTED_BITS`` bits each.  A literal far past that is refused
-    before its value is built."""
-    parts = text.strip().lstrip("+-").split("/")
-    # an integer or 'p/q' whose parts are written with at most _PRINTED_DIGITS digits
-    # is built, under Python's int-string limit, and its bits are counted
-    if len(parts) <= 2 and all(map(str.isdecimal, parts)) and max(map(len, parts)) > _PRINTED_DIGITS:
-        raise ValueError(f"bad {what}: its numerator or denominator has more than {_PRINTED_DIGITS} digits")
+    """``parse_rational(text, decimals)``, its refusal naming ``what`` (a flag, or a point)."""
     try:
-        x = parse_rational(text)
+        return parse_rational(text, decimals)
     except RationalFormatError as exc:
-        if not decimals:
-            raise ValueError(f"bad {what}: {exc}") from exc
-        x = _decimal_literal(text)
-    if max(x.numerator.bit_length(), x.denominator.bit_length()) > _PRINTED_BITS:
-        raise ValueError(f"bad {what}: its exact value has more than {_PRINTED_BITS} bits")
-    return x
-
-
-def _point_literal(tok: str) -> Fraction:
-    """A point on the command line, read by ``_rat`` with decimals allowed."""
-    return _rat(tok, f"point {tok!r}", decimals=True)
-
-
-def _decimal_literal(tok: str) -> Fraction:
-    try:
-        d = decimal.Decimal(tok)
-    except decimal.InvalidOperation as exc:
-        raise ValueError(f"bad point {tok!r}") from exc
-    if not d.is_finite():
-        raise ValueError(f"bad point {tok!r}: not a finite number")
-    _, digits, exp = d.as_tuple()
-    m = "".join(map(str, digits)).rstrip("0")
-    # the value is m * 10^e: once len(m) + |e| passes 4 * _PRINTED_BITS, its numerator
-    # or denominator in lowest terms is far past the limit, and it is refused unbuilt
-    if m and len(m) + abs(exp + len(digits) - len(m)) > 4 * _PRINTED_BITS:
-        raise ValueError(f"bad point {tok!r}: its exact value has more than {_PRINTED_BITS} bits")
-    return Fraction(d)
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _root_radix(f: FuncExpr, fallback: int = 2) -> int:
@@ -269,7 +226,7 @@ def cmd_eval(args) -> int:
         check_scan_cap(args.cap, 0, base ** cap_depth(args.grid, args.cap))
         xs = radix_x_samples(base, args.grid)
     else:
-        xs = [_point_literal(tok.strip()) for tok in args.points.split(",")]
+        xs = [_rat(tok, f"point {tok!r}", decimals=True) for tok in args.points.split(",")]
     rows: List[str] = []
     if args.mode == "exact":
         if not supports_exact(f):
@@ -433,7 +390,7 @@ def cmd_probe(args) -> int:
     f, _ = _load_func(args.func)
     r = args.r if args.r is not None else _root_radix(f)
     y = _rat(args.y, "--y")
-    x = _point_literal(args.x)
+    x = _rat(args.x, f"point {args.x!r}", decimals=True)
     mode = "auto" if args.mode == "exact" else "float"
     check_scan_cap(args.cap, 3 * (args.depth + 1), unit="point evaluations")
     rows = _lazy.divergence_probe(f, x, args.depth, y=y, r=r, mode=mode)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,6 +77,13 @@ TAIL_TARGET = Fraction(1, 10**12)
 
 # Entries kept by each cache of bounds keyed on expression trees or radixes.
 _BOUND_CACHE_SIZE = 256
+
+# The most pieces a sum or a dilation has: past it ``piecewise`` gives None,
+# and the node's own rules evaluate it, in O(Q) on a grid of Q.
+_MAX_PIECES = 256
+# The highest power of a distance_power leaf: its pieces hold p + 1
+# coefficients, and certifying their sign takes O(p^2) rational operations.
+_MAX_POWER = 16
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -192,8 +199,8 @@ class DistancePower(PolyLeaf):
     power: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.power, int) or self.power < 1:
-            raise FuncSpecError(f"distance power must be an integer >= 1, got {self.power!r}")
+        if not isinstance(self.power, int) or not 1 <= self.power <= _MAX_POWER:
+            raise FuncSpecError(f"distance power must be an integer from 1 to {_MAX_POWER}, got {self.power!r}")
 
     def piecewise(self) -> PiecewisePoly:
         mono = tuple([_ZERO] * self.power + [_ONE])  # t^p
@@ -337,14 +344,13 @@ class Sum(FuncExpr):
         if any(s is None for s in subs):
             return None
         cuts = sorted({b for s in subs for piece in s for b in (piece[0], piece[1])})
-        out = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            acc: Coeffs = (_ZERO,)
-            for s in subs:
-                piece = next(p for p in s if p[0] <= lo and hi <= p[1])
-                acc = poly_add(acc, piece[2])
-            out.append((lo, hi, acc))
-        return tuple(out)
+        if len(cuts) > _MAX_PIECES + 1:
+            return None
+        place = {b: i for i, b in enumerate(cuts)}
+        # each child's coefficients on each interval between cuts, in order: a
+        # piece spans the intervals from its lo to its hi
+        cols = [[cs for lo, hi, cs in s for _ in range(place[hi] - place[lo])] for s in subs]
+        return tuple((lo, hi, reduce(poly_add, col, (_ZERO,))) for lo, hi, *col in zip(cuts, cuts[1:], *cols))
 
     def sup_abs(self) -> Fraction:
         return sum((sup_abs_bound(c) for c in self.children), _ZERO)
@@ -389,7 +395,7 @@ class Dilate(FuncExpr):
 
     def piecewise(self) -> Optional[PiecewisePoly]:
         sub = as_piecewise_poly(self.child)
-        if sub is None:
+        if sub is None or self.m * len(sub) > _MAX_PIECES:
             return None
         out = []
         for k in range(self.m):

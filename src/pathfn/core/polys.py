@@ -17,6 +17,11 @@ Coeffs = Tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 
+# Subdivision levels of the Bernstein hull: of a sup |p| bound, and of the
+# sign certificate before it gives up as undecided.
+_SUP_DEPTH = 4
+_NONNEG_DEPTH = 8
+
 
 def poly_normalize(coeffs: Sequence[Fraction]) -> Coeffs:
     cs = tuple(Fraction(c) for c in coeffs)
@@ -95,11 +100,11 @@ def _bernstein_leaves(b: Tuple[Fraction, ...], depth: int):
     yield from _bernstein_leaves(hi, depth - 1)
 
 
-def poly_sup_abs(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, depth: int = 4) -> Fraction:
+def poly_sup_abs(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
     """Certified upper bound on sup |p| over [lo, hi].
 
     Exact for degree <= 2 (endpoints plus the rational critical point);
-    otherwise the max-|Bernstein-coefficient| hull bound after ``depth``
+    otherwise the max-|Bernstein-coefficient| hull bound after ``_SUP_DEPTH``
     subdivision levels.
     """
     cs = poly_normalize(coeffs)
@@ -109,7 +114,7 @@ def poly_sup_abs(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, depth: 
         return max(abs(poly_eval(cs, x)) for x in _quadratic_candidates(cs, lo, hi))
     on01 = poly_compose_affine(cs, lo, hi - lo)
     b = bernstein_coeffs(on01)
-    return max(max(abs(c) for c in leaf) for leaf in _bernstein_leaves(b, depth))
+    return max(max(abs(c) for c in leaf) for leaf in _bernstein_leaves(b, _SUP_DEPTH))
 
 
 def _quadratic_candidates(cs: Coeffs, lo: Fraction, hi: Fraction) -> Tuple[Fraction, ...]:
@@ -122,15 +127,13 @@ def _quadratic_candidates(cs: Coeffs, lo: Fraction, hi: Fraction) -> Tuple[Fract
     return (lo, hi)
 
 
-def certify_nonneg(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction, depth: int = 8
-) -> Union[bool, Fraction, None]:
+def certify_nonneg(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Union[bool, Fraction, None]:
     """Decide p >= 0 on [lo, hi] when possible.
 
     Returns True (certified nonnegative), an exact point x in [lo, hi] with
-    p(x) < 0, or None when subdivision up to ``depth`` is inconclusive
-    (possible at an interior tangency to zero).  A witness may be 0, so test
-    the result with ``is True`` / ``is None``.
+    p(x) < 0, or None when ``_NONNEG_DEPTH`` subdivision levels are
+    inconclusive (possible at an interior tangency to zero).  A witness may
+    be 0, so test the result with ``is True`` / ``is None``.
     """
     cs = poly_normalize(coeffs)
     if hi <= lo:
@@ -150,7 +153,7 @@ def certify_nonneg(
             return lo + (hi - lo) * Fraction(j, 2**level)
         if b[-1] < 0:
             return lo + (hi - lo) * Fraction(j + 1, 2**level)
-        if level == depth:
+        if level == _NONNEG_DEPTH:
             return None
         out: Optional[bool] = True
         for half, jj in zip(_decasteljau_split(b), (2 * j, 2 * j + 1)):

@@ -12,32 +12,63 @@ from __future__ import annotations
 import json
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter, ge, gt, le, lt
 from typing import Callable, Iterable, Iterator, List, Tuple, Union
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
 _INF = math.inf
+
+# The size bounds of every rational literal, and of the counts that refusals
+# print exactly: 2^14000 has 4215 digits, below Python's default limit of
+# 4300 for int-to-string conversion.
+_PRINTED_BITS = 14000
+_PRINTED_DIGITS = 4215  # an integer of more digits has more than _PRINTED_BITS bits
+
+# The ASCII literals: (numerator, denominator) of an integer or 'p/q'; (whole
+# part, fraction part, exponent sign, exponent digits) of a decimal.
+_RATIO_RE = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?")
+_NON_FINITE_RE = re.compile(r"[+-]?(?:inf(?:inity)?|s?nan[0-9]*)", re.IGNORECASE)
 
 
 class RationalFormatError(ValueError):
-    """Raised for literals that are not integers or 'p/q' strings."""
+    """Raised for a rational literal that is malformed or too long."""
 
 
-def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse a rational literal: an integer or a string like ``"3/4"`` / ``"-2"``."""
-    if isinstance(text, bool):
+def parse_rational(text: Union[str, int], decimals: bool = False) -> Fraction:
+    """The rational that ``text`` writes: an int, or an ASCII string, with
+    spaces around it, of an integer, ``"p/q"`` or, if ``decimals``, a finite
+    decimal such as ``"-2.5e-3"`` (exactly: ``"0.1"`` is 1/10).  A numerator
+    or denominator written with more than ``_PRINTED_DIGITS`` digits is
+    refused unbuilt, and so is a value whose numerator or denominator in
+    lowest terms has more than ``_PRINTED_BITS`` bits."""
+    s = text.strip(" \t\n\r\v\f") if isinstance(text, str) else ""
+    if isinstance(text, int) and not isinstance(text, bool):
+        x = Fraction(text)
+    elif m := _RATIO_RE.fullmatch(s):
+        if max(len(m[1]), len(m[2] or "")) > _PRINTED_DIGITS:
+            raise RationalFormatError(f"its numerator or denominator has more than {_PRINTED_DIGITS} digits")
+        if m[2] and not m[2].strip("0"):
+            raise RationalFormatError(f"zero denominator: {text!r}")
+        x = Fraction(s)
+    elif decimals and (m := _DECIMAL_RE.fullmatch(s)) and (m[1] or m[2]):
+        whole, frac, exp_sign, exp = m.groups("")
+        body = (whole + frac).rstrip("0")
+        digits = body.lstrip("0")
+        # the value is int(digits) * 10^e: once len(digits) + |e| passes 4 * _PRINTED_BITS,
+        # its numerator or denominator in lowest terms is far past the limit
+        e = len(whole) - len(body) + int(exp_sign + exp or 0) if len(exp) <= _PRINTED_DIGITS else _INF
+        if digits and len(digits) + abs(e) > 4 * _PRINTED_BITS:
+            raise RationalFormatError(f"its exact value has more than {_PRINTED_BITS} bits")
+        x = Fraction(Decimal(s)) if digits else Fraction(0)  # zero at any exponent
+    elif decimals and _NON_FINITE_RE.fullmatch(s):
+        raise RationalFormatError("not a finite number")
+    else:
         raise RationalFormatError(f"not a rational literal: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        s = text.strip()
-        if _RATIONAL_RE.match(s):
-            if "/" in s and int(s.split("/")[1]) == 0:
-                raise RationalFormatError(f"zero denominator: {text!r}")
-            return Fraction(s)
-    raise RationalFormatError(f"not a rational literal: {text!r}")
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > _PRINTED_BITS:
+        raise RationalFormatError(f"its exact value has more than {_PRINTED_BITS} bits")
+    return x
 
 
 def format_rational(q: Fraction) -> str:

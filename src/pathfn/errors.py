@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .core.scalars import _PRINTED_BITS
+
 
 class PathfnError(Exception):
     """Base class for all domain errors."""
@@ -44,11 +46,6 @@ class AmbiguousEnvelopeError(PathfnError):
 
 
 DEFAULT_TRIPLET_CAP = 10**7
-
-# Refusals print counts of at most this many bits exactly: 2^14000 has 4215
-# digits, below Python's default limit of 4300 for int-to-string conversion.
-_PRINTED_BITS = 14000
-_PRINTED_DIGITS = 4215  # an integer of more digits has more than _PRINTED_BITS bits
 
 
 def cap_depth(depth: int, cap: int) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 import pathfn.cli as cli
 import pathfn.core.funcs
+import pathfn.core.scalars
 import pathfn.differences
 import pathfn.flow
 import pathfn.grid
@@ -174,13 +175,18 @@ def test_points_refuse_a_decimal_too_long_to_print(capsys, spec_file, tok):
         assert (code, out) == (2, "") and f"bad point {tok!r}: its exact value has more than 14000 bits" in err
 
 
+def _point(tok):
+    """A point on the command line: a rational literal, decimals allowed."""
+    return cli._rat(tok, f"point {tok!r}", decimals=True)
+
+
 def test_point_literals_at_the_bit_limit():
-    assert cli._point_literal("1e4214") == 10**4214
-    assert cli._point_literal("-1e-4214") == F(-1, 10**4214)
-    assert cli._point_literal("0.50000") == F(1, 2)
+    assert _point("1e4214") == 10**4214
+    assert _point("-1e-4214") == F(-1, 10**4214)
+    assert _point("0.50000") == F(1, 2)
     # trailing zeros are not digits of the value, and zero is zero at any exponent
-    assert cli._point_literal("1" + "0" * 60000 + "e-60000") == 1
-    assert cli._point_literal("0e-999999999") == cli._point_literal("0e999999999") == 0
+    assert _point("1" + "0" * 60000 + "e-60000") == 1
+    assert _point("0e-999999999") == _point("0e999999999") == 0
 
 
 @pytest.mark.parametrize("digits", [4250, 5000])
@@ -188,8 +194,9 @@ def test_points_refuse_a_long_ratio_literal_unbuilt(capsys, spec_file, monkeypat
     # at 5000 digits Python's int-string limit ended the run with a message that
     # named no point; at 4250 the numerator (about 14100 bits) was accepted
     f = spec_file(SPEC_TAKAGI2)
-    real = cli.parse_rational
-    monkeypatch.setattr(cli, "parse_rational", lambda tok: pytest.fail("built it") if len(tok) > 4000 else real(tok))
+    real = pathfn.core.scalars.Fraction
+    monkeypatch.setattr(pathfn.core.scalars, "Fraction",
+                        lambda v: pytest.fail("built it") if isinstance(v, str) and len(v) > 4000 else real(v))
     for tok in ("1" * digits + "/3", "3/" + "1" * digits, "-" + "1" * digits):
         want = f"pathfn: bad point {tok!r}: its numerator or denominator has more than 4215 digits\n"
         for argv in (["eval", "--func", f, f"--points={tok}", "--mode", "float"], ["probe", "--func", f, f"--x={tok}", "--N", "2"]):
@@ -197,7 +204,7 @@ def test_points_refuse_a_long_ratio_literal_unbuilt(capsys, spec_file, monkeypat
 
 
 def test_ratio_literals_at_the_digit_limit(capsys, spec_file):
-    for read in (cli._point_literal, lambda tok: cli._rat(tok, "--c")):
+    for read in (_point, lambda tok: cli._rat(tok, "--c")):
         assert read("1" * 4215 + "/3") == F(int("1" * 4215), 3)
         assert read("-00007/" + "0" * 4210 + "8") == F(-7, 8)
     with pytest.raises(ValueError, match=r"^bad --m: not a rational literal: '0\.5'$"):
@@ -1054,8 +1061,9 @@ def _flag_argv(spec_file, argv, tok):
 def test_rational_flags_refuse_a_long_literal_unbuilt(capsys, spec_file, monkeypatch, flag, argv, digits):
     # at 5000 digits Python's int-string limit ended the run with a message that
     # named no flag; at 4250 the value (about 14100 bits) was accepted
-    real = cli.parse_rational
-    monkeypatch.setattr(cli, "parse_rational", lambda tok: pytest.fail("built it") if len(tok) > 4000 else real(tok))
+    real = pathfn.core.scalars.Fraction
+    monkeypatch.setattr(pathfn.core.scalars, "Fraction",
+                        lambda v: pytest.fail("built it") if isinstance(v, str) and len(v) > 4000 else real(v))
     want = f"pathfn: bad {flag}: its numerator or denominator has more than 4215 digits\n"
     for tok in ("1" * digits + "/3", "3/" + "1" * digits, "-" + "1" * digits):
         assert run(capsys, _flag_argv(spec_file, argv, tok)) == (2, "", want), tok
@@ -1066,6 +1074,58 @@ def test_rational_flags_refuse_a_value_past_the_bit_limit(capsys, spec_file, fla
     # 4215 digits may still be past 2^14000: that is read off the value
     want = f"pathfn: bad {flag}: its exact value has more than 14000 bits\n"
     assert run(capsys, _flag_argv(spec_file, argv, "1/" + "9" * 4215)) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["membership", "--func", "F", "--c", "\u0662", "--r", "2", "--nmax", "1", "--ydepth", "1"],
+     "bad --c: not a rational literal: '\u0662'"),
+    (["eval", "--func", "F", "--points", "\u0661/\u0663"], "bad point '\u0661/\u0663': not a rational literal: '\u0661/\u0663'"),
+    (["flow", "--func", "F", "--c", "2", "--t", "\u0661/\u0664"], "bad --t: not a rational literal: '\u0661/\u0664'"),
+    (["probe", "--func", "F", "--x", "\uff11/3", "--N", "2"], "bad point '\uff11/3': not a rational literal: '\uff11/3'"),
+], ids=["membership-c", "eval-points", "flow-t", "probe-x"])
+def test_literals_with_non_ascii_digits_are_refused(capsys, spec_file, argv, want):
+    # ARABIC-INDIC and FULLWIDTH digits are decimal digits to Python, and were read as such
+    assert run(capsys, _flag_argv(spec_file, argv, "")) == (2, "", f"pathfn: {want}\n")
+
+
+@pytest.mark.parametrize("a, want", [
+    ('"\u0661"', "not a rational literal: '\u0661'"),
+    ('"1/3"'.replace("1", "1" * 4250), "its numerator or denominator has more than 4215 digits"),
+    ('"-1"'.replace("1", "1" * 5000), "its numerator or denominator has more than 4215 digits"),
+    ("1" * 4250, "its exact value has more than 14000 bits"),
+], ids=["non-ascii", "4250-digits", "5000-digits", "4250-digit-int"])
+def test_spec_literals_are_read_as_flags_are(capsys, tmp_path, a, want):
+    # a 4250-digit literal (about 14100 bits) was accepted in a spec; at 5000 digits
+    # Python's int-string limit refused it with a message that named no field
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"kind": "scale", "a": {a}, "child": {{"kind": "takagi", "r": 2}}}}', encoding="utf-8")
+    assert run(capsys, ["eval", "--func", str(path), "--points", "1/3"]) == (2, "", f"pathfn: $.a: {want}\n")
+
+
+# Specs whose piecewise forms were built in full: m copies of the child's pieces
+# for a dilation, p + 1 coefficients for a distance power, and a linear search
+# per cut of a sum.  They took 9 s to well over 30 s, or ran out of memory.
+_BIG_NODES = [
+    ('{"kind": "dilate", "m": 1000000000000, "child": {"kind": "distance"}}', "1/3"),
+    ('{"kind": "sum", "terms": [{"kind": "dilate", "m": 1000, "child": {"kind": "distance"}}, '
+     '{"kind": "dilate", "m": 1001, "child": {"kind": "distance"}}]}', "2/3"),
+    ('{"kind": "sum", "terms": [{"kind": "dilate", "m": 10000, "child": {"kind": "distance"}}, '
+     '{"kind": "dilate", "m": 10001, "child": {"kind": "distance"}}]}', "2/3"),
+    ('{"kind": "distance_power", "p": 1000000000}', None),
+]
+
+
+@pytest.mark.parametrize("doc, value", _BIG_NODES, ids=["dilate-1e12", "sum-1000", "sum-10000", "power-1e9"])
+def test_large_dilations_and_powers_end_at_once(tmp_path, doc, value):
+    (tmp_path / "f.json").write_text(doc, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pathfn", "eval", "--func", "f.json", "--points", "1/3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    if value is None:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "pathfn: $: distance power must be an integer from 1 to 16, got 1000000000\n"
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"x,value\n1/3,{value}\n", "")
 
 
 _EVERY_COMMAND = {
@@ -1093,9 +1153,10 @@ _DIGESTS = {
     "bounds": ("psi_sha256", ["bounds", "--m", "1", "--alpha", "0", "--r", "2", "--nmax", "2", "--ydepth", "1"]),
     "flow": ("func_sha256", ["flow", "--c", "2", "--t", "1/4"]),
 }
-# "١" is ARABIC-INDIC DIGIT ONE: the rational literal 1 written in two non-ASCII bytes
-_NON_ASCII = {"func": '{"kind": "scale", "a": "١", "child": {"kind": "takagi", "r": 2}}',
-              "psi": '{"kind": "scale", "a": "١", "child": {"kind": "distance"}}'}
+# Rational literals and kinds are ASCII, so the non-ASCII bytes ("é", two bytes
+# in UTF-8) sit in a repeated name: JSON keeps the last value of a name.
+_NON_ASCII = {"func": '{"kind": "é", "kind": "takagi", "r": 2}',
+              "psi": '{"kind": "é", "kind": "distance"}'}
 
 
 def _spec_bytes(command: str, padded: bool) -> bytes:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from pathfn.core.funcs import (
 )
 from pathfn.core.parse import parse_func_spec, to_spec_dict, build_func
 from pathfn.core.polys import certify_nonneg, poly_eval
-from pathfn.core.scalars import Approx
+from pathfn.core.scalars import Approx, reduce_mod1
 from pathfn.errors import FuncSpecError, OrbitLimitError, UnsupportedExactError
 from test_grid import random_spline
 
@@ -95,6 +96,38 @@ def test_parse_spline_rejects_value_at_zero():
     }
     with pytest.raises(FuncSpecError, match="f\\(0\\)"):
         build_func(doc)
+
+
+def test_distance_power_at_its_bound():
+    assert as_piecewise_poly(DistancePower(16))[0][2] == (0,) * 16 + (1,)
+    assert eval_exact(parse_func_spec('{"kind": "distance_power", "p": 16}'), F(1, 4)) == F(1, 4**16)
+
+
+@pytest.mark.parametrize("p, where, wrap", [(0, "$", "{}"), (17, "$", "{}"),
+                                            (10**9, "$.terms[0]", '{{"kind": "sum", "terms": [{}]}}')])
+def test_distance_power_is_refused_past_its_bound(p, where, wrap):
+    doc = wrap.format(f'{{"kind": "distance_power", "p": {p}}}')
+    want = rf"^{re.escape(where)}: distance power must be an integer from 1 to 16, got {p}$"
+    with pytest.raises(FuncSpecError, match=want):
+        parse_func_spec(doc)
+
+
+def test_sums_and_dilations_have_pieces_up_to_the_bound():
+    # 256 pieces at most; past that the node's own rules evaluate it
+    assert len(as_piecewise_poly(Dilate(128, Distance()))) == 256
+    assert as_piecewise_poly(Dilate(129, Distance())) is None
+    assert len(as_piecewise_poly(Sum((Dilate(128, Distance()), Distance())))) == 256
+    assert as_piecewise_poly(Sum((Dilate(128, Distance()), Dilate(3, Distance())))) is None
+    def d(x):  # distance to the nearest integer
+        x = reduce_mod1(x)
+        return min(x, 1 - x)
+
+    xs = [F(j, 997) for j in range(0, 997, 37)] + [F(1, 3), F(5, 8)]
+    for m in (128, 129, 10**12):
+        f = Sum((Dilate(m, Distance()), Scale(F(1, 2), Dilate(m + 1, DistancePower(2)))))
+        want = [d(m * x) + d((m + 1) * x) ** 2 / 2 for x in xs]
+        assert eval_exact_points(f, xs) == want
+        assert [eval_approx(f, x).value for x in xs] == pytest.approx([float(v) for v in want], abs=1e-12)
 
 
 def test_parse_roundtrip():

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,72 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises((RationalFormatError, TypeError)):
         raise_if = parse_rational(bad)  # noqa: F841
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+
+
+@st.composite
+def ratio_literals(draw):
+    """An ASCII integer or 'p/q', spaces around it allowed."""
+    lit = draw(_SIGNS) + draw(_DIGITS)
+    if draw(st.booleans()):
+        lit += "/" + draw(_DIGITS.filter(lambda d: d.strip("0")))
+    return draw(st.sampled_from(["", " "])) + lit
+
+
+@st.composite
+def decimal_literals(draw):
+    """An ASCII finite decimal, with or without a point and an exponent."""
+    whole, frac = draw(st.text("0123456789", max_size=40)), draw(st.text("0123456789", max_size=40))
+    lit = draw(_SIGNS) + (whole if whole or frac else "0")
+    if frac or draw(st.booleans()):
+        lit += "." + frac
+    if draw(st.booleans()):
+        lit += draw(st.sampled_from("eE")) + draw(_SIGNS) + str(draw(st.integers(0, 400)))
+    return lit
+
+
+def _refused_once_a_digit_is_not_ascii(lit, data):
+    """ARABIC-INDIC DIGIT ONE and FULLWIDTH DIGIT ONE are decimal digits, not ASCII ones."""
+    i = data.draw(st.sampled_from([i for i, c in enumerate(lit) if c in "0123456789"]))
+    bad = lit[:i] + data.draw(st.sampled_from("\u0661\uff11")) + lit[i + 1:]
+    for decimals in (False, True):
+        with pytest.raises(RationalFormatError, match="^not a rational literal: "):
+            parse_rational(bad, decimals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio_literals(), st.booleans(), st.data())
+def test_parse_rational_reads_ratios_as_fraction_does(lit, decimals, data):
+    assert parse_rational(lit, decimals) == Fraction(lit)
+    _refused_once_a_digit_is_not_ascii(lit, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_literals(), st.data())
+def test_parse_rational_reads_decimals_as_decimal_does(lit, data):
+    assert parse_rational(lit, decimals=True) == Fraction(Decimal(lit))
+    _refused_once_a_digit_is_not_ascii(lit, data)
+
+
+def test_parse_rational_bounds():
+    assert parse_rational("1" * 4215) == int("1" * 4215)
+    assert parse_rational(-(2**14000 - 1)) == -(2**14000 - 1)
+    cases = [("1" * 4216, False, "its numerator or denominator has more than 4215 digits"),
+             ("3/" + "0" * 4216, True, "its numerator or denominator has more than 4215 digits"),
+             ("1/" + "9" * 4215, False, "its exact value has more than 14000 bits"),
+             (2**14000, False, "its exact value has more than 14000 bits"),
+             ("1e-14000", True, "its exact value has more than 14000 bits"),
+             ("1e" + "9" * 5000, True, "its exact value has more than 14000 bits"),
+             ("-Infinity", True, "not a finite number"),
+             ("nan", False, "not a rational literal: 'nan'"),
+             ("1_000", True, "not a rational literal: '1_000'"),
+             ("\u00a01", False, "not a rational literal: '\\xa01'")]  # NO-BREAK SPACE is not ASCII
+    for text, decimals, message in cases:
+        with pytest.raises(RationalFormatError, match=f"^{re.escape(message)}$"):
+            parse_rational(text, decimals)
 
 
 def test_format_rational():
