@@ -272,7 +272,7 @@ class SubdiffWitness(Record):
 def subdiff_witnesses(pq: PiecewiseQuadratic) -> List[SubdiffWitness]:
     """One witness per piece of positive width of the envelope ``pq`` (from
     :func:`flow_grid`, whose pieces all have one), read off its integer
-    vertices and cuts: every emitted interval certifies a
+    vertices and breakpoints: every emitted interval certifies a
     non-differentiability point on the radix grid."""
     xs, t = pq.breakpoints(), pq.t
     out = []

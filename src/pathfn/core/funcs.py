@@ -81,8 +81,9 @@ _BOUND_CACHE_SIZE = 256
 # The most pieces a sum or a dilation has: past it ``piecewise`` gives None,
 # and the node's own rules evaluate it, in O(Q) on a grid of Q.
 _MAX_PIECES = 256
-# The highest power of a distance_power leaf: its pieces hold p + 1
-# coefficients, and certifying their sign takes O(p^2) rational operations.
+# The highest power of a distance_power leaf and of a poly_spline piece: a
+# piece holds at most _MAX_POWER + 1 coefficients, and certifying its sign
+# takes O(p^2) rational operations.
 _MAX_POWER = 16
 
 _HALF = Fraction(1, 2)
@@ -220,6 +221,9 @@ class PolySplinePeriodic(PolyLeaf):
     pieces: Tuple[Coeffs, ...]
 
     def __post_init__(self) -> None:
+        for i, piece in enumerate(self.pieces):
+            if len(piece) > _MAX_POWER + 1:
+                raise FuncSpecError(f"spline piece {i} has {len(piece)} coefficients, more than {_MAX_POWER + 1}")
         knots = tuple(Fraction(t) for t in self.knots)
         pieces = tuple(poly_normalize(p) for p in self.pieces)
         object.__setattr__(self, "knots", knots)

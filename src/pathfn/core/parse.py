@@ -46,10 +46,19 @@ from .funcs import (
 def parse_func_spec(text: Union[str, bytes]) -> FuncExpr:
     """Parse a function-spec document into an expression tree."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_int_or_text)
     except json.JSONDecodeError as exc:
         raise FuncSpecError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return build_func(doc)
+
+
+def _int_or_text(text: str):
+    """A JSON integer, or its text if it is too long to convert, which the
+    field's reader then refuses by its path."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def build_func(doc, path: str = "$") -> FuncExpr:

@@ -11,8 +11,10 @@ Two routes compute it:
   t = p/q, the parabolas of vertices i < j cross at num/den with
   num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0, so
   every stack comparison is one cross-multiplication.  The result stays in
-  integers (:class:`PiecewiseQuadratic`): its JSON form and its samples are
-  read off them, and ``Fraction`` pieces are built only on access.  Float
+  integers (:class:`PiecewiseQuadratic`): the kept vertices and their values,
+  each breakpoint derived from its two adjacent vertices when read.  Its
+  JSON form and its samples stream from them, and ``Fraction`` pieces are
+  built only on access.  Float
   mode runs the same pass on the dyadic centres and errors of the vertex
   values over one common denominator;
   moving each vertex k within its error e_k moves num by at most
@@ -36,8 +38,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import pairwise
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import islice, pairwise
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core.funcs import FuncExpr, as_piecewise_poly, sup_abs_bound, supports_exact
 from .core.points import radix_y_set, validate_radix
@@ -110,17 +112,19 @@ _Cut = Tuple[int, int]
 class PiecewiseQuadratic(Record):
     """The flow at a fixed time on [0, 1] as an ordered run of parabola pieces,
     held in integers: piece m has its vertex at z = ks[m]/R with value
-    vals[m]/D and spans [cuts[m], cuts[m + 1]], each cut a pair (num, den).
+    vals[m]/D.  The breakpoints are not stored but derived when read
+    (:meth:`_cuts`): piece m spans [x_m, x_(m+1)], with x_0 = 0, x_M = 1 for
+    M = len(ks), and each inner x_m the crossing of the parabolas of the
+    adjacent vertices m - 1 and m.
 
-    Invariants: pieces tile [0, 1] with positive widths, adjacent pieces agree
-    at shared breakpoints, and vertices sit on the radix grid.  R and D are
-    the least common denominators and the cuts are reduced, so equal
-    envelopes compare equal; :meth:`from_pieces` and :func:`flow_grid` build
-    them so, and the constructor takes its fields as given.  ``err`` bounds
-    how far ``eval`` may sit from the envelope of the exact vertex values: 0
-    in exact mode; in float mode, the largest certified error of the vertex
-    values (the envelope of values each within err of the exact ones is
-    within err of the exact envelope).
+    Invariants: the vertices rise strictly along the pieces, every piece has
+    positive width, and R and D are the least common denominators, so the
+    fields determine the envelope and equal envelopes compare equal;
+    :meth:`from_pieces` and :func:`flow_grid` check them, and the constructor
+    takes its fields as given.  ``err`` bounds how far ``eval`` may sit from
+    the envelope of the exact vertex values: 0 in exact mode; in float mode,
+    the largest certified error of the vertex values (the envelope of values
+    each within err of the exact ones is within err of the exact envelope).
     It is not part of the JSON form.
     """
 
@@ -129,30 +133,41 @@ class PiecewiseQuadratic(Record):
     ks: Tuple[int, ...]
     D: int
     vals: Tuple[int, ...]
-    cuts: Tuple[_Cut, ...]
     err: float = 0.0
 
     @classmethod
     def from_pieces(cls, t: Fraction, pieces: Sequence[Piece], err: float = 0.0) -> "PiecewiseQuadratic":
         """The envelope of ``pieces``, given in order, over the common
-        denominators of their vertices and of their values."""
+        denominators of their vertices and of their values.  Refuses pieces
+        that do not tile [0, 1] with positive widths, or whose shared
+        endpoint is not the crossing of their two vertices' parabolas."""
         if not pieces:
             raise ValueError("an envelope needs at least one piece")
-        for p, nxt in zip(pieces, pieces[1:]):
+        for p, nxt in pairwise(pieces):
             if p.x_hi != nxt.x_lo:
                 raise ValueError(f"pieces do not share the endpoint {p.x_hi}")
+        if pieces[0].x_lo != 0 or pieces[-1].x_hi != 1:
+            raise ValueError(f"pieces span [{pieces[0].x_lo}, {pieces[-1].x_hi}], not [0, 1]")
+        for p in pieces:
+            if p.x_lo >= p.x_hi:
+                raise ValueError(f"the piece on [{p.x_lo}, {p.x_hi}] has no positive width")
         R = math.lcm(*(p.z.denominator for p in pieces))
         D = math.lcm(*(p.fz.denominator for p in pieces))
-        xs = [pieces[0].x_lo] + [p.x_hi for p in pieces]
-        return cls(
+        pq = cls(
             Fraction(t),
             R,
             tuple(p.z.numerator * (R // p.z.denominator) for p in pieces),
             D,
             tuple(p.fz.numerator * (D // p.fz.denominator) for p in pieces),
-            tuple((x.numerator, x.denominator) for x in xs),
             err,
         )
+        for (p, nxt), (n, d) in zip(pairwise(pieces), pq._cuts(1, len(pieces) - 1)):
+            x = p.x_hi
+            if p.z >= nxt.z:
+                raise ValueError(f"the vertices z={p.z} and z={nxt.z} at the endpoint {x} are out of order")
+            if n * x.denominator != x.numerator * d:
+                raise ValueError(f"the endpoint {x} is not where the parabolas of z={p.z} and z={nxt.z} cross")
+        return pq
 
     @cached_property
     def pieces(self) -> Tuple[Piece, ...]:
@@ -164,15 +179,23 @@ class PiecewiseQuadratic(Record):
         )
 
     def breakpoints(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(n, d) for n, d in self.cuts)
+        return tuple(Fraction(n, d) for n, d in self._cuts(0, len(self.ks)))
+
+    def _cuts(self, lo: int, hi: int) -> Iterator[_Cut]:
+        """The breakpoints x_lo..x_hi in order, as unreduced pairs."""
+        return _crossings(self.t, self.R, self.ks, self.D, self.vals, lo, hi)
 
     def _index(self, x: Fraction) -> int:
         """The piece that holds x in [0, 1], the right one at a breakpoint."""
         if not (0 <= x <= 1):
             raise ValueError(f"x={x} outside [0, 1]")
         a, X = x.numerator, x.denominator
-        # bisect reads only the sign of cut - x, which rises along the cuts
-        return max(0, bisect_right(self.cuts, 0, 0, len(self.ks), key=lambda c: c[0] * X - a * c[1]) - 1)
+
+        def right_of_x(m: int) -> bool:  # rises along the cuts; only the probed ones are derived
+            n, d = next(self._cuts(m, m))
+            return n * X > a * d
+
+        return max(0, bisect_right(range(len(self.ks)), False, key=right_of_x) - 1)
 
     def _values(self, ms: Sequence[int], nums: Sequence[int], X: int) -> Tuple[List[int], int]:
         """The value of piece ms[i] at x = nums[i]/X for each i, as numerators
@@ -193,7 +216,8 @@ class PiecewiseQuadratic(Record):
     def _rows(self, lo: int, hi: int) -> Iterator[Tuple[str, str, str, str]]:
         """(fz, x_hi, x_lo, z) of pieces lo..hi-1 as 'p/q' strings: the
         pieces' JSON keys in sorted order."""
-        xs = [str(n) if d == 1 else f"{n}/{d}" for n, d in self.cuts[lo:hi + 1]]  # reduced; each formatted once
+        hi, gcd = min(hi, len(self.ks)), math.gcd  # each cut reduced and formatted once
+        xs = [str(n // d) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}" for n, d in self._cuts(lo, hi)]
         return zip(format_ratios(self.vals[lo:hi], self.D), xs[1:], xs, format_ratios(self.ks[lo:hi], self.R))
 
     def as_json(self) -> dict:
@@ -217,12 +241,15 @@ class PiecewiseQuadratic(Record):
         x = i/(count - 1), by one forward walk along the pieces."""
         if count < 2:
             raise ValueError("need at least 2 samples")
-        K, cuts = count - 1, self.cuts
+        K, last = count - 1, len(self.ks) - 1
+        cuts = self._cuts(1, last + 1)
+        n, d = next(cuts)  # x_(m + 1), the right end of piece m
         ms = []
-        m, last = 0, len(self.ks) - 1
+        m = 0
         for i in range(count):
-            while m < last and cuts[m + 1][0] * K <= i * cuts[m + 1][1]:
+            while m < last and n * K <= i * d:
                 m += 1
+                n, d = next(cuts)
             ms.append(m)
         return self._values(ms, range(count), K)
 
@@ -297,80 +324,105 @@ def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[
         errs = None if errs is None else [e // g for e in errs]
     err = max(errs) / den if errs else 0.0  # exact: each errs[k] / den is a float
     R = len(vals) - 1
-    a, b = 2 * t.numerator * R * R, t.denominator * den
-    # the crossing of i < j is num / (C (j - i)) with C = 2 b R; C is common to
-    # every crossing, so comparisons use the pair (num, j - i)
-    C = 2 * b * R
+    # the crossing of i < j is num / (C (j - i)); C is common to every
+    # crossing, so comparisons use the pair (num, j - i)
+    a, b, C = _crossing_terms(t, R, den)
 
     def crossing(i: int, j: int) -> _Cut:
         return a * (vals[j] - vals[i]) + b * (i + j) * (j - i), j - i
 
     stack: List[int] = [0]
-    # nums[m] / (C * gaps[m]) is the left boundary of stack[m + 1]'s cell; the
-    # boundaries rise strictly along the stack
-    nums: List[int] = []
-    gaps: List[int] = []
+    # top = (num, dj): the crossing of the two top vertices, num / (C dj), the
+    # left boundary of the top vertex's cell (None while the stack holds one
+    # vertex).  The boundaries rise strictly along the stack; the ones below
+    # the top are recomputed when a pop reaches them, not stored.
+    top: Optional[_Cut] = None
     for j in range(1, R + 1):
         num, dj = crossing(stack[-1], j)
-        while nums:
-            gap = num * gaps[-1] - nums[-1] * dj  # the top vertex keeps a nonempty cell iff gap > 0
+        while top is not None:
+            gap = num * top[1] - top[0] * dj  # the top vertex keeps a nonempty cell iff gap > 0
             if errs is not None:
                 h, i = stack[-2], stack[-1]  # each num moves by up to a (errs of its vertices)
-                if abs(gap) <= a * ((errs[i] + errs[j]) * gaps[-1] + (errs[h] + errs[i]) * dj):
+                if abs(gap) <= a * ((errs[i] + errs[j]) * top[1] + (errs[h] + errs[i]) * dj):
                     raise AmbiguousEnvelopeError(
                         f"breakpoint between z={Fraction(i, R)} and z={Fraction(j, R)} is ambiguous; use exact mode"
                     )
             if gap > 0:
                 break
             stack.pop()
-            nums.pop()
-            gaps.pop()
+            top = crossing(stack[-2], stack[-1]) if len(stack) > 1 else None
             num, dj = crossing(stack[-1], j)
         stack.append(j)
-        nums.append(num)
-        gaps.append(dj)
+        top = num, dj
     # the cells that meet (0, 1): those of stack[lo..hi], clamped to [0, 1]
-    lo, hi = 0, len(nums)
-    while lo < hi and nums[lo] <= 0:
+    lo, hi = 0, len(stack) - 1
+    while lo < hi and crossing(stack[lo], stack[lo + 1])[0] <= 0:
         lo += 1
-    while hi > lo and nums[hi - 1] >= C * gaps[hi - 1]:
+    while hi > lo and (cut := crossing(stack[hi - 1], stack[hi]))[0] >= C * cut[1]:
         hi -= 1
-    cuts = [(0, 1)]
-    for num, dj in zip(nums[lo:hi], gaps[lo:hi]):
-        d = C * dj
-        g = math.gcd(num, d)
-        cuts.append((num // g, d // g))
-    cuts.append((1, 1))
-    del nums, gaps  # freed before the envelope's tuples are built: 0.4 MiB off the peak at R = 2^14
-    ks = stack[lo:hi + 1]
-    kept = [vals[k] for k in ks]
-    g, h = math.gcd(R, *ks), math.gcd(den, *kept)
-    if g != 1:
-        R, ks = R // g, [k // g for k in ks]
+    del stack[hi + 1:], stack[:lo]  # now the kept vertices
+    kept = [vals[k] for k in stack]
+    g, h = math.gcd(R, *stack), math.gcd(den, *kept)
+    ks = [k // g for k in stack] if g != 1 else stack
     if h != 1:
-        den, kept = den // h, [v // h for v in kept]
-    pq = PiecewiseQuadratic(t, R, tuple(ks), den, tuple(kept), tuple(cuts), err)
-    _check_envelope_invariants(pq)
-    return pq
+        kept = [v // h for v in kept]
+    # the stack's crossings over the unreduced R and den, which the reduced envelope must reproduce
+    crossings = ((num, C * dj) for num, dj in map(crossing, stack, islice(stack, 1, None)))
+    R, den = R // g, den // h
+    _check_envelope_invariants(t, R, ks, den, kept, crossings)
+    return PiecewiseQuadratic(t, R, tuple(ks), den, tuple(kept), err)
 
 
-def _check_envelope_invariants(pq: PiecewiseQuadratic) -> None:
-    """The pieces tile [0, 1] with positive widths, and adjacent pieces agree
-    at their shared breakpoint x = N/M: for vertices i < j with values I, J,
-    2pR^2 M (I - J) + qD (j - i)(2NR - (i + j) M) = 0 is
-    2pDR^2 M times the difference of the two parabolas at x."""
-    R, D, ks, vals, cuts = pq.R, pq.D, pq.ks, pq.vals, pq.cuts
-    p, q = pq.t.numerator, pq.t.denominator
-    if len(cuts) != len(ks) + 1 or cuts[0][0] != 0 or cuts[-1][0] != cuts[-1][1]:
-        raise AssertionError("envelope does not tile [0, 1]")
-    for (n, m), (n2, m2) in pairwise(cuts):
-        if n * m2 >= n2 * m:
-            raise AssertionError("envelope piece of non-positive width")
-    for (i, j), (I, J), (n, m) in zip(pairwise(ks), pairwise(vals), cuts[1:]):
+def _crossing_terms(t: Fraction, R: int, D: int) -> Tuple[int, int, int]:
+    """(a, b, C) with the crossing of the parabolas of vertices i < j with
+    values I/D, J/D at (a (J - I) + b (i + j)(j - i)) / (C (j - i)): a = 2pR^2,
+    b = qD and C = 2qDR for t = p/q, all divided by gcd(a, b), which keeps
+    every crossing's num and den short."""
+    a, b = 2 * t.numerator * R * R, t.denominator * D
+    g = math.gcd(a, b)
+    return a // g, b // g, 2 * (b // g) * R
+
+
+def _crossings(t: Fraction, R: int, ks: Sequence[int], D: int, vals: Sequence[int], lo: int, hi: int) -> Iterator[_Cut]:
+    """The breakpoints x_lo..x_hi of the envelope with vertices ks[m]/R and
+    values vals[m]/D, in order, as unreduced pairs (num, den), den > 0 for
+    rising vertices: x_0 = (0, 1), then the crossing of each two adjacent
+    vertices i < j with values I, J, num = a (J - I) + b (i + j)(j - i) and
+    den = C (j - i) (:func:`_crossing_terms`), then x_M = (1, 1) for
+    M = len(ks)."""
+    if lo == 0:
+        yield 0, 1
+        lo = 1
+    a, b, C = _crossing_terms(t, R, D)
+    for m in range(lo, min(hi + 1, len(ks))):
+        i, j = ks[m - 1], ks[m]
+        d = j - i
+        yield a * (vals[m] - vals[m - 1]) + b * (i + j) * d, C * d
+    if hi == len(ks):
+        yield 1, 1
+
+
+def _check_envelope_invariants(
+    t: Fraction, R: int, ks: Sequence[int], D: int, vals: Sequence[int], crossings: Iterable[_Cut]
+) -> None:
+    """The vertices rise, the pieces have positive widths, and each inner
+    breakpoint that :func:`_crossings` derives from the reduced (R, ks, D,
+    vals) is the stack's own crossing of the same two vertices, given in
+    order by ``crossings`` as pairs over the unreduced denominators: so a
+    wrong reduction of R or D fails here, as a breakpoint where adjacent
+    pieces disagree would."""
+    prev_n, prev_d = 0, 1
+    inner = _crossings(t, R, ks, D, vals, 1, len(ks) - 1)
+    for (i, j), (n, d), (N, M) in zip(pairwise(ks), inner, crossings, strict=True):
         if i >= j:
             raise AssertionError("envelope vertices out of order")
-        if 2 * p * R * R * m * (I - J) + q * D * (j - i) * (2 * n * R - (i + j) * m):
-            raise AssertionError("envelope discontinuous at a breakpoint")
+        if n * M != N * d:
+            raise AssertionError("envelope breakpoint off the crossing of its vertices")
+        if n * prev_d <= prev_n * d:
+            raise AssertionError("envelope piece of non-positive width")
+        prev_n, prev_d = n, d
+    if prev_n >= prev_d:
+        raise AssertionError("envelope piece of non-positive width")
 
 
 def _envelope_float(fz: List[Approx], t: Fraction) -> PiecewiseQuadratic:

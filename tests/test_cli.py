@@ -20,7 +20,7 @@ import pathfn.grid
 import pathfn.series
 from pathfn.core.funcs import eval_exact
 from pathfn.core.parse import parse_func_spec
-from pathfn.flow import Piece, PiecewiseQuadratic
+from pathfn.flow import PiecewiseQuadratic
 from conftest import (
     SPEC_DIP,
     SPEC_DISTANCE,
@@ -504,8 +504,9 @@ def test_flow_crosscheck_catches_a_shifted_vertex(capsys, spec_file, monkeypatch
     def shifted(q, cap):
         pq = real(q, cap=cap)
         assert pq.err < 1e-12
-        pieces = tuple(Piece(p.x_lo, p.x_hi, p.z, p.fz + F(1, 100)) if p.z == F(1, 3) else p for p in pq.pieces)
-        return PiecewiseQuadratic.from_pieces(pq.t, pieces, pq.err)
+        # over the denominator 100 D, the vertex value v/D is 100 v and 1/100 is D
+        vals = tuple(100 * v + (pq.D if F(k, pq.R) == F(1, 3) else 0) for k, v in zip(pq.ks, pq.vals))
+        return PiecewiseQuadratic(pq.t, pq.R, pq.ks, 100 * pq.D, vals, pq.err)
 
     monkeypatch.setattr(cli, "flow_grid", shifted)
     code, out, _ = run(capsys, ["flow", "--func", spec_file(SPEC_TAKAGI3), *TAU3_FLOW, "--mode", mode])
@@ -1093,10 +1094,12 @@ def test_literals_with_non_ascii_digits_are_refused(capsys, spec_file, argv, wan
     ('"1/3"'.replace("1", "1" * 4250), "its numerator or denominator has more than 4215 digits"),
     ('"-1"'.replace("1", "1" * 5000), "its numerator or denominator has more than 4215 digits"),
     ("1" * 4250, "its exact value has more than 14000 bits"),
-], ids=["non-ascii", "4250-digits", "5000-digits", "4250-digit-int"])
+    ("1" * 5000, "its numerator or denominator has more than 4215 digits"),
+], ids=["non-ascii", "4250-digits", "5000-digits", "4250-digit-int", "5000-digit-int"])
 def test_spec_literals_are_read_as_flags_are(capsys, tmp_path, a, want):
     # a 4250-digit literal (about 14100 bits) was accepted in a spec; at 5000 digits
-    # Python's int-string limit refused it with a message that named no field
+    # Python's int-string limit refused it with a message that named no field, also
+    # when the JSON decoder met the integer unquoted
     path = tmp_path / "spec.json"
     path.write_text(f'{{"kind": "scale", "a": {a}, "child": {{"kind": "takagi", "r": 2}}}}', encoding="utf-8")
     assert run(capsys, ["eval", "--func", str(path), "--points", "1/3"]) == (2, "", f"pathfn: $.a: {want}\n")
@@ -1126,6 +1129,29 @@ def test_large_dilations_and_powers_end_at_once(tmp_path, doc, value):
         assert proc.stderr == "pathfn: $: distance power must be an integer from 1 to 16, got 1000000000\n"
     else:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"x,value\n1/3,{value}\n", "")
+
+
+def _spline_of_degree(degree: int) -> str:
+    # x^degree - x^(degree - 1): zero at 0 and at 1, so a valid periodic spline
+    coeffs = ["0"] * (degree - 1) + ["-1", "1"]
+    return json.dumps({"kind": "poly_spline", "knots": ["0", "1"], "pieces": [coeffs]})
+
+
+def test_spline_pieces_of_high_degree_are_refused(capsys, tmp_path):
+    # certifying the sign of a piece costs O(p^2) per level: flow on x^1000 - x^999
+    # (a 5 KB spec) was still running after 30 s
+    (tmp_path / "f.json").write_text(_spline_of_degree(1000), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathfn", "flow", "--func", "f.json", "--c", "2", "--t", "1/4", "--crosscheck", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "pathfn: $: spline piece 0 has 1001 coefficients, more than 17\n"
+    # degree 16 is the bound, as for distance_power
+    for degree, code in ((16, 0), (17, 2)):
+        (tmp_path / "f.json").write_text(_spline_of_degree(degree), encoding="utf-8")
+        assert run(capsys, ["eval", "--func", str(tmp_path / "f.json"), "--points", "1/2"])[0] == code, degree
 
 
 _EVERY_COMMAND = {

@@ -447,7 +447,7 @@ def test_flow_grid_integer_form_at_random_t_and_n(mode):
         ]
         assert pq.sample_lines(count) == [f"{x},{v}" for x, v in rows]
         again = piecewise_from_json(json.dumps(pq.as_json()))
-        exact = PiecewiseQuadratic(pq.t, pq.R, pq.ks, pq.D, pq.vals, pq.cuts, err=0.0)
+        exact = PiecewiseQuadratic(pq.t, pq.R, pq.ks, pq.D, pq.vals, err=0.0)
         assert again == exact and again.pieces == pq.pieces
         checked += 1
     assert checked >= 12
@@ -459,6 +459,48 @@ def test_envelope_from_pieces_needs_a_run_of_shared_endpoints():
         PiecewiseQuadratic.from_pieces(F(1, 4), pieces)
     with pytest.raises(ValueError, match="at least one piece"):
         piecewise_from_json({"schema": "pathfn/1", "t": "1/4", "pieces": []})
+
+
+def test_envelope_from_pieces_refuses_a_moved_breakpoint():
+    # every shared endpoint must be the crossing of its two vertices' parabolas,
+    # so an edited envelope is refused, naming the endpoint
+    pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 64)))
+    doc = pq.as_json()
+    rows = doc["pieces"]
+    assert len(rows) > 4
+    moved = str(F(rows[2]["x_hi"]) + F(1, 1000))
+    rows[2]["x_hi"] = rows[3]["x_lo"] = moved
+    with pytest.raises(ValueError, match=f"the endpoint {moved} is not where the parabolas of z=.* cross"):
+        piecewise_from_json(doc)
+    first, second, *rest = pq.pieces
+    with pytest.raises(ValueError, match=r"pieces span \[1/1024, 1\], not \[0, 1\]"):
+        PiecewiseQuadratic.from_pieces(pq.t, [Piece(F(1, 1024), first.x_hi, first.z, first.fz), second, *rest])
+    with pytest.raises(ValueError, match="out of order"):
+        PiecewiseQuadratic.from_pieces(pq.t, [first, Piece(second.x_lo, second.x_hi, first.z, second.fz), *rest])
+    with pytest.raises(ValueError, match="no positive width"):
+        PiecewiseQuadratic.from_pieces(pq.t, [Piece(F(0), F(0), F(0), F(0)), Piece(F(0), F(1), F(1, 2), F(0))])
+
+
+def test_envelope_holds_no_breakpoint_list():
+    # the envelope keeps its vertices and values only (about 77 bytes per
+    # vertex), and building it takes about 100 bytes per vertex at the most;
+    # a list of every breakpoint pair costs over 100 bytes per vertex more
+    import tracemalloc
+
+    from pathfn.flow import _envelope_exact
+
+    assert "cuts" not in PiecewiseQuadratic._fields
+    vals, den = grid_values(TAU2, 2**12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pq = _envelope_exact(vals, den, F(1, 2**14))
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(pq.ks) == 2**12 + 1
+    assert retained <= 100 * len(pq.ks)
+    assert peak <= 150 * len(pq.ks)
 
 
 def test_float_envelope_is_the_exact_envelope_of_its_centres():
