@@ -23,10 +23,12 @@ Two evaluation modes:
 * ``eval_exact`` -- exact rational arithmetic.  A point p/q is index p on
   the grid of step 1/q, and the multiply-by-r orbit of p/q is the residue
   orbit p -> r p mod q, so every value on it shares one denominator.  The
-  points are read off an integer table of the grid engine
-  (``pathfn.grid.point_values``) that holds only the indices the tree's
-  node maps reach from them; each cycle of a series orbit is summed in
-  closed form.
+  points are read off a sparse integer table of the grid engine
+  (``pathfn.grid.point_values``) on the indices the tree's node maps reach
+  from them.  Each cycle of a series orbit is summed in closed form by one
+  Horner pass, and a series node keeps a value only at the indices it is
+  asked for and where its walks join: a point on a cycle of L entries holds
+  L small generator values but one series value of about L log2 r bits.
 * ``eval_approx`` -- float results with certified error bounds.  Arguments
   are kept as exact rationals all the way down (any float input is itself an
   exact dyadic rational), so the only error sources are final rounding,
@@ -508,7 +510,8 @@ class USeries(FuncExpr):
         closure: Dict[int, int] = {0: -1}  # entry -> its place in ``order``; V[0] = 0
         order: List[int] = []
         cycles: List[List[int]] = []
-        tails: List[List[int]] = []  # each walk's entries before a cycle it closed
+        tails: List[Tuple[int, List[int]]] = []  # (where each walk stopped, its entries before that)
+        keep = {0, *js}  # the entries whose values are kept: 0, js and where each walk stopped
         for x in js:
             start, j = len(order), x
             while j not in closure:
@@ -521,17 +524,21 @@ class USeries(FuncExpr):
             if closure[j] >= start:  # the walk closed a new cycle at j
                 stop = closure[j]
                 cycles.append(order[stop:])
-            tails.append(order[start:stop])
+            keep.add(j)
+            tails.append((j, order[start:stop]))
         psi = self.psi.walk(Q, order, cap)
         K = radix_part(Q, s)[1]
 
         def series() -> Points:
             pv, pden = psi()
             vals = {0: 0}
-            mult = close_cycles(cycles, pv, s, K, vals)
-            for tail in tails:
+            mult = close_cycles(cycles, pv, s, K, vals, keep)
+            for at, tail in tails:
+                v = vals[at]
                 for j in reversed(tail):  # depth d reads depth d - 1, a multiple of s in D
-                    vals[j] = pv[j] * mult + vals[s * j % Q] // s
+                    v = pv[j] * mult + v // s
+                    if j in keep:
+                        vals[j] = v
             return vals, pden * mult
 
         return series

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
 from ..errors import FuncSpecError
-from .scalars import RationalFormatError, format_rational, parse_rational
+from .scalars import RationalFormatError, format_rational, parse_rational, quote
 from .funcs import (
     AbsSin,
     Dilate,
@@ -73,7 +73,7 @@ def build_func(doc, path: str = "$") -> FuncExpr:
     if not isinstance(kind, str):
         raise FuncSpecError(f"{path}: missing or non-string 'kind'")
     if kind not in _KINDS:
-        raise FuncSpecError(f"{path}: unknown kind {kind!r}")
+        raise FuncSpecError(f"{path}: unknown kind {quote(kind)}")
     make, spec = _KINDS[kind]
     try:
         _allow_keys(doc, {key for key, _ in spec}, path)
@@ -106,7 +106,7 @@ def _int(v, path: str) -> int:
     if isinstance(v, _LongInt):
         raise FuncSpecError(f"{path}: an integer of {len(v.lstrip('-'))} digits, too long to read")
     if isinstance(v, bool) or not isinstance(v, int):
-        raise FuncSpecError(f"{path}: expected an integer, got {v!r}")
+        raise FuncSpecError(f"{path}: expected an integer, got {quote(v)}")
     return v
 
 

@@ -36,6 +36,12 @@ class RationalFormatError(ValueError):
     """Raised for a rational literal that is malformed or too long."""
 
 
+def quote(value) -> str:
+    """``repr(value)`` for a message; past 40 characters, the first 40 of its text and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: Union[str, int], decimals: bool = False) -> Fraction:
     """The rational that ``text`` writes: an int, or an ASCII string, with
     spaces around it, of an integer, ``"p/q"`` or, if ``decimals``, a finite
@@ -50,7 +56,7 @@ def parse_rational(text: Union[str, int], decimals: bool = False) -> Fraction:
         if max(len(m[1]), len(m[2] or "")) > _PRINTED_DIGITS:
             raise RationalFormatError(f"its numerator or denominator has more than {_PRINTED_DIGITS} digits")
         if m[2] and not m[2].strip("0"):
-            raise RationalFormatError(f"zero denominator: {text!r}")
+            raise RationalFormatError(f"zero denominator: {quote(text)}")
         x = Fraction(s)
     elif decimals and (m := _DECIMAL_RE.fullmatch(s)) and (m[1] or m[2]):
         whole, frac, exp_sign, exp = m.groups("")
@@ -65,7 +71,7 @@ def parse_rational(text: Union[str, int], decimals: bool = False) -> Fraction:
     elif decimals and _NON_FINITE_RE.fullmatch(s):
         raise RationalFormatError("not a finite number")
     else:
-        raise RationalFormatError(f"not a rational literal: {text!r}")
+        raise RationalFormatError(f"not a rational literal: {quote(text)}")
     if max(x.numerator.bit_length(), x.denominator.bit_length()) > _PRINTED_BITS:
         raise RationalFormatError(f"its exact value has more than {_PRINTED_BITS} bits")
     return x

@@ -6,8 +6,12 @@ kind its own: integer Horner on j for anything with polynomial pieces; term
 by term for Scale and Sum; index m*j mod Q for Dilate(m); and for a series of
 radix s, V[j] = P[j] + V[s*j mod Q] / s, each cycle of j -> s*j mod Q closed
 with S / (1 - s^-L).  :func:`grid_values` fills the whole grid j = 0..Q;
-:func:`point_values` fills only the closure of the requested j under the
-node maps, which is how exact evaluation reads any rational point.
+:func:`point_values` walks only the closure of the requested j under the
+node maps, which is how exact evaluation reads any rational point.  Its
+sparse table holds every closure entry of a series generator, but of the
+series itself only the requested j and the entries where a walk joins a cycle
+or an earlier walk: those values have about L log2 s bits on a cycle of L
+entries, so a point on a long cycle keeps one of them, not L.
 ``differences.approx_table`` follows the same rules in certified floats,
 which float scans and flow read as integers (``differences.dyadic``).
 This module knows no node kind: it holds the piecewise-polynomial tables, the
@@ -68,16 +72,20 @@ def _poly_rows(pw, Q: int) -> Tuple[int, List[Tuple[int, int, List[int]]]]:
     return den * Q**deg, rows
 
 
+def _horner(bs: List[int], js: Sequence[int]) -> List[int]:
+    """[sum_i bs[i] j^i for j in js], one pass over ``js`` per coefficient."""
+    acc = [bs[-1]] * len(js)
+    for b in reversed(bs[:-1]):
+        acc = [v * j + b for v, j in zip(acc, js)]
+    return acc
+
+
 def poly_table(pw, Q: int) -> Table:
     """(I, D) of a piecewise polynomial on [0, 1] for j = 0..Q."""
     den, rows = _poly_rows(pw, Q)
     vals = [0] * (Q + 1)
     for start, stop, bs in rows:
-        js = range(start, stop)
-        acc = [bs[-1]] * len(js)
-        for b in reversed(bs[:-1]):  # Horner in j
-            acc = [v * j + b for v, j in zip(acc, js)]
-        vals[start:stop] = acc  # shared knots agree by continuity
+        vals[start:stop] = _horner(bs, range(start, stop))  # shared knots agree by continuity
     return vals, den
 
 
@@ -85,24 +93,34 @@ def poly_points(pw, Q: int, js: Sequence[int]) -> Points:
     """({j: I_j}, D) of a piecewise polynomial on [0, 1] for each j of ``js``."""
     den, rows = _poly_rows(pw, Q)
     starts = [start for start, _, _ in rows]
-    vals = {}
+    by_row: Dict[int, List[int]] = {}
     for j in js:
-        acc = 0
-        for b in reversed(rows[bisect_right(starts, j) - 1][2]):  # the last row that starts by j
-            acc = acc * j + b
-        vals[j] = acc
+        by_row.setdefault(bisect_right(starts, j) - 1, []).append(j)  # the last row that starts by j
+    vals = {}
+    for i, row_js in by_row.items():
+        vals.update(zip(row_js, _horner(rows[i][2], row_js)))
     return vals, den
 
 
-def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequence[int]) -> int:
-    """Write mult * V[j] for every j on the ``cycles`` of j -> s*j mod Q into
-    ``vals`` and return mult = lcm(s^L - 1) s^K: it clears each cycle sum
-    S / (1 - s^-L), and leaves K divisions by s for the pre-periodic entries."""
+def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSequence[int], keep=None) -> int:
+    """Write mult * V[j] into ``vals`` for every j on the ``cycles`` of
+    j -> s*j mod Q, or only for the j in ``keep``, and return
+    mult = lcm(s^L - 1) s^K: it clears each cycle sum S / (1 - s^-L), and
+    leaves K divisions by s for the pre-periodic entries.  One Horner pass
+    over a cycle c_0 -> ... -> c_(L-1) gives S = s H_L and the prefix sums
+    H_m; a kept entry is read off its own H_m, and without ``keep`` the cycle
+    is walked once more, V[next] = s (V[j] - P[j])."""
     mult = lcm(*(s ** len(c) - 1 for c in cycles)) * s**K
     for c in cycles:
-        L = len(c)
-        v = sum(pv[j] * s ** (L - m) for m, j in enumerate(c)) * (mult // (s**L - 1))
-        for j in c:
+        h, kept = 0, []
+        for m, j in enumerate(c):  # Horner: h = H_m = sum_{i<m} P[c_i] s^(m-1-i)
+            if keep is not None and j in keep:
+                kept.append((j, m, h))
+            h = h * s + pv[j]
+        v = s * h * (mult // (s ** len(c) - 1))  # mult V[c_0], V[c_0] = s H_L / (s^L - 1)
+        for j, m, hm in kept:
+            vals[j] = s**m * v - s * hm * mult  # V[c_m] = s^m V[c_0] - s H_m
+        for j in c if keep is None else ():
             vals[j] = v
             v = s * (v - pv[j] * mult)  # V[next] = s (V[j] - P[j])
     return mult

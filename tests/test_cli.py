@@ -192,13 +192,15 @@ def test_point_literals_at_the_bit_limit():
 @pytest.mark.parametrize("digits", [4250, 5000])
 def test_points_refuse_a_long_ratio_literal_unbuilt(capsys, spec_file, monkeypatch, digits):
     # at 5000 digits Python's int-string limit ended the run with a message that
-    # named no point; at 4250 the numerator (about 14100 bits) was accepted
+    # named no point; at 4250 the numerator (about 14100 bits) was accepted.  The
+    # point is named by its first 40 characters and its length
     f = spec_file(SPEC_TAKAGI2)
     real = pathfn.core.scalars.Fraction
     monkeypatch.setattr(pathfn.core.scalars, "Fraction",
                         lambda v: pytest.fail("built it") if isinstance(v, str) and len(v) > 4000 else real(v))
     for tok in ("1" * digits + "/3", "3/" + "1" * digits, "-" + "1" * digits):
-        want = f"pathfn: bad point {tok!r}: its numerator or denominator has more than 4215 digits\n"
+        want = (f"pathfn: bad point '{tok[:40]}'... ({len(tok)} characters): "
+                "its numerator or denominator has more than 4215 digits\n")
         for argv in (["eval", "--func", f, f"--points={tok}", "--mode", "float"], ["probe", "--func", f, f"--x={tok}", "--N", "2"]):
             assert run(capsys, argv) == (2, "", want), argv
 
@@ -1087,6 +1089,21 @@ def test_rational_flags_refuse_a_value_past_the_bit_limit(capsys, spec_file, fla
 def test_literals_with_non_ascii_digits_are_refused(capsys, spec_file, argv, want):
     # ARABIC-INDIC and FULLWIDTH digits are decimal digits to Python, and were read as such
     assert run(capsys, _flag_argv(spec_file, argv, "")) == (2, "", f"pathfn: {want}\n")
+
+
+@pytest.mark.parametrize("spec, argv, names", [
+    ({"kind": "scale", "a": "x" * 5000, "child": {"kind": "distance"}}, ["eval", "--points", "0"], "$.a: "),
+    ({"kind": "takagi", "r": "x" * 5000}, ["eval", "--points", "0"], "$.r: "),
+    ({"kind": "k" * 5000}, ["eval", "--points", "0"], "$: "),
+    (SPEC_TAKAGI2, ["membership", "--c", "y" * 5000, "--r", "2", "--nmax", "1", "--ydepth", "1"], "bad --c: "),
+    (SPEC_TAKAGI2, ["eval", "--points", "x" * 5000], "bad point 'xxx"),
+    (SPEC_TAKAGI2, ["probe", "--x", "1/" + "0" * 4000, "--N", "2"], "bad point '1/000"),
+], ids=["spec-a", "spec-r", "spec-kind", "membership-c", "eval-points", "probe-x"])
+def test_an_unreadable_long_literal_is_quoted_short(capsys, spec_file, spec, argv, names):
+    # a 5000-character literal was echoed whole: 5 KB of stderr, 10 KB for a point
+    code, out, err = run(capsys, [argv[0], "--func", spec_file(spec), *argv[1:]])
+    assert (code, out) == (2, "") and err.startswith(f"pathfn: {names}")
+    assert len(err.encode()) < 300 and " characters)" in err
 
 
 @pytest.mark.parametrize("a, want", [

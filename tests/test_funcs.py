@@ -294,6 +294,56 @@ def test_eval_exact_points_match_orbit_oracle(seed):
         assert [eval_exact(f, x) for x in xs] == expected, f
 
 
+@pytest.mark.parametrize("f, xs", [
+    (USeries(2, Distance()), [F(1, 14), F(3, 28)]),  # tails whose cycle point 1/7 or 3/7 is not requested
+    (USeries(2, Distance()), [F(1, 13), F(5, 13), F(10, 13), F(6, 13), F(1, 13)]),  # one 12-cycle
+    (USeries(2, psi_zero(1, 1)), [F(15, 28), F(1, 28), F(13, 28), F(9, 28)]),  # a tail into another's tail
+    (USeries(3, USeries(2, Distance())), [F(j, 28) for j in (1, 3, 5, 14, 15, 27)]),
+], ids=["tails", "one-cycle", "tail-into-tail", "nested-q28"])
+def test_sparse_walks_match_orbit_oracle(f, xs):
+    assert eval_exact_points(f, xs) == [orbit_oracle(f, x) for x in xs]
+    assert [eval_exact(f, x) for x in xs] == [orbit_oracle(f, x) for x in xs]
+
+
+def test_series_walk_keeps_only_the_requested_and_attach_points():
+    # on Q = 28, 1 -> 2 -> 4 -> 8 -> 16 -> 4 attaches at the cycle point 4;
+    # 15 -> 30 = 2 attaches inside that tail; 3 -> 6 -> 12 -> 24 -> 20 -> 12 at 12
+    for f in (USeries(2, Distance()), USeries(2, USeries(3, ThetaSplice(2)))):
+        vals, den = f.walk(28, [1, 15, 3, 2], None)()
+        assert set(vals) == {0, 1, 15, 3, 2, 4, 12}
+        assert {j: F(v, den) for j, v in vals.items()} == {j: orbit_oracle(f, F(j, 28)) for j in vals}
+    vals, _ = USeries(3, Distance()).walk(13, [2, 6], None)()  # the cycle 2 -> 6 -> 5 -> 2: 5 is walked, not kept
+    assert set(vals) == {0, 2, 6}
+
+
+def test_long_cycle_points_keep_few_values():
+    # 2 is a primitive root mod 13997: each point's cycle has 13 996 entries of
+    # about 14 000 bits, and storing all of them took 27.5 MiB at the peak
+    import tracemalloc
+
+    q, L = 13997, 13996
+    tau2 = USeries(2, Distance())
+    xs = [F(1, q), F(5, q), F(77, q)]
+    eval_exact(tau2, F(1, 3))  # warm the caches of pieces
+    tracemalloc.start()
+    try:
+        got = eval_exact_points(tau2, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+    def horner(p):
+        # tau2(p/q) = sum_{k<L} 2^-k d(2^k p/q) / (1 - 2^-L), d(a/q) = min(a, q - a)/q
+        h, a = 0, p
+        for _ in range(L):
+            h, a = 2 * h + min(a, q - a), 2 * a % q
+        assert a == p
+        return F(2 * h, q * (2**L - 1))
+
+    assert got == [horner(x.numerator) for x in xs]
+
+
 def test_eval_exact_unsupported():
     with pytest.raises(UnsupportedExactError):
         eval_exact(AbsSin(), F(1, 2))
