@@ -107,21 +107,16 @@ def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSeque
     j -> s*j mod Q, or only for the j in ``keep``, and return
     mult = lcm(s^L - 1) s^K: it clears each cycle sum S / (1 - s^-L), and
     leaves K divisions by s for the pre-periodic entries.  One Horner pass
-    over a cycle c_0 -> ... -> c_(L-1) gives S = s H_L and the prefix sums
-    H_m; a kept entry is read off its own H_m, and without ``keep`` the cycle
-    is walked once more, V[next] = s (V[j] - P[j])."""
+    sums a cycle; one more walk steps V[next] = s (V[j] - P[j])."""
     mult = lcm(*(s ** len(c) - 1 for c in cycles)) * s**K
     for c in cycles:
-        h, kept = 0, []
-        for m, j in enumerate(c):  # Horner: h = H_m = sum_{i<m} P[c_i] s^(m-1-i)
-            if keep is not None and j in keep:
-                kept.append((j, m, h))
-            h = h * s + pv[j]
-        v = s * h * (mult // (s ** len(c) - 1))  # mult V[c_0], V[c_0] = s H_L / (s^L - 1)
-        for j, m, hm in kept:
-            vals[j] = s**m * v - s * hm * mult  # V[c_m] = s^m V[c_0] - s H_m
-        for j in c if keep is None else ():
-            vals[j] = v
+        v = 0
+        for j in c:  # Horner: S = sum_m P[c_m] s^(L-m)
+            v = (v + pv[j]) * s
+        v *= mult // (s ** len(c) - 1)
+        for j in c:
+            if keep is None or j in keep:
+                vals[j] = v
             v = s * (v - pv[j] * mult)  # V[next] = s (V[j] - P[j])
     return mult
 
