@@ -7,7 +7,7 @@ Conventions shared by every command:
 * JSON reports are deterministic (sorted keys; the ``timing_ms`` field is
   the only run-dependent value) and carry ``"schema": "pathfn/1"``,
 * exit codes: 0 = pass, 1 = a mathematical violation was found,
-  2 = usage error / unsupported request / resource cap.
+  2 = usage error / unsupported request / resource cap / out of memory.
 
 Every refusal and all the work come first; then the output is written to
 stdout in runs of text as it is encoded, so a refusal (exit 2 with a
@@ -146,8 +146,9 @@ def _common_flags(p: argparse.ArgumentParser, mode: bool = True) -> None:
     if mode:
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--cap", type=int, default=DEFAULT_TRIPLET_CAP,
-                   help="cap on triplets, grid-table points, y values, bounds samples, flow and probe "
-                        "evaluations, flow sample rows, and the entries each exact point adds to a series table")
+                   help="cap on triplets, grid-table points, y values, bounds samples, flow evaluations, "
+                        "probe orbit steps, flow sample rows, and the entries each exact point adds to a series "
+                        "table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +393,9 @@ def cmd_probe(args) -> int:
     y = _rat(args.y, "--y")
     x = _rat(args.x, f"point {quote(args.x)}", decimals=True)
     mode = "auto" if args.mode == "exact" else "float"
-    check_scan_cap(args.cap, 3 * (args.depth + 1), unit="point evaluations")
+    # the three points of depth n walk n + 1 orbit entries each
+    N = max(args.depth, 0)
+    check_scan_cap(args.cap, 3 * (N + 1) * (N + 2) // 2, unit="orbit steps")
     rows = _lazy.divergence_probe(f, x, args.depth, y=y, r=r, mode=mode)
     exact_rows = all(not isinstance(row.gap, Approx) for row in rows)
     lines = ["n,delta_plus,delta_minus,gap" if exact_rows else "n,delta_plus,delta_minus,gap,error_bound"]
@@ -476,6 +479,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (PathfnError, ValueError) as exc:
         sys.stderr.write(f"pathfn: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError:  # not EXIT_VIOLATION, which an uncaught exception would give
+        sys.stderr.write("pathfn: out of memory; lower --cap or ask for less\n")
         return EXIT_ERROR
 
 

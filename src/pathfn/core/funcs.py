@@ -126,7 +126,9 @@ class FuncExpr(Record):
 
     def table(self, Q: int) -> Table:
         """(I, D) with f(j/Q) = I[j] / D for j = 0..Q: off the pieces when
-        the tree has them, else by the node's rule."""
+        the tree has them, else by the node's rule.  The list I is new and
+        belongs to the caller, who may overwrite it: a series node writes
+        its own values over its generator's table."""
         pw = as_piecewise_poly(self)
         return poly_table(pw, Q) if pw is not None else self._table(Q)
 
@@ -496,13 +498,15 @@ class USeries(FuncExpr):
         return v, _add_up(e, tail, _ulp(tail))
 
     def _table(self, Q: int) -> Table:
-        pv, pden = self.psi.table(Q)
+        """V written over the generator's table P, which this node owns:
+        each entry's P[j] is read before V[j] replaces it."""
+        vals, pden = self.psi.table(Q)
         s = self.r
         cycles, K, tail = series_layout(s, Q)
-        vals = [0] * (Q + 1)
-        mult = close_cycles(cycles, pv, s, K, vals)
+        vals[0] = vals[Q] = 0  # V at the integers; no cycle or tail holds 0 or Q
+        mult = close_cycles(cycles, vals, s, K, vals)
         for j in tail:  # depth t reads depth t - 1, a multiple of s in D
-            vals[j] = pv[j] * mult + vals[s * j % Q] // s
+            vals[j] = vals[j] * mult + vals[s * j % Q] // s
         return vals, pden * mult
 
     def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:

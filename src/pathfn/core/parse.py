@@ -124,9 +124,11 @@ def _rational(v, path: str) -> Fraction:
 
 
 def _allow_keys(doc: dict, allowed: set, path: str) -> None:
-    extra = set(doc) - allowed - {"kind"}
+    """Refuse fields outside ``allowed``, naming the first three, each quoted short."""
+    extra = sorted(set(doc) - allowed - {"kind"})
     if extra:
-        raise FuncSpecError(f"{path}: unexpected fields {sorted(extra)}")
+        names = ", ".join(map(quote, extra[:3])) + (", ..." if len(extra) > 3 else "")
+        raise FuncSpecError(f"{path}: unexpected fields ({len(extra)}): {names}")
 
 
 # A field codec: (decode(value, path), encode(value)).

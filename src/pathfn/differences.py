@@ -34,7 +34,7 @@ from .core.funcs import FuncExpr, eval_approx, eval_exact_points
 from .core.points import Triplet, is_radix_rational, triplet_count, validate_radix
 from .core.scalars import Approx, Record, Scalar, reduce_mod1
 from .errors import DEFAULT_TRIPLET_CAP, OrbitLimitError, cap_depth, check_scan_cap
-from .grid import grid_values, scan_grid, stencil_rows, stencil_slices
+from .grid import Table, grid_values, scan_grid, stencil_rows, stencil_slices
 
 _AUTO_ORBIT_CAP = 4096
 
@@ -177,10 +177,12 @@ def _run_scan(
     const: Fraction,
     mode: str,
     cap: int,
+    table: Optional[Table] = None,
 ) -> ScanReport:
     """One loop over :func:`pathfn.grid.stencil_rows` for both modes, on the
-    grid table I/D of f or, in float mode, on the certified table's centres
-    within errors E/D (:func:`dyadic`).  The margin of (n, k, y = a/B) is
+    grid table I/D of f (``table``, when the caller has built it) or, in
+    float mode, on the certified table's centres within errors E/D
+    (:func:`dyadic`).  The margin of (n, k, y = a/B) is
     2 r^(2n) B g[k] / (a (B - a) D) + offset(n), positive exactly when g[k]
     exceeds the row's integer T; the true g[k] lies within
     e = a E_R + (B - a) E_L + B E_M of the centre's."""
@@ -188,7 +190,9 @@ def _run_scan(
     ys, total, grid = scan_family(r, n_max, y_set, cap)
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
     if mode == "exact":
-        (vals, den), errs = grid_values(f, grid), None
+        (vals, den), errs = grid_values(f, grid) if table is None else table, None
+        if len(vals) != grid + 1:
+            raise ValueError(f"the scan reads a table of {grid + 1} entries, got {len(vals)}")
     else:
         vals, den, errs = dyadic(approx_table(f, grid))
     B = grid // r**n_max
@@ -223,6 +227,12 @@ def membership_scan(q: MembershipQuery, cap: int = DEFAULT_TRIPLET_CAP) -> ScanR
     verdict in exact mode is an exact statement about the scanned subfamily
     (and only about it)."""
     return _run_scan(q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, cap)
+
+
+def _membership_scan_on(q: MembershipQuery, table: Table, cap: int) -> ScanReport:
+    """:func:`membership_scan` of an exact query, reading ``table``, the grid
+    table of q.f on the scan's grid that the caller built and reads again."""
+    return _run_scan(q.f, q.r, q.n_max, q.y_set, "membership", q.c, q.mode, cap, table)
 
 
 def semiconcavity_scan(

@@ -7,18 +7,19 @@ Two routes compute it:
   collapses onto the grid {k/R}, R = r^n; the result is the lower envelope of
   R + 1 equal-curvature parabolas, built by the classic stack algorithm
   (Felzenszwalb & Huttenlocher, *Distance Transforms of Sampled Functions*).
-  The algorithm runs in integers on the grid table f(k/R) = I_k/D: with
-  t = p/q, the parabolas of vertices i < j cross at num/den with
-  num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0, so
-  every stack comparison is one cross-multiplication.  The result stays in
-  integers (:class:`PiecewiseQuadratic`): the kept vertices and their values,
-  each breakpoint derived from its two adjacent vertices when read.  Its
-  JSON form and its samples stream from them, and ``Fraction`` pieces are
-  built only on access.  Float
-  mode runs the same pass on the dyadic centres and errors of the vertex
-  values over one common denominator;
-  moving each vertex k within its error e_k moves num by at most
-  2pR^2 (e_i + e_j), and every comparison must hold for all such moves.
+  The algorithm runs in integers on the vertex values f(k/R) = I_k/D, in
+  exact mode every r-th entry of the table that the steepness scan at depths
+  <= n reads on the grid rR: with t = p/q, the parabolas of vertices i < j
+  cross at num/den with num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and
+  den = 2qDR (j - i) > 0, so every stack comparison is one
+  cross-multiplication.  The result stays in integers
+  (:class:`PiecewiseQuadratic`): the kept vertices and their values, each
+  breakpoint derived from its two adjacent vertices when read.  Its JSON form
+  and its samples stream from them, and ``Fraction`` pieces are built only on
+  access.  Float mode runs the same pass on the dyadic centres and errors of
+  the vertex values over one common denominator; moving each vertex k within
+  its error e_k moves num by at most 2pR^2 (e_i + e_j), and every comparison
+  must hold for all such moves.
 * ``flow_bruteforce_points`` -- the independent oracle: a plain minimum over
   the radix z-grid {j/r^N}, in exact or certified float arithmetic, for many
   x on one table of f.  At x = a/X the exact objective at z_j is
@@ -46,7 +47,8 @@ from .core.points import radix_y_set, validate_radix
 from .core.polys import certify_nonneg
 from .core.scalars import (_PRINTED_BITS, Approx, RationalFormatError, Record, Rows, Scalar, _down, _up, check_ratios,
                            format_ratios, format_rational)
-from .differences import MembershipQuery, approx_table, check_mode, check_radix_scan_cap, dyadic, membership_scan
+from .differences import (MembershipQuery, _membership_scan_on, approx_table, check_mode, check_radix_scan_cap, dyadic,
+                          membership_scan)
 from .errors import (
     DEFAULT_TRIPLET_CAP,
     AmbiguousEnvelopeError,
@@ -55,7 +57,7 @@ from .errors import (
     cap_depth,
     check_scan_cap,
 )
-from .grid import grid_values
+from .grid import Table, grid_values
 
 
 class FlowQuery(Record):
@@ -287,7 +289,9 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
     exactly whenever f has an exact branch, whatever the flow's mode, and in
     certified floats otherwise.  Runs in time linear in r^n; exact mode
     throughout (float mode raises if any envelope comparison is ambiguous
-    within certified bounds).
+    within certified bounds).  An exact flow reads its vertex values off the
+    table of the scan at depths <= n, which it builds once the depth-0 scan
+    has passed; a float flow builds a certified table on r^n.
 
     ``cap`` bounds the r^n + 1 vertices and the triplets and grid tables of
     both scans.  A request over it raises :class:`ResourceLimitError` before
@@ -307,18 +311,34 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
     if q.mode == "exact" and not supports_exact(q.f):
         raise UnsupportedExactError("function has no exact branch; use --mode float")
     mode = "exact" if supports_exact(q.f) else "float"
-    for depth, y_depth in families:
-        scan = membership_scan(MembershipQuery(q.f, q.c, q.r, depth, radix_y_set(q.r, y_depth), mode), cap=cap)
+
+    def require_steep(depth: int, y_depth: int, table: Optional[Table] = None) -> None:
+        query = MembershipQuery(q.f, q.c, q.r, depth, radix_y_set(q.r, y_depth), mode)
+        scan = membership_scan(query, cap=cap) if table is None else _membership_scan_on(query, table, cap=cap)
         if scan.verdict != "no-violation":  # a float 'inconclusive' is no evidence
             w = scan.worst_triplet
             raise FlowConditionError(
                 f"no steepness evidence at c={q.c}: the steep bound is {scan.verdict} at depth <= {depth}, "
                 f"worst at (n, k, y) = ({w.n}, {w.k}, {w.y})"
             )
-    if q.mode == "exact":
-        return _envelope_exact(*grid_values(q.f, q.r**n), q.t)
-    vals, den, errs = dyadic(approx_table(q.f, q.r**n))
-    return _envelope_exact(vals, den, q.t, errs)
+
+    require_steep(*families[0])
+    if q.mode == "float":
+        require_steep(*families[1])
+        vals, den, errs = dyadic(approx_table(q.f, q.r**n))
+        return _envelope_exact(vals, den, q.t, errs)
+    # the table of the scan at depths <= n, on r^(n+1) and built where that
+    # scan would build it, holds the vertex values f(k/r^n) = I[r k] / D
+    table = grid_values(q.f, q.r ** (n + 1))
+    require_steep(*families[1], table)
+    vals, den = table
+    del table
+    vals = vals[:: q.r]  # drops the rest of the scan's table
+    g = math.gcd(den, *vals)  # divided out in place, so _envelope_exact copies nothing
+    if g != 1:
+        for k, v in enumerate(vals):
+            vals[k] = v // g
+    return _envelope_exact(vals, den // g, q.t)
 
 
 def _envelope_exact(vals: List[int], den: int, t: Fraction, errs: Optional[List[int]] = None) -> PiecewiseQuadratic:

@@ -5,7 +5,10 @@ The rules themselves live on the node classes (``pathfn.core.funcs``), each
 kind its own: integer Horner on j for anything with polynomial pieces; term
 by term for Scale and Sum; index m*j mod Q for Dilate(m); and for a series of
 radix s, V[j] = P[j] + V[s*j mod Q] / s, each cycle of j -> s*j mod Q closed
-with S / (1 - s^-L).  :func:`grid_values` fills the whole grid j = 0..Q;
+with S / (1 - s^-L), written over the generator's table.  :func:`grid_values`
+fills the whole grid j = 0..Q in a list the caller owns; an exact flow
+builds one, for its steepness scan at depths <= n on r^(n+1), and keeps every
+r-th entry as its envelope's vertex values.
 :func:`point_values` walks only the closure of the requested j under the
 node maps, which is how exact evaluation reads any rational point.  Its
 sparse table holds every closure entry of a series generator, but of the
@@ -107,7 +110,8 @@ def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSeque
     j -> s*j mod Q, or only for the j in ``keep``, and return
     mult = lcm(s^L - 1) s^K: it clears each cycle sum S / (1 - s^-L), and
     leaves K divisions by s for the pre-periodic entries.  One Horner pass
-    sums a cycle; one more walk steps V[next] = s (V[j] - P[j])."""
+    sums a cycle; one more walk steps V[next] = s (V[j] - P[j]), reading
+    P[j] before it writes V[j], so ``vals`` may be ``pv`` itself."""
     mult = lcm(*(s ** len(c) - 1 for c in cycles)) * s**K
     for c in cycles:
         v = 0
@@ -115,9 +119,10 @@ def close_cycles(cycles: List[List[int]], pv, s: int, K: int, vals: MutableSeque
             v = (v + pv[j]) * s
         v *= mult // (s ** len(c) - 1)
         for j in c:
+            p = pv[j]
             if keep is None or j in keep:
                 vals[j] = v
-            v = s * (v - pv[j] * mult)  # V[next] = s (V[j] - P[j])
+            v = s * (v - p * mult)  # V[next] = s (V[j] - P[j])
     return mult
 
 

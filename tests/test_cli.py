@@ -530,7 +530,9 @@ def test_flow_crosscheck_builds_one_table(capsys, spec_file, monkeypatch, mode):
         ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/8", "--crosscheck", "6", "--mode", mode],
     )
     assert code == 0 and json.loads(out)["detail"]["crosscheck"]["points"] == 65
-    assert sizes == [2, 64]  # the envelope's vertices, then one brute-force table
+    # exact: the scan's table on r^(n+1), which holds the envelope's vertices;
+    # float: the vertices' certified table; then one brute-force table
+    assert sizes == ([4, 64] if mode == "exact" else [2, 64])
 
 
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):
@@ -687,7 +689,21 @@ def test_probe_cap_exit_2(capsys, spec_file, monkeypatch):
     code, out, err = run(
         capsys, ["probe", "--func", spec_file(SPEC_TAKAGI2), "--x", "1/3", "--N", "40", "--cap", "100"]
     )
-    assert code == 2 and out == "" and "123 point evaluations exceeds cap 100" in err
+    assert code == 2 and out == "" and "2583 orbit steps exceeds cap 100" in err
+
+
+def test_probe_charges_its_orbit_steps(capsys, spec_file, monkeypatch):
+    # a depth-n point walks n + 1 orbit entries, so a probe's work grows like N^3;
+    # charged 3(N + 1) point evaluations, N = 6000 ran for about 47 s under the
+    # default cap.  It is charged 3(N + 1)(N + 2)/2 orbit steps before any work.
+    _refuse_work(monkeypatch, "divergence_probe")
+    base = ["probe", "--func", spec_file(SPEC_TAKAGI2), "--x", "1/3", "--N"]
+    for N, steps in ((3000, 13513503), (6000, 54027003)):
+        code, out, err = run(capsys, base + [str(N)])
+        assert (code, out) == (2, "") and f"scan of {steps} orbit steps exceeds cap 10000000" in err
+    for N in ("1000", "-5000"):  # 1504503 steps run; a negative depth is left to the probe's own refusal
+        with pytest.raises(AssertionError, match="work started"):
+            cli.main(base + [N])
 
 
 def test_probe_float_fallback_column(capsys, spec_file):
@@ -1104,6 +1120,27 @@ def test_an_unreadable_long_literal_is_quoted_short(capsys, spec_file, spec, arg
     code, out, err = run(capsys, [argv[0], "--func", spec_file(spec), *argv[1:]])
     assert (code, out) == (2, "") and err.startswith(f"pathfn: {names}")
     assert len(err.encode()) < 300 and " characters)" in err
+
+
+def test_running_out_of_memory_exits_2(capsys, spec_file, monkeypatch):
+    # an uncaught MemoryError ended in a traceback with exit 1, the code of a violation
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", exhausted)
+    code, out, err = run(capsys, ["eval", "--func", spec_file(SPEC_TAKAGI2), "--points", "0"])
+    assert (code, out) == (2, "") and err.startswith("pathfn: out of memory") and err.count("\n") == 1
+
+
+def test_unexpected_fields_are_named_short(capsys, spec_file):
+    # every unexpected field name was echoed whole: one 5000-character key gave
+    # a 5034-byte message
+    code, out, err = run(capsys, ["eval", "--func", spec_file({"kind": "distance", "k" * 5000: 1}), "--points", "0"])
+    assert (code, out) == (2, "") and err.startswith("pathfn: $: unexpected fields (1): 'kkk")
+    assert len(err.encode()) < 300 and "(5000 characters)" in err
+    spec = {"kind": "distance", "d": 1, "b": 1, "k" * 5000: 1, "a": 1, "c": 1}
+    code, out, err = run(capsys, ["eval", "--func", spec_file(spec), "--points", "0"])
+    assert (code, out, err) == (2, "", "pathfn: $: unexpected fields (5): 'a', 'b', 'c', ...\n")
 
 
 @pytest.mark.parametrize("a, want", [

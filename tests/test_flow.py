@@ -406,6 +406,32 @@ def test_integer_envelope_equals_fraction_stack_algorithm(r, t):
     assert compared >= 12
 
 
+def test_exact_flow_builds_its_table_after_the_depth_0_scan(monkeypatch):
+    # the envelope's vertices are every r-th entry of the table of the scan at
+    # depths <= n; that table is built once the depth-0 scan has returned, so
+    # initial data that this scan refuses costs no table of f on r^(n+1)
+    import pathfn.flow
+
+    events = []
+    real_scan, real_table = pathfn.flow.membership_scan, pathfn.flow.grid_values
+
+    def scan(q, *, cap):
+        events.append("scan")
+        report = real_scan(q, cap=cap)
+        events.append("scan returned")
+        return report
+
+    monkeypatch.setattr(pathfn.flow, "membership_scan", scan)
+    monkeypatch.setattr(pathfn.flow, "grid_values", lambda f, Q: events.append(Q) or real_table(f, Q))
+    pq = flow_grid(FlowQuery(f=TAU2, c=F(2), r=2, t=F(1, 64)))  # depth 4
+    assert events == ["scan", "scan returned", 32]
+    assert pq == _envelope_exact(*real_table(TAU2, 16), F(1, 64))
+    events.clear()
+    with pytest.raises(FlowConditionError, match="violated at depth <= 0"):
+        flow_grid(FlowQuery(f=TAU2, c=F(100), r=2, t=F(1, 8)))
+    assert events == ["scan", "scan returned"]
+
+
 def test_integer_envelope_on_arbitrary_tables():
     # signed tables with many ties: cells left of 0 or right of 1 are clamped
     # away, which steep initial data (f >= 0, f(0) = f(1) = 0) never needs

@@ -104,6 +104,34 @@ def test_sine_leaves_have_no_table():
         grid_values(Sum((Distance(), AbsSin())), 8)
 
 
+def test_series_table_is_written_over_its_generators_table():
+    # the series rule filled a second list of Q + 1 entries beside its
+    # generator's table: building tau2's at Q = 2^15 peaked at about twice the
+    # size of the table it returns
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = USeries(2, Distance()).table(2**15)
+        size, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(table[0]) == 2**15 + 1 and peak < 1.5 * size
+
+
+def test_a_table_belongs_to_its_caller():
+    # a series node overwrites its generator's table, so each call must return
+    # a new list; Q = 48 puts cycles of j -> 2j and of j -> 3j on the grid
+    tau2 = USeries(2, Distance())
+    trees = [Distance(), tau2, USeries(3, tau2), Scale(F(1, 3), tau2), Sum((tau2, Distance())), Dilate(3, tau2)]
+    for f in trees:
+        first, second = f.table(48), f.table(48)
+        assert first == second and first[0] is not second[0], f
+        first[0][:] = [v + 1 for v in first[0]]
+        assert f.table(48) == second, f
+
+
 def brute_worst(f, c, r, n_max, ys):
     """Per-triplet margins through the point evaluator, first maximiser kept."""
     worst, worst_t = None, None
