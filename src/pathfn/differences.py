@@ -199,7 +199,8 @@ def _run_scan(
     keys = []  # (-margin, triplet) of each row's first largest g
     violated, inconclusive = False, 0
     err_rows = repeat(None) if errs is None else stencil_slices(errs, r, n_max, ys)
-    for (n, y, a, g), err_row in zip(stencil_rows(vals, r, n_max, ys), err_rows):
+    for n, y, a, g in stencil_rows(vals, r, n_max, ys):
+        err_row = next(err_rows)
         b, scale, best = B - a, 2 * r ** (2 * n) * B, max(g)
         keys.append((-Fraction(scale * best, a * b * den) - offset(n), Triplet(n, g.index(best), y)))
         if err_row is not None:
@@ -208,6 +209,7 @@ def _run_scan(
                 e = a * R + b * L + B * M
                 violated = violated or gk - e > T
                 inconclusive += gk - e <= T < gk + e
+        del g, err_row  # dropped before the next row is built, not alongside it
     neg, t = min(keys)  # the largest margin; ties go to the smallest (n, k, y)
     if errs is None:
         return ScanReport("violated" if neg < 0 else "no-violation", -neg, t, total, mode)
