@@ -19,7 +19,8 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 from . import __version__
 # Import order sets the heap layout and so peak RSS: alphabetical order read
@@ -126,13 +127,15 @@ def _report(command: str, inputs: dict, verdict: str, detail: dict, mode: str, t
     }
 
 
-def _write_lines(write: Callable[[str], object], lines: Sequence[str]) -> None:
-    """Write each line and a newline, ``_CHUNK_ROWS`` lines per call."""
-    for i in range(0, len(lines), _CHUNK_ROWS):
-        write("\n".join(lines[i:i + _CHUNK_ROWS]) + "\n")
+def _write_lines(write: Callable[[str], object], lines: Iterable[str]) -> None:
+    """Write each line and a newline, ``_CHUNK_ROWS`` lines per call, reading
+    ``lines`` one run at a time."""
+    lines = iter(lines)
+    while run := list(islice(lines, _CHUNK_ROWS)):
+        write("\n".join(run) + "\n")
 
 
-def _emit(report: Optional[dict] = None, lines: Sequence[str] = ()) -> None:
+def _emit(report: Optional[dict] = None, lines: Iterable[str] = ()) -> None:
     """Write a command's output to stdout, looked up now: ``report`` as JSON
     and a newline, then ``lines``.  Called once, after the last refusal."""
     write = sys.stdout.write
@@ -354,10 +357,10 @@ def cmd_flow(args) -> int:
         }
         if mismatches:
             verdict = "fail"
-    lines: List[str] = []
-    if args.samples:
-        lines.append("x,value,error_bound" if suffix else "x,value")
-        lines += [line + suffix for line in pq.sample_lines(args.samples)]
+    lines: Iterable[str] = ()
+    if args.samples:  # computed and checked now, formatted a run at a time as written
+        header = "x,value,error_bound" if suffix else "x,value"
+        lines = chain([header], (line + suffix for line in pq.sample_lines(args.samples)))
         if args.csv:
             try:
                 with open(args.csv, "w", encoding="utf-8") as fh:

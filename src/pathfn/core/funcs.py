@@ -146,10 +146,15 @@ class FuncExpr(Record):
         (int / int is correctly rounded); otherwise the node's rule acts on
         its children's rows as ``approx`` acts on their values."""
         if supports_exact(self):
-            vals, den = self.table(Q)
-            rounded = [i / den for i in vals]
-            return [(v, _ulp(v) if i else 0.0) for i, v in zip(vals, rounded)]
+            return rounded_rows(*self.table(Q))
         return self._rows(Q)
+
+
+def rounded_rows(vals: Sequence[int], den: int) -> Rows:
+    """Certified (value, err) of each I/den of an exact table, each entry
+    rounded once: int / int is correctly rounded, so err is one ulp, and 0
+    where the value is 0."""
+    return [(v, _ulp(v) if i else 0.0) for i, v in zip(vals, (i / den for i in vals))]
 
 
 class PolyLeaf(FuncExpr):
@@ -317,8 +322,12 @@ class Scale(FuncExpr):
         return scale_bounds(*self.child.approx(x, series_terms), float(self.a))
 
     def _table(self, Q: int) -> Table:
+        """a times the child's table, written over it."""
         vals, den = self.child.table(Q)
-        return [self.a.numerator * v for v in vals], den * self.a.denominator
+        a = self.a.numerator
+        for j, v in enumerate(vals):
+            vals[j] = a * v
+        return vals, den * self.a.denominator
 
     def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
         child = self.child.walk(Q, js, cap)
@@ -367,10 +376,18 @@ class Sum(FuncExpr):
         return sum_bounds(c.approx(x, series_terms) for c in self.children)
 
     def _table(self, Q: int) -> Table:
-        tables = [c.table(Q) for c in self.children]
-        den = lcm(*(d for _, d in tables))
-        scaled = [[den // d * v for v in vals] for vals, d in tables]
-        return [sum(col) for col in zip(*scaled)], den
+        """The children's tables added into the first one's, one child at a
+        time over the lcm of the denominators so far."""
+        vals, den = self.children[0].table(Q)
+        for c in self.children[1:]:
+            cvals, cden = c.table(Q)
+            m = lcm(den, cden)
+            a, b = m // den, m // cden
+            for j, v in enumerate(cvals):
+                vals[j] = a * vals[j] + b * v
+            del cvals  # before the next child's table is built
+            den = m
+        return vals, den
 
     def _walk(self, Q: int, js: Sequence[int], cap: Optional[int]) -> Callable[[], Points]:
         children = [c.walk(Q, js, cap) for c in self.children]

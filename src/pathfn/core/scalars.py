@@ -305,7 +305,7 @@ def to_json(obj, key: str = "$"):
 
 
 # Rows per write of a :class:`Rows` list.
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 256
 
 
 class Rows:

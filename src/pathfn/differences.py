@@ -13,7 +13,8 @@ exact verdicts for the scanned subfamily; float mode reports three-valued
 verdicts decided from certified bounds and never converts rounding noise
 into a claim.
 
-Both scan modes run one loop over ``grid.stencil_rows`` in integers.  Exact
+Both scan modes run one loop over ``grid.stencil_rows`` in integers, a
+bounded piece of a stencil row at a time, and keep one key per row.  Exact
 scans read one grid table of f; nothing in them passes through float.  Float
 scans read one table of certified values (:func:`approx_table`, by the exact
 table's node rules) as integers (:func:`dyadic`), decide each margin from its
@@ -179,13 +180,14 @@ def _run_scan(
     cap: int,
     table: Optional[Table] = None,
 ) -> ScanReport:
-    """One loop over :func:`pathfn.grid.stencil_rows` for both modes, on the
-    grid table I/D of f (``table``, when the caller has built it) or, in
-    float mode, on the certified table's centres within errors E/D
-    (:func:`dyadic`).  The margin of (n, k, y = a/B) is
+    """One loop over the pieces of :func:`pathfn.grid.stencil_rows` for both
+    modes, on the grid table I/D of f (``table``, when the caller has built
+    it) or, in float mode, on the certified table's centres within errors
+    E/D (:func:`dyadic`).  The margin of (n, k, y = a/B) is
     2 r^(2n) B g[k] / (a (B - a) D) + offset(n), positive exactly when g[k]
     exceeds the row's integer T; the true g[k] lies within
-    e = a E_R + (B - a) E_L + B E_M of the centre's."""
+    e = a E_R + (B - a) E_L + B E_M of the centre's.  Each row (n, y) keeps
+    one key, its first largest g over its pieces."""
     check_mode(mode)
     ys, total, grid = scan_family(r, n_max, y_set, cap)
     offset = (lambda n: 2 * const * r**n) if kind == "membership" else (lambda n: -const)
@@ -196,20 +198,26 @@ def _run_scan(
     else:
         vals, den, errs = dyadic(approx_table(f, grid))
     B = grid // r**n_max
-    keys = []  # (-margin, triplet) of each row's first largest g
+    rows = {}  # (n, y) -> (a, the row's largest g, its first k), over the row's pieces in k order
     violated, inconclusive = False, 0
-    err_rows = repeat(None) if errs is None else stencil_slices(errs, r, n_max, ys)
-    for n, y, a, g in stencil_rows(vals, r, n_max, ys):
-        err_row = next(err_rows)
-        b, scale, best = B - a, 2 * r ** (2 * n) * B, max(g)
-        keys.append((-Fraction(scale * best, a * b * den) - offset(n), Triplet(n, g.index(best), y)))
-        if err_row is not None:
+    err_pieces = repeat(None) if errs is None else stencil_slices(errs, r, n_max, ys)
+    for n, y, a, k0, g in stencil_rows(vals, r, n_max, ys):
+        err_piece, best = next(err_pieces), max(g)
+        row = rows.get((n, y))
+        if row is None or best > row[1]:
+            rows[n, y] = a, best, k0 + g.index(best)
+        if err_piece is not None:
+            b, scale = B - a, 2 * r ** (2 * n) * B
             T = (-offset(n) * (a * b * den)) // scale  # the margin is positive exactly when g > T
-            for gk, L, M, R in zip(g, *err_row[3:]):
+            for gk, L, M, R in zip(g, *err_piece[4:]):
                 e = a * R + b * L + B * M
                 violated = violated or gk - e > T
                 inconclusive += gk - e <= T < gk + e
-        del g, err_row  # dropped before the next row is built, not alongside it
+        del g, err_piece  # dropped before the next piece is built, not alongside it
+    keys = (
+        (-Fraction(2 * r ** (2 * n) * B * best, a * (B - a) * den) - offset(n), Triplet(n, k, y))
+        for (n, y), (a, best, k) in rows.items()
+    )
     neg, t = min(keys)  # the largest margin; ties go to the smallest (n, k, y)
     if errs is None:
         return ScanReport("violated" if neg < 0 else "no-violation", -neg, t, total, mode)

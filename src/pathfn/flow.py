@@ -7,17 +7,18 @@ Two routes compute it:
   collapses onto the grid {k/R}, R = r^n; the result is the lower envelope of
   R + 1 equal-curvature parabolas, built by the classic stack algorithm
   (Felzenszwalb & Huttenlocher, *Distance Transforms of Sampled Functions*).
-  The algorithm runs in integers on the vertex values f(k/R) = I_k/D, in
-  exact mode every r-th entry of the table that the steepness scan at depths
-  <= n reads on the grid rR: with t = p/q, the parabolas of vertices i < j
-  cross at num/den with num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and
-  den = 2qDR (j - i) > 0, so every stack comparison is one
-  cross-multiplication.  The result stays in integers
-  (:class:`PiecewiseQuadratic`): the kept vertices and their values, each
-  breakpoint derived from its two adjacent vertices when read.  Its JSON form
-  and its samples stream from them, and ``Fraction`` pieces are built only on
-  access.  Float mode runs the same pass on the dyadic centres and errors of
-  the vertex values over one common denominator; moving each vertex k within
+  The algorithm runs in integers on the vertex values f(k/R) = I_k/D, for
+  any f with an exact branch every r-th entry of the table that the
+  steepness scan at depths <= n reads on the grid rR: with t = p/q, the
+  parabolas of vertices i < j cross at num/den with
+  num = 2pR^2 (I_j - I_i) + qD (i + j)(j - i) and den = 2qDR (j - i) > 0,
+  so every stack comparison is one cross-multiplication.  The result stays
+  in integers (:class:`PiecewiseQuadratic`): the kept vertices and their
+  values, each breakpoint derived from its two adjacent vertices when read.
+  Its JSON form and its samples stream from them, and ``Fraction`` pieces
+  are built only on access.  Float mode runs the same pass on the dyadic centres and errors of
+  the certified vertex values (those entries, each rounded once, when f has
+  an exact branch) over one common denominator; moving each vertex k within
   its error e_k moves num by at most 2pR^2 (e_i + e_j), and every comparison
   must hold for all such moves.
 * ``flow_bruteforce_points`` -- the independent oracle: a plain minimum over
@@ -42,11 +43,11 @@ from functools import cached_property
 from itertools import islice, pairwise
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .core.funcs import FuncExpr, as_piecewise_poly, sup_abs_bound, supports_exact
+from .core.funcs import FuncExpr, as_piecewise_poly, rounded_rows, sup_abs_bound, supports_exact
 from .core.points import radix_y_set, validate_radix
 from .core.polys import certify_nonneg
-from .core.scalars import (_PRINTED_BITS, Approx, RationalFormatError, Record, Rows, Scalar, _down, _up, check_ratios,
-                           format_ratios, format_rational)
+from .core.scalars import (_CHUNK_ROWS, _PRINTED_BITS, Approx, RationalFormatError, Record, Rows, Scalar, _down, _up,
+                           check_ratios, format_ratios, format_rational)
 from .differences import (MembershipQuery, _membership_scan_on, approx_table, check_mode, check_radix_scan_cap, dyadic,
                           membership_scan)
 from .errors import (
@@ -270,11 +271,20 @@ class PiecewiseQuadratic(Record):
         nums, den = self._samples(count)
         return [(Fraction(i, count - 1), Fraction(v, den)) for i, v in enumerate(nums)]
 
-    def sample_lines(self, count: int) -> List[str]:
-        """The "x,value" CSV lines of :meth:`sample_rows`, rationals as 'p/q'."""
+    def sample_lines(self, count: int) -> Iterator[str]:
+        """The "x,value" CSV lines of :meth:`sample_rows`, rationals as 'p/q'.
+        The values are computed and checked printable now; the lines are
+        formatted ``_CHUNK_ROWS`` at a time as they are read."""
         nums, den = self._samples(count)
         check_ratios(nums, den, "the samples")
-        return [f"{x},{v}" for x, v in zip(format_ratios(range(count), count - 1), format_ratios(nums, den))]
+        return (
+            f"{x},{v}"
+            for lo in range(0, count, _CHUNK_ROWS)
+            for x, v in zip(
+                format_ratios(range(lo, min(lo + _CHUNK_ROWS, count)), count - 1),
+                format_ratios(nums[lo : lo + _CHUNK_ROWS], den),
+            )
+        )
 
 
 def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadratic:
@@ -289,9 +299,11 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
     exactly whenever f has an exact branch, whatever the flow's mode, and in
     certified floats otherwise.  Runs in time linear in r^n; exact mode
     throughout (float mode raises if any envelope comparison is ambiguous
-    within certified bounds).  An exact flow reads its vertex values off the
-    table of the scan at depths <= n, which it builds once the depth-0 scan
-    has passed; a float flow builds a certified table on r^n.
+    within certified bounds).  Whenever f has an exact branch, the flow reads
+    its vertex values off the table of the scan at depths <= n, which it
+    builds once the depth-0 scan has passed, and a float flow rounds each of
+    them once; only a float flow of f without one builds a certified table
+    on r^n.
 
     ``cap`` bounds the r^n + 1 vertices and the triplets and grid tables of
     both scans.  A request over it raises :class:`ResourceLimitError` before
@@ -323,7 +335,7 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
             )
 
     require_steep(*families[0])
-    if q.mode == "float":
+    if mode == "float":
         require_steep(*families[1])
         vals, den, errs = dyadic(approx_table(q.f, q.r**n))
         return _envelope_exact(vals, den, q.t, errs)
@@ -334,6 +346,9 @@ def flow_grid(q: FlowQuery, cap: int = DEFAULT_TRIPLET_CAP) -> PiecewiseQuadrati
     vals, den = table
     del table
     vals = vals[:: q.r]  # drops the rest of the scan's table
+    if q.mode == "float":  # certified as approx_table(f, r^n) gives them: each entry rounded once
+        vals, den, errs = dyadic([Approx(v, e) for v, e in rounded_rows(vals, den)])
+        return _envelope_exact(vals, den, q.t, errs)
     g = math.gcd(den, *vals)  # divided out in place, so _envelope_exact copies nothing
     if g != 1:
         for k, v in enumerate(vals):

@@ -87,21 +87,25 @@ def identity_residual_scan(
     u_vals, u_den = grid_values(s, Q)  # left side
     p_vals, p_den = grid_values(s.psi, Q)  # right side
     u_at_y = {y: u_eval_exact(s, y) for y in ys}
-    sums = {y: [0] for y in ys}  # T(n - 1, .) per y; the sum is empty at n = 0
-    rows = zip(stencil_rows(u_vals, r, n_max, ys), stencil_rows(p_vals, r, n_max, ys))
-    found = []  # (k, y, residual) of the first nonzero residual per y at depth n
-    for (n, y, a, g_u), (_, _, _, g_p) in rows:
+    sums = {y: [0] for y in ys}  # T(n, .) per y, written piece by piece; the sum is empty at n = 0
+    pieces = zip(stencil_rows(u_vals, r, n_max, ys), stencil_rows(p_vals, r, n_max, ys))
+    found = []  # (k, y, residual) of the first nonzero residual per y in the piece
+    for (n, y, a, k0, g_u), (_, _, _, _, g_p) in pieces:
+        t, k1 = sums[y], k0 + len(g_p)
+        if n and not k0:
+            t *= r  # T(n - 1, k mod r^(n-1)) at every k of depth n, replaced piece by piece
+        piece = t[k0:k1]
         if n:
-            sums[y] = [r ** (2 * n) * gp + r * t for gp, t in zip(g_p, sums[y] * r)]
+            t[k0:k1] = piece = [r ** (2 * n) * gp + r * tk for gp, tk in zip(g_p, piece)]
         uy = u_at_y[y]
-        # residual * D_U D_P den(U(y)) / c, for every k at this (n, y)
+        # residual * D_U D_P den(U(y)) / c, for every k of this piece at (n, y)
         cu, cp = r ** (2 * n) * p_den * uy.denominator, u_den * uy.denominator
         corr = r**n * B * uy.numerator * u_den * p_den
-        z = [cu * gu - cp * t + corr for gu, t in zip(g_u, sums[y])]
-        k = next((k for k, zk in enumerate(z) if zk), None)
-        if k is not None:
-            found.append((k, y, Fraction(2 * B * z[k], a * (B - a) * u_den * p_den * uy.denominator)))
-        if found and y == ys[-1]:
+        z = [cu * gu - cp * tk + corr for gu, tk in zip(g_u, piece)]
+        i = next((i for i, zi in enumerate(z) if zi), None)
+        if i is not None:
+            found.append((k0 + i, y, Fraction(2 * B * z[i], a * (B - a) * u_den * p_den * uy.denominator)))
+        if found and y == ys[-1]:  # every earlier piece had none
             k, y, residual = min(found)
             checked = ((r**n - 1) // (r - 1) + k) * len(ys) + ys.index(y) + 1
             return IdentityReport(checked, Triplet(n, k, y), residual)

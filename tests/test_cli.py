@@ -530,9 +530,41 @@ def test_flow_crosscheck_builds_one_table(capsys, spec_file, monkeypatch, mode):
         ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/8", "--crosscheck", "6", "--mode", mode],
     )
     assert code == 0 and json.loads(out)["detail"]["crosscheck"]["points"] == 65
-    # exact: the scan's table on r^(n+1), which holds the envelope's vertices;
-    # float: the vertices' certified table; then one brute-force table
-    assert sizes == ([4, 64] if mode == "exact" else [2, 64])
+    # the scan's table on r^(n+1), which holds the envelope's vertices (a float
+    # flow rounds them), then one brute-force table
+    assert sizes == [4, 64]
+
+
+def test_flow_samples_are_written_a_run_of_lines_at_a_time(spec_file, monkeypatch):
+    # every CSV line was formatted into one list before the first was written
+    from pathfn.core.scalars import _CHUNK_ROWS
+
+    formatted, writes = [], []
+    real = pathfn.flow.format_ratios
+
+    def counting(nums, den):
+        out = real(nums, den)
+        if isinstance(nums, range):  # the samples' x column; the envelope's pieces pass tuples
+            formatted.append(len(out))
+        return out
+
+    class Out:
+        def write(self, text):
+            writes.append((text, sum(formatted)))
+
+    monkeypatch.setattr(pathfn.flow, "format_ratios", counting)
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/65536", "--samples", "4097"]
+    assert cli.main(argv) == 0
+    first = next(i for i, (text, _) in enumerate(writes) if text.startswith("x,value\n"))
+    csv, done = writes[first:], 0
+    assert "".join(text for text, _ in csv).count("\n") == 4098
+    for text, count in csv:
+        lines = text.count("\n")
+        assert lines <= _CHUNK_ROWS
+        done += lines
+        assert count <= done + _CHUNK_ROWS  # formatted at most a run ahead of the writes
 
 
 def test_flow_csv_outputs(capsys, spec_file, tmp_path):

@@ -21,6 +21,7 @@ from pathfn.core.funcs import (
     AbsSin,
     Dilate,
     Distance,
+    DistancePower,
     Scale,
     Sin2Pi,
     Sum,
@@ -28,6 +29,7 @@ from pathfn.core.funcs import (
     USeries,
     eval_exact,
     eval_exact_points,
+    rounded_rows,
 )
 from pathfn.core.points import Triplet
 from pathfn.core.scalars import Approx
@@ -432,6 +434,24 @@ def test_exact_flow_builds_its_table_after_the_depth_0_scan(monkeypatch):
     assert events == ["scan", "scan returned"]
 
 
+@pytest.mark.parametrize("f, r, n, t", [
+    (TAU2, 2, 9, F(1, 2**11)),  # t = 1/(2 c r^n) at c = 2
+    (USeries(2, Sum((Distance(), Scale(F(1), DistancePower(2))))), 2, 8, F(1, 2**9)),  # at c = 1
+    (USeries(3, Distance()), 3, 5, F(7, 10 * 3**5)),  # at c = 5/7, clear of ties
+    (USeries(2, ThetaSplice(2)), 2, 8, None),  # not steep: only the tables
+])
+def test_float_flow_rounds_the_vertices_of_the_scans_table(f, r, n, t):
+    # a float flow of an exact-capable f built a second exact table on r^n
+    # for approx_table; every r-th entry of the scan's table on r^(n+1),
+    # rounded once, is that certified table entry for entry
+    vals, den = grid_values(f, r ** (n + 1))
+    assert rounded_rows(vals[::r], den) == f.rows(r**n)
+    if t is not None:
+        centres, den, errs = dyadic(approx_table(f, r**n))
+        c = 1 / (2 * t * r**n)
+        assert flow_grid(FlowQuery(f=f, c=c, r=r, t=t, n=n, mode="float")) == _envelope_exact(centres, den, t, errs)
+
+
 def test_integer_envelope_on_arbitrary_tables():
     # signed tables with many ties: cells left of 0 or right of 1 are clamped
     # away, which steep initial data (f >= 0, f(0) = f(1) = 0) never needs
@@ -479,7 +499,7 @@ def test_flow_grid_integer_form_at_random_t_and_n(mode):
         assert [v for _, v in rows] == [
             min(p.fz + (x - p.z) ** 2 / (2 * t) for p in pq.pieces if p.x_lo <= x <= p.x_hi) for x in xs
         ]
-        assert pq.sample_lines(count) == [f"{x},{v}" for x, v in rows]
+        assert list(pq.sample_lines(count)) == [f"{x},{v}" for x, v in rows]
         again = piecewise_from_json(json.dumps(pq.as_json()))
         exact = PiecewiseQuadratic(pq.t, pq.R, pq.ks, pq.D, pq.vals, err=0.0)
         assert again == exact and again.pieces == pq.pieces

@@ -5,6 +5,7 @@ import pytest
 
 import pathfn.cli as cli
 import pathfn.differences
+import pathfn.grid
 import pathfn.series
 from pathfn.audit import enumerate_triplets, u_delta_identity_residual
 from pathfn.core.funcs import (
@@ -21,9 +22,10 @@ from pathfn.core.funcs import (
     eval_exact_points,
 )
 from pathfn.core.points import radix_y_set
-from pathfn.differences import MembershipQuery, central_second_diff, membership_scan
+from pathfn.differences import (MembershipQuery, _membership_scan_on, central_second_diff, membership_scan,
+                                semiconcavity_scan)
 from pathfn.errors import ResourceLimitError, UnsupportedExactError
-from pathfn.grid import grid_values
+from pathfn.grid import grid_values, scan_grid
 from pathfn.series import identity_residual_scan
 
 F = Fraction
@@ -236,3 +238,79 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
     monkeypatch.setattr(pathfn.series, "grid_values", corrupt_table)
     rep = identity_residual_scan(s, n_max, ys)
     assert (rep.checked, rep.offender, rep.residual) == expected
+
+
+def traced_peak(build):
+    """(result, traced bytes held, traced peak) of ``build()``, both above what was held before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.mark.parametrize("f, bound", [
+    (Scale(F(1, 3), USeries(2, Distance())), 1.5),
+    (Sum((USeries(2, Distance()), USeries(2, DistancePower(2)))), 2.5),
+])
+def test_scale_and_sum_tables_are_written_over_their_childrens(f, bound):
+    # both built new lists beside the tables their children returned: at
+    # Q = 2^15 the scale peaked at 1.99 times the table it returns, the sum
+    # (both children's tables, their scaled copies and the result) at 5.17
+    table, held, peak = traced_peak(lambda: f.table(2**15))
+    assert table == f.table(2**15) and peak < bound * held
+
+
+def test_a_scan_holds_its_table_and_one_piece_of_a_row():
+    # tau2 at depth 15 on y = 1/2: a whole row held three slices and a g of
+    # 32 768 entries each, about 1.9 MiB above the 65 537-entry table
+    ys = radix_y_set(2, 1)
+    q = MembershipQuery(f=USeries(2, Distance()), c=F(2), r=2, n_max=15, y_set=ys)
+    table = grid_values(q.f, scan_grid(2, 15, ys))
+    rep, _, peak = traced_peak(lambda: _membership_scan_on(q, table, cap=10**7))
+    assert rep == membership_scan(q) and peak < 2**19
+
+
+@pytest.mark.parametrize("piece", [3, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_scans_in_pieces_equal_scans_of_whole_rows(monkeypatch, seed, piece):
+    # pieces of 3 and of 1 stencils cut every row past depth 1 (r = 2) or 0
+    # (r = 3); each row still gives one key, the first largest g over its pieces
+    rng = random.Random(100 + seed)
+    for _ in range(3):
+        f, r = random_tree(rng, 2), rng.choice([2, 3])
+        n_max, ys = 4 if r == 2 else 3, radix_y_set(r, rng.randint(1, 2))
+        c = F(rng.randint(1, 8), rng.randint(1, 4))
+        queries = [MembershipQuery(f=f, c=c, r=r, n_max=n_max, y_set=ys, mode=mode) for mode in ("exact", "float")]
+        semi = dict(psi=f, alpha=F(rng.randint(0, 6)), r=r, n_max=n_max, y_set=ys)
+        s = USeries(r, random_tree(rng, 1))
+        j = rng.randrange(1, scan_grid(r, n_max, ys))  # a generator entry the identity scan is made to miss
+
+        def corrupt_table(g, Q, _real=grid_values, _psi=s.psi, _j=j):
+            vals, den = _real(g, Q)
+            if g == _psi:
+                vals = [3 * v for v in vals]
+                vals[_j] += den
+                den *= 3
+            return vals, den
+
+        def scans():
+            out = [membership_scan(q) for q in queries]
+            out += [semiconcavity_scan(**semi, mode=mode) for mode in ("exact", "float")]
+            out.append(identity_residual_scan(s, n_max, ys))
+            with monkeypatch.context() as m:
+                m.setattr(pathfn.series, "grid_values", corrupt_table)
+                out.append(identity_residual_scan(s, n_max, ys))
+            return out
+
+        monkeypatch.setattr(pathfn.grid, "_PIECE", 10**9)
+        whole = scans()
+        monkeypatch.setattr(pathfn.grid, "_PIECE", piece)
+        assert scans() == whole, (f, r, ys)
+        assert (whole[0].worst_margin, whole[0].worst_triplet) == brute_worst(f, c, r, n_max, ys)
+        assert whole[-1].offender is not None and whole[-2].offender is None
