@@ -553,7 +553,6 @@ def test_flow_samples_are_written_a_run_of_lines_at_a_time(spec_file, monkeypatc
             writes.append((text, sum(formatted)))
 
     monkeypatch.setattr(pathfn.flow, "format_ratios", counting)
-
     monkeypatch.setattr(sys, "stdout", Out())
     argv = ["flow", "--func", spec_file(SPEC_TAKAGI2), "--c", "2", "--t", "1/65536", "--samples", "4097"]
     assert cli.main(argv) == 0

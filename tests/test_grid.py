@@ -279,8 +279,8 @@ def test_a_scan_holds_its_table_and_one_piece_of_a_row():
 @pytest.mark.parametrize("piece", [3, 1])
 @pytest.mark.parametrize("seed", range(4))
 def test_scans_in_pieces_equal_scans_of_whole_rows(monkeypatch, seed, piece):
-    # pieces of 3 and of 1 stencils cut every row past depth 1 (r = 2) or 0
-    # (r = 3); each row still gives one key, the first largest g over its pieces
+    # pieces of 3 stencils cut every row past depth 1, pieces of 1 every row
+    # past depth 0; each row still gives one key, the first largest g over its pieces
     rng = random.Random(100 + seed)
     for _ in range(3):
         f, r = random_tree(rng, 2), rng.choice([2, 3])
