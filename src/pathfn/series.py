@@ -1,21 +1,24 @@
 """Routines on the series transform U_psi = sum_j r^{-j} psi(r^j x).
 
 The transform is the expression ``USeries(r, psi)``; its certified truncated
-value is ``eval_approx``.  This module adds exact finite-sum evaluation at
-radix-rational points, the exact scan of the decomposition of the
-transform's second differences into generator differences, and the
-sufficient-condition checker that yields a steepness constant c for the
-transform from a linear lower bound and a semiconcavity bound on the
-generator.  Both the scan and the checker read grid tables.
+value is ``eval_approx``.  This module adds ``u_eval_exact``, the finite sum
+at j/r^N, apart from the sparse table and cycle closed form ``eval_exact``
+reads; the exact scan of the decomposition of the transform's second
+differences into generator differences; and the sufficient-condition checker
+that yields a steepness constant c for the transform from a linear lower
+bound and a semiconcavity bound on the generator.  Both read grid tables.
 
-``u_eval_exact`` sums the transform at j/r^N as a finite sum, without the
-sparse integer table and cycle closed form that ``eval_exact`` reads; the
-identity scan takes its correction term from it.
+The scan checks the decomposition one depth at a time through U = psi +
+U(r.)/r: its residual obeys R_n(k) = L_n(k) + r R_{n-1}(k mod r^(n-1)), L_n =
+Delta_n(U) - Delta_n(psi) - r Delta_{n-1}(U), and R_0 is anchored by
+``u_eval_exact``.  It reaches depth n only when every R_{n-1} was 0, so its
+first nonzero L_n is the first nonzero R_n, with the same value, on any tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Tuple, Union
 
 from .core.funcs import (
@@ -69,13 +72,12 @@ def identity_residual_scan(
     """Residuals of the decomposition over every triplet with n <= n_max and
     y in y_set, stopping at the first nonzero residual in (n, k, y) order.
 
-    The left side reads the transform's grid table, the generator sum the
-    generator's table through S(n, k) = Delta_{n,k}(psi) + r S(n-1, k mod
-    r^{n-1}), and the correction term :func:`u_eval_exact`.  With y = a/B and
-    c = 2B/(a(B-a)): Delta(U) = c r^(2n) g_U / D_U, S = c T / D_psi with
-    T(n, k) = r^(2n) g_psi + r T(n-1, .), and the correction is c r^n B U(y),
-    so each residual is tested as an integer.
-    """
+    With y = a/B and c = 2B/(a(B-a)), Delta_n(f) = c r^(2n) g_f / D_f on f's
+    table.  R_0 = c (g_U / D_U + B U(y)) on U's table V; deeper, L_n = c
+    r^(2n-1) g_E / (D_U D_psi) on E[j] = r D_psi V[j] - r D_U P[j] - D_psi
+    V[r j mod Q], written over psi's table P.  V[r j] reads V[Q] where r j is
+    a nonzero multiple of Q, as a right end does; where such a j is a left
+    end, the walk adds the difference back."""
     if not supports_exact(s.psi):
         raise UnsupportedExactError("generator has no exact branch")
     r = s.r
@@ -85,26 +87,24 @@ def identity_residual_scan(
             raise ValueError(f"y={y} is not radix-rational for r={r}")
     B = Q // r**n_max
     u_vals, u_den = grid_values(s, Q)  # left side
-    p_vals, p_den = grid_values(s.psi, Q)  # right side
-    u_at_y = {y: u_eval_exact(s, y) for y in ys}
-    sums = {y: [0] for y in ys}  # T(n, .) per y, written piece by piece; the sum is empty at n = 0
-    pieces = zip(stencil_rows(u_vals, r, n_max, ys), stencil_rows(p_vals, r, n_max, ys))
+    vals, p_den = grid_values(s.psi, Q)  # right side, then E
+    for i, y in enumerate(ys):
+        a, uy = y.numerator * (B // y.denominator), u_eval_exact(s, y)
+        z = (a * u_vals[Q] + (B - a) * u_vals[0] - B * u_vals[a * Q // B]) * uy.denominator + B * uy.numerator * u_den
+        if z:
+            return IdentityReport(i + 1, Triplet(0, 0, y), Fraction(2 * B * z, a * (B - a) * u_den * uy.denominator))
+    gap = p_den * (u_vals[Q] - u_vals[0])  # 0 unless U's table is corrupt
+    for j in range(Q + 1):
+        vals[j] = r * (p_den * u_vals[j] - u_den * vals[j]) - p_den * u_vals[(r * j - 1) % Q + 1 if j else 0]
+    del u_vals
     found = []  # (k, y, residual) of the first nonzero residual per y in the piece
-    for (n, y, a, k0, g_u), (_, _, _, _, g_p) in pieces:
-        t, k1 = sums[y], k0 + len(g_p)
-        if n and not k0:
-            t *= r  # T(n - 1, k mod r^(n-1)) at every k of depth n, replaced piece by piece
-        piece = t[k0:k1]
-        if n:
-            t[k0:k1] = piece = [r ** (2 * n) * gp + r * tk for gp, tk in zip(g_p, piece)]
-        uy = u_at_y[y]
-        # residual * D_U D_P den(U(y)) / c, for every k of this piece at (n, y)
-        cu, cp = r ** (2 * n) * p_den * uy.denominator, u_den * uy.denominator
-        corr = r**n * B * uy.numerator * u_den * p_den
-        z = [cu * gu - cp * tk + corr for gu, tk in zip(g_u, piece)]
-        i = next((i for i, zi in enumerate(z) if zi), None)
+    for n, y, a, k0, g in islice(stencil_rows(vals, r, n_max, ys), len(ys), None):  # past depth 0
+        for k in range(r ** (n - 1), r**n, r ** (n - 1)) if gap else ():  # left ends read V[Q]
+            if k0 <= k < k0 + len(g):
+                g[k - k0] += (B - a) * gap
+        i = next((i for i, gi in enumerate(g) if gi), None)
         if i is not None:
-            found.append((k0 + i, y, Fraction(2 * B * z[i], a * (B - a) * u_den * p_den * uy.denominator)))
+            found.append((k0 + i, y, Fraction(2 * B * r ** (2 * n - 1) * g[i], a * (B - a) * u_den * p_den)))
         if found and y == ys[-1]:  # every earlier piece had none
             k, y, residual = min(found)
             checked = ((r**n - 1) // (r - 1) + k) * len(ys) + ys.index(y) + 1

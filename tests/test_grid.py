@@ -197,20 +197,25 @@ def test_eval_grid_csv_equals_pointwise_csv(capsys, spec_file):
     assert grid_out == capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
+first_offender_cases = pytest.mark.parametrize(
     "psi,r,n_max,x0",
     [(Distance(), 2, 5, F(5, 32)), (Distance(), 2, 5, F(1, 128)), (ThetaSplice(2), 2, 6, F(13, 64)),
-     (Dilate(2, Distance()), 3, 3, F(7, 27))],
+     (Dilate(2, Distance()), 3, 3, F(7, 27)), (ThetaSplice(2), 2, 4, F(1, 4))],
 )
-def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0):
-    """A generator value corrupted at one grid point x0, in the table and in
-    the point evaluators alike: the scan must stop where a triplet-by-triplet
-    walk of the single-shot residual first sees it."""
+
+
+@first_offender_cases
+def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0, table="psi"):
+    """The generator's or the transform's value corrupted at one grid point
+    x0, in its table and in the point evaluators alike: the scan must stop
+    where a triplet-by-triplet walk of the single-shot residual first sees
+    it.  At a y point the first offender is at depth 0, against the anchor."""
     ys = radix_y_set(r, 2)
     s = USeries(r, psi)
+    target = psi if table == "psi" else s
 
     def bump(f, x, v):
-        return v + F(1, 3) if f == psi and F(x) % 1 == x0 else v
+        return v + F(1, 3) if f == target and F(x) % 1 == x0 else v
 
     def corrupt(real):
         return lambda f, x, *args, **kw: bump(f, x, real(f, x, *args, **kw))
@@ -220,7 +225,7 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
 
     def corrupt_table(f, Q):
         vals, den = grid_values(f, Q)
-        if f != psi:
+        if f != target:
             return vals, den
         vals = [3 * v for v in vals]
         vals[int(x0 * Q)] += den
@@ -234,10 +239,29 @@ def test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0
         if residual:
             expected = (checked, t, residual)
             break
-    assert expected is not None and expected[1].n > 0
+    assert expected is not None and (expected[1].n == 0) == (x0 in ys)
     monkeypatch.setattr(pathfn.series, "grid_values", corrupt_table)
     rep = identity_residual_scan(s, n_max, ys)
     assert (rep.checked, rep.offender, rep.residual) == expected
+
+
+@first_offender_cases
+def test_identity_scan_reports_the_first_offender_in_u_table(monkeypatch, psi, r, n_max, x0):
+    test_identity_scan_reports_the_first_offender(monkeypatch, psi, r, n_max, x0, table="U")
+
+
+def test_identity_scan_reads_u_of_1_apart_from_u_of_0(monkeypatch):
+    # U's table plus the line x changes no second difference, so no residual;
+    # read as U(0) at the left end of a depth-(n-1) stencil, U(1) made one
+    ys, s = radix_y_set(3, 2), USeries(3, ThetaSplice(3))
+
+    def plus_line(f, Q):
+        vals, den = grid_values(f, Q)
+        return ([Q * v + j * den for j, v in enumerate(vals)], Q * den) if f == s else (vals, den)
+
+    monkeypatch.setattr(pathfn.series, "grid_values", plus_line)
+    rep = identity_residual_scan(s, 3, ys)
+    assert rep.offender is None and rep.checked == 40 * len(ys)
 
 
 def traced_peak(build):
@@ -274,6 +298,16 @@ def test_a_scan_holds_its_table_and_one_piece_of_a_row():
     table = grid_values(q.f, scan_grid(2, 15, ys))
     rep, _, peak = traced_peak(lambda: _membership_scan_on(q, table, cap=10**7))
     assert rep == membership_scan(q) and peak < 2**19
+
+
+def test_the_identity_scan_holds_its_two_tables_and_no_row_of_sums():
+    # a row of r^n generator sums per y, kept beside the two tables, put
+    # theta2 at depth 11 on ydepth 5 about 1.8 MiB above building its tables
+    s, ys = USeries(2, ThetaSplice(2)), radix_y_set(2, 5)
+    Q = scan_grid(2, 11, ys)
+    _, _, tables = traced_peak(lambda: (grid_values(s, Q), grid_values(s.psi, Q)))
+    rep, _, peak = traced_peak(lambda: identity_residual_scan(s, 11, ys))
+    assert rep.offender is None and peak <= tables + 2**18
 
 
 @pytest.mark.parametrize("piece", [3, 1])
