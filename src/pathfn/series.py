@@ -88,13 +88,13 @@ def identity_residual_scan(
     B = Q // r**n_max
     u_vals, u_den = grid_values(s, Q)  # left side
     vals, p_den = grid_values(s.psi, Q)  # right side, then E
-    for i, y in enumerate(ys):
+    for i, y in enumerate(ys):  # depth 0, against the anchor U(y)
         a, uy = y.numerator * (B // y.denominator), u_eval_exact(s, y)
         z = (a * u_vals[Q] + (B - a) * u_vals[0] - B * u_vals[a * Q // B]) * uy.denominator + B * uy.numerator * u_den
         if z:
             return IdentityReport(i + 1, Triplet(0, 0, y), Fraction(2 * B * z, a * (B - a) * u_den * uy.denominator))
     gap = p_den * (u_vals[Q] - u_vals[0])  # 0 unless U's table is corrupt
-    for j in range(Q + 1):
+    for j in range(Q + 1):  # E[j] over P[j]
         vals[j] = r * (p_den * u_vals[j] - u_den * vals[j]) - p_den * u_vals[(r * j - 1) % Q + 1 if j else 0]
     del u_vals
     found = []  # (k, y, residual) of the first nonzero residual per y in the piece
